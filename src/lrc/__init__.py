@@ -46,10 +46,7 @@ from .codes import (
 from .compiler import (
     RandomizationPolicy,
     TwirlGroupSpec,
-    compile_measurement,
-    compile_reset,
-    compile_syndrome_extraction,
-    compile_unitary,
+    compile_gadget,
     compute_propagation_correction,
     instantiate,
 )

@@ -119,17 +119,6 @@ def compose(A: Superoperator, B: Superoperator) -> Superoperator:
     return Superoperator(A.dim, A.matrix @ B.matrix)
 
 
-def compose_all(channels) -> Superoperator:
-    """Compose a time-ordered sequence (first element applied first)."""
-    channels = list(channels)
-    if not channels:
-        raise ValueError("empty sequence")
-    acc = channels[0]
-    for c in channels[1:]:
-        acc = compose(c, acc)
-    return acc
-
-
 def average(channels) -> Superoperator:
     channels = list(channels)
     if not channels:
@@ -211,10 +200,6 @@ class DensityMatrix:
 
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
-
-    def fidelity_with_pure(self, psi) -> float:
-        psi = np.asarray(psi, dtype=complex)
-        return float(np.real(psi.conj() @ self.matrix @ psi))
 
 
 def apply(C: Superoperator, rho: DensityMatrix) -> DensityMatrix:

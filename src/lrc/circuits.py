@@ -38,6 +38,7 @@ from .channels import (
     compose,
     embed_operator,
     identity_channel,
+    lift_local_superop,
     natural_rep,
     reset_sites,
 )
@@ -424,13 +425,34 @@ def _default_measured(reg: Register) -> WeylOperator:
     return reg.code.logical_z(0)
 
 
+def _readout_steps(d: int, n: int, site: int, wire: str, ins: GadgetInsertions, noise: list) -> list:
+    """X^x Z^z, the readout noise, the measurement, then the restore Z^z' X^-x."""
+    steps = []
+    rc = ins.internal.get("rc")
+    if rc is not None:
+        x, z = rc
+        steps.append(_step_weyl(WeylOperator(d, (x,), (z,)), (site,), n))
+    steps += noise
+    steps.append(("measure", site, wire))
+    zp = ins.internal.get("post_z")
+    if rc is not None or zp is not None:
+        x = rc[0] if rc is not None else 0
+        zp = zp if zp is not None else 0
+        w_post = WeylOperator(d, (0,), (zp,)).mul(WeylOperator(d, (-x,), (0,)))
+        if not w_post.is_identity():
+            steps.append(_step_weyl(w_post, (site,), n))
+    return steps
+
+
 def expand_gadget(circuit: LogicalCircuit, g: Gadget, ins: GadgetInsertions, ideal: bool) -> list:
     """Primitive step list for one gadget with its compiled insertions."""
     d = circuit.d
     n = circuit.n_qudits
     reg = circuit.register(g.registers[0])
     positions = circuit.footprint(g)
-    steps = []
+    noise_sites = circuit.register(g.readout).qudits if g.kind == SYNDROME_EXTRACTION else positions
+    noise = [] if ideal or g.noise is None else [("channel", noise_sites, g.noise)]
+    steps = _layer_steps(circuit, ins.before)
 
     if g.kind == RESET:
         if reg.kind == "logical":
@@ -439,37 +461,27 @@ def expand_gadget(circuit: LogicalCircuit, g: Gadget, ins: GadgetInsertions, ide
             state = np.zeros(d)
             state[g.state[0] % d] = 1.0
         steps.append(("reset", tuple(reg.qudits), state))
-        if not ideal and g.noise is not None:
-            steps.append(("channel", tuple(reg.qudits), g.noise))
-        steps += _layer_steps(circuit, ins.after)
+        steps += noise
 
     elif g.kind == UNITARY:
-        steps += _layer_steps(circuit, ins.before)
-        if not ideal and g.noise is not None:
-            steps.append(("channel", tuple(positions), g.noise))
+        steps += noise
         if g.weyl is not None:
             steps.append(_step_weyl(g.weyl, positions, n))
         else:
             steps.append(("gate", tuple(positions), g.matrix))
-        steps += _layer_steps(circuit, ins.after)
 
     elif g.kind == MEASUREMENT:
-        steps += _layer_steps(circuit, ins.before)
-        if not ideal and g.noise is not None:
-            steps.append(("channel", tuple(positions), g.noise))
+        steps += noise
         measured = g.weyl if g.weyl is not None else _default_measured(reg)
         steps.append(("measure_logical", reg.code, measured, tuple(reg.qudits), g.wire))
         restore = ins.internal.get("restore")
         if restore is not None and not restore.is_identity(ignore_phase=True):
             steps.append(_step_weyl(restore, reg.qudits, n))
-        steps += _layer_steps(circuit, ins.after)
 
     elif g.kind == SYNDROME_EXTRACTION:
-        ro = circuit.register(g.readout)
-        ro_pos = tuple(ro.qudits)
+        ro_pos = noise_sites
         A = reg.code.stab_gens[g.generator]
         F = fourier_matrix(d)
-        steps += _layer_steps(circuit, ins.before)
         steps.append(("gate", ro_pos, F))
         L = ins.internal.get("enc_twirl")
         P = ins.internal.get("readout_weyl")
@@ -486,20 +498,7 @@ def expand_gadget(circuit: LogicalCircuit, g: Gadget, ins: GadgetInsertions, ide
         if G is not None and not G.is_identity():
             steps.append(_step_weyl(G, ro_pos, n))
         steps.append(("gate", ro_pos, F.conj().T))
-        rc = ins.internal.get("rc")
-        if rc is not None:
-            x, z = rc
-            steps.append(_step_weyl(WeylOperator(d, (x,), (z,)), ro_pos, n))
-        if not ideal and g.noise is not None:
-            steps.append(("channel", ro_pos, g.noise))
-        steps.append(("measure", ro_pos[0], g.wire))
-        zp = ins.internal.get("post_z")
-        if rc is not None or zp is not None:
-            x = rc[0] if rc is not None else 0
-            zp = zp if zp is not None else 0
-            w_post = WeylOperator(d, (0,), (zp,)).mul(WeylOperator(d, (-x,), (0,)))
-            if not w_post.is_identity():
-                steps.append(_step_weyl(w_post, ro_pos, n))
+        steps += _readout_steps(d, n, ro_pos[0], g.wire, ins, noise)
         ib = ins.internal.get("idle_before")
         if ib is not None:
             steps.append(_step_weyl(ib, reg.qudits, n))
@@ -508,36 +507,17 @@ def expand_gadget(circuit: LogicalCircuit, g: Gadget, ins: GadgetInsertions, ide
         ia = ins.internal.get("idle_after")
         if ia is not None:
             steps.append(_step_weyl(ia, reg.qudits, n))
-        steps += _layer_steps(circuit, ins.after)
 
     elif g.kind == IDLE:
-        steps += _layer_steps(circuit, ins.before)
-        if not ideal and g.noise is not None:
-            steps.append(("channel", tuple(positions), g.noise))
-        steps += _layer_steps(circuit, ins.after)
+        steps += noise
 
     elif g.kind == READOUT_MEASUREMENT:
-        steps += _layer_steps(circuit, ins.before)
-        rc = ins.internal.get("rc")
-        if rc is not None:
-            x, z = rc
-            steps.append(_step_weyl(WeylOperator(d, (x,), (z,)), positions, n))
-        if not ideal and g.noise is not None:
-            steps.append(("channel", tuple(positions), g.noise))
-        steps.append(("measure", positions[0], g.wire))
-        zp = ins.internal.get("post_z")
-        if rc is not None or zp is not None:
-            x = rc[0] if rc is not None else 0
-            zp = zp if zp is not None else 0
-            w_post = WeylOperator(d, (0,), (zp,)).mul(WeylOperator(d, (-x,), (0,)))
-            if not w_post.is_identity():
-                steps.append(_step_weyl(w_post, positions, n))
-        steps += _layer_steps(circuit, ins.after)
+        steps += _readout_steps(d, n, positions[0], g.wire, ins, noise)
 
     else:
         raise EvaluationError(f"unknown gadget kind {g.kind!r}")
 
-    return steps
+    return steps + _layer_steps(circuit, ins.after)
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -584,13 +564,25 @@ class CircuitResult:
         return {k: (p, states[k] / p) for k, p in probs.items()}
 
 
-@functools.lru_cache(maxsize=None)
-def _site_projector(d: int, n: int, site: int, value: int) -> np.ndarray:
-    block = np.zeros((d, d))
-    block[value, value] = 1.0
-    out = embed_operator(block, [site], d, n)
-    out.setflags(write=False)
-    return out
+def _site_outcomes(rho: np.ndarray, site: int, d: int, n: int):
+    """Yields, per outcome m, rho with every entry off the site-digit-m block zeroed.
+
+    Entry for entry this is K rho K for the projector K = |m><m| on the site.
+    """
+    t = rho.reshape((d**site, d, d ** (n - site - 1)) * 2)
+    for m in range(d):
+        sub = np.zeros_like(t)
+        sub[:, m, :, :, m, :] = t[:, m, :, :, m, :]
+        yield sub.reshape(rho.shape)
+
+
+def _kraus_outcomes(rho: np.ndarray, kraus_by_outcome):
+    """Yields, per outcome, the sum of K rho K^dagger over its Kraus operators."""
+    for kraus in kraus_by_outcome:
+        sub = np.zeros_like(rho)
+        for K in kraus:
+            sub = sub + K @ rho @ K.conj().T
+        yield sub
 
 
 @functools.lru_cache(maxsize=None)
@@ -673,14 +665,13 @@ def evaluate(
                 br.state = reset_sites(br.state, positions, state, d, n)
         elif kind == "measure":
             _, site, wire = step
-            projs = [_site_projector(d, n, site, m) for m in range(d)]
-            branches, exact = _branch_measure(branches, projs, wire, d, branch_limit, rng, exact)
+            outcomes = (_site_outcomes(br.state, site, d, n) for br in branches)
+            branches, exact = _branch_measure(branches, outcomes, wire, branch_limit, rng, exact)
         elif kind == "measure_logical":
             _, code, measured, positions, wire = step
             kraus_by_outcome = _logical_measurement_kraus(code, measured, positions, n)
-            branches, exact = _branch_measure_kraus(
-                branches, kraus_by_outcome, wire, branch_limit, rng, exact
-            )
+            outcomes = (_kraus_outcomes(br.state, kraus_by_outcome) for br in branches)
+            branches, exact = _branch_measure(branches, outcomes, wire, branch_limit, rng, exact)
         else:
             raise EvaluationError(f"unknown step {kind!r}")
 
@@ -692,35 +683,21 @@ def evaluate(
     return CircuitResult(circuit, branches, exact=exact)
 
 
-def _branch_measure(branches, projs, wire, d, branch_limit, rng, exact):
+def _branch_measure(branches, outcome_states, wire, branch_limit, rng, exact):
+    """Split every branch on one measurement.
+
+    outcome_states yields, for each branch in order, an iterable of the
+    unnormalised post-measurement states of outcomes 0, 1, ...; outcomes of
+    probability at most 1e-14 are dropped.
+    """
     outcomes = []
-    for br in branches:
+    for states in outcome_states:
         rows = []
-        for m, K in enumerate(projs):
-            sub = K @ br.state @ K
+        for m, sub in enumerate(states):
             p = float(np.real(np.trace(sub)))
             if p > 1e-14:
                 rows.append((m, p, sub))
         outcomes.append(rows)
-    return _split(branches, outcomes, wire, branch_limit, rng, exact)
-
-
-def _branch_measure_kraus(branches, kraus_by_outcome, wire, branch_limit, rng, exact):
-    outcomes = []
-    for br in branches:
-        rows = []
-        for m, kraus in enumerate(kraus_by_outcome):
-            sub = np.zeros_like(br.state)
-            for K in kraus:
-                sub = sub + K @ br.state @ K.conj().T
-            p = float(np.real(np.trace(sub)))
-            if p > 1e-14:
-                rows.append((m, p, sub))
-        outcomes.append(rows)
-    return _split(branches, outcomes, wire, branch_limit, rng, exact)
-
-
-def _split(branches, outcomes, wire, branch_limit, rng, exact):
     total = sum(len(rows) for rows in outcomes)
     if total > branch_limit:
         if rng is None:
@@ -741,6 +718,26 @@ def _split(branches, outcomes, wire, branch_limit, rng, exact):
     return new, exact
 
 
+def instance_channel(inst, ideal: bool = False) -> Superoperator:
+    """Superoperator of a measurement-free compiled instance."""
+    c = inst.base
+    d, n = c.d, c.n_qudits
+    acc = identity_channel(c.dim)
+    for g, ins in zip(c.gadgets, inst.insertions):
+        for step in expand_gadget(c, g, ins, ideal):
+            kind = step[0]
+            if kind == "weyl":
+                term = natural_rep(step[1].to_matrix())
+            elif kind == "gate":
+                term = natural_rep(embed_operator(step[2], step[1], d, n))
+            elif kind == "channel":
+                term = lift_local_superop(step[2], step[1], d, n)
+            else:
+                raise ValueError(f"instance contains a non-channel step {kind!r}")
+            acc = compose(term, acc)
+    return acc
+
+
 def ideal_channel(circuit: LogicalCircuit):
     """Reference semantics with all noise ignored.
 
@@ -758,18 +755,8 @@ def ideal_channel(circuit: LogicalCircuit):
         diags = validate(circuit)
         if diags:
             raise EvaluationError(f"invalid circuit: {diags[0].rule}: {diags[0].message}")
-        acc = identity_channel(D)
-        n = circuit.n_qudits
-        for g in circuit.gadgets:
-            if g.kind == IDLE:
-                continue
-            positions = circuit.footprint(g)
-            if g.weyl is not None:
-                U = g.weyl.embed(positions, n).to_matrix()
-            else:
-                U = embed_operator(g.matrix, positions, circuit.d, n)
-            acc = compose(natural_rep(U), acc)
-        return acc
+        empty = (EMPTY_INSERTIONS,) * len(circuit.gadgets)
+        return instance_channel(CompiledInstance(circuit, empty, {}), ideal=True)
     return evaluate(circuit, ideal=True)
 
 

@@ -15,21 +15,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
-from .channels import coherent_rotation, stochastic_weyl
 from .circuits import SchemaError, parse
-from .codes import BUILTIN_CODE_NAMES
+from .codes import BUILTIN_CODE_NAMES, load_code
 from .compiler import DEFAULT_SEED, CompileError, RandomizationPolicy, instantiate
 from .verify import (
     CHECK_NAMES,
     check_measurement_rc,
     check_sampling_equivalence,
+    readout_flip,
+    readout_rotation,
     run_check,
     run_toffoli_example,
 )
-from .weyl import WeylOperator
 
 
 def reports_to_json(reports, include_timings: bool = False) -> str:
@@ -78,16 +79,14 @@ def _render(reports, fmt: str, timings: bool) -> str:
 
 
 def _resolve_code(spec: str):
-    """A builtin name passes through; anything else is a definition path."""
-    if spec in BUILTIN_CODE_NAMES:
-        return spec
-    from pathlib import Path
-
-    from .codes import load_code
-
-    code = load_code(spec)
-    name = Path(spec).stem
-    return (name, code)
+    """(name, code) for a builtin name or a code definition path; None after
+    reporting a definition that cannot be read."""
+    try:
+        code = load_code(spec)
+    except (OSError, ValueError) as exc:
+        print(f"unknown code {spec!r}: {exc}", file=sys.stderr)
+        return None
+    return (spec if spec in BUILTIN_CODE_NAMES else Path(spec).stem), code
 
 
 def cmd_verify(args) -> int:
@@ -104,10 +103,8 @@ def cmd_verify(args) -> int:
             return 2
     code = None
     if args.code is not None:
-        try:
-            code = _resolve_code(args.code)
-        except (OSError, ValueError) as exc:
-            print(f"unknown code {args.code!r}: {exc}", file=sys.stderr)
+        code = _resolve_code(args.code)
+        if code is None:
             return 2
     reports = []
     for name in names:
@@ -172,23 +169,22 @@ def cmd_toffoli(args) -> int:
 
 
 def cmd_syndrome(args) -> int:
+    if args.flip_prob is not None and not 0.0 <= args.flip_prob <= 1.0:
+        print("--flip-prob must lie in [0, 1]", file=sys.stderr)
+        return 2
+    code = _resolve_code(args.code)
+    if code is None:
+        return 2
+    d = code[1].d
     if args.flip_prob is not None:
-        if not 0.0 <= args.flip_prob <= 1.0:
-            print("--flip-prob must lie in [0, 1]", file=sys.stderr)
-            return 2
-        noise = stochastic_weyl(
-            {
-                WeylOperator.identity(2, 1): 1.0 - args.flip_prob,
-                WeylOperator.x_op(2, 1): args.flip_prob,
-            }
-        )
+        noise = readout_flip(d, args.flip_prob)
         label = f"flip={args.flip_prob:g}"
     else:
-        noise = coherent_rotation(WeylOperator.x_op(2, 1), args.rotation)
+        noise = readout_rotation(d, args.rotation)
         label = f"rotation={args.rotation:g}"
     try:
         report = check_measurement_rc(
-            args.code, readout_noise=noise, generator=args.generator, seed=args.seed, label=label
+            code, readout_noise=noise, generator=args.generator, seed=args.seed, label=label
         )
     except (ValueError, IndexError) as exc:
         print(f"syndrome check failed: {exc}", file=sys.stderr)
@@ -233,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification checks")
     p.add_argument("--all", action="store_true", help="run the full registry")
     p.add_argument("--check", action="append", default=[], help="run one named check")
-    p.add_argument("--code", help="restrict code-scoped checks to one builtin code")
+    p.add_argument("--code", help="restrict code-scoped checks to one builtin code or code file")
     common(p)
     p.set_defaults(fn=cmd_verify)
 
@@ -252,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_toffoli)
 
     p = sub.add_parser("syndrome", help="verify compiled syndrome extraction under readout noise")
-    p.add_argument("--code", default="bitflip3")
+    p.add_argument("--code", default="bitflip3", help="builtin code name or code JSON path")
     p.add_argument("--generator", type=int, default=0)
     p.add_argument("--rotation", type=float, default=0.2, help="coherent X rotation angle")
     p.add_argument("--flip-prob", type=float, default=None, help="stochastic flip probability")

@@ -20,9 +20,10 @@ path) stay separate.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,7 +41,7 @@ from .circuits import (
     validate,
 )
 from .codes import StabilizerCode, enumerate_stabilizers, logical_weyls
-from .weyl import WeylOperator, braiding_exponent, iter_weyls, weyl_from_matrix
+from .weyl import WeylOperator, braiding_exponent, braiding_phase, iter_weyls, weyl_from_matrix
 
 DEFAULT_SEED = 271828
 
@@ -337,6 +338,27 @@ def _merge_weyl_layers(reg_names, ops):
     return (Layer(reg_names, weyl=acc),)
 
 
+def element_matrix(G) -> np.ndarray:
+    """Dense matrix of a twirl-group element: a Weyl, a dihedral (r, L) pair,
+    or an explicit unitary."""
+    if isinstance(G, WeylOperator):
+        return G.to_matrix()
+    if isinstance(G, tuple):  # dihedral (r, L): operator R * L
+        r, L = G
+        return _rotation_power(r) @ L.to_matrix()
+    return np.asarray(G)
+
+
+def _stabilizer_layers(reg_names, stabs: dict) -> tuple:
+    """One Weyl layer per register with a drawn stabilizer, in register order."""
+    out = []
+    for name in reg_names:
+        s = stabs.get(name)
+        if s is not None:
+            out.extend(_merge_weyl_layers((name,), [s]))
+    return tuple(out)
+
+
 def _unitary_correction_layers(circuit, g, G, s_after: dict):
     """Layers for the after box: stabilizers composed onto U G^dagger U^dagger.
 
@@ -345,69 +367,35 @@ def _unitary_correction_layers(circuit, g, G, s_after: dict):
     """
     d = circuit.d
     reg_names = g.registers
-
-    def stab_layers():
-        out = []
-        for name in reg_names:
-            s = s_after.get(name)
-            if s is not None:
-                out.extend(_merge_weyl_layers((name,), [s]))
-        return tuple(out)
-
     if G is None:
-        return stab_layers()
+        return _stabilizer_layers(reg_names, s_after)
 
     if isinstance(G, WeylOperator) and g.weyl is not None:
         # U G^dagger U^dagger = conj(braid(U, G^dagger)) * G^dagger, exactly.
         gd = G.dagger()
-        from .weyl import braiding_phase
-
         phase = braiding_phase(g.weyl, gd)
         corr = WeylOperator(d, gd.x, gd.z, gd.phase_exp - phase.exp)
-        if len(reg_names) == 1 and reg_names[0] in s_after:
-            merged = _merge_weyl_layers(reg_names, [s_after[reg_names[0]], corr])
-            return merged
-        return _merge_weyl_layers(reg_names, [corr]) + stab_layers()
-
-    U = _ideal_unitary_matrix(circuit, g)
-    if isinstance(G, WeylOperator):
-        Gm = G.to_matrix()
-        label = "twirl-correction"
-    elif isinstance(G, tuple):  # dihedral (r, L)
-        r, L = G
-        Gm = _rotation_power(r) @ L.to_matrix()
-        label = "twirl-correction"
     else:
-        Gm = np.asarray(G)
-        label = "twirl-correction"
-    corr = U @ Gm.conj().T @ U.conj().T
-    n_sites = len(circuit.footprint(g))
-    rec = weyl_from_matrix(corr, d, n_sites)
-    if rec is not None:
-        if len(reg_names) == 1 and reg_names[0] in s_after:
-            return _merge_weyl_layers(reg_names, [s_after[reg_names[0]], rec])
-        return _merge_weyl_layers(reg_names, [rec]) + stab_layers()
-    return (Layer(reg_names, matrix=corr, label=label),) + stab_layers()
+        U = _ideal_unitary_matrix(circuit, g)
+        corr = U @ element_matrix(G).conj().T @ U.conj().T
+        rec = weyl_from_matrix(corr, d, len(circuit.footprint(g)))
+        if rec is None:
+            layer = Layer(reg_names, matrix=corr, label="twirl-correction")
+            return (layer,) + _stabilizer_layers(reg_names, s_after)
+        corr = rec
+    if len(reg_names) == 1 and reg_names[0] in s_after:
+        return _merge_weyl_layers(reg_names, [s_after[reg_names[0]], corr])
+    return _merge_weyl_layers(reg_names, [corr]) + _stabilizer_layers(reg_names, s_after)
 
 
 def _before_twirl_layers(reg_names, G, s_before):
     """Layers for the before box: G composed onto the drawn stabilizers."""
     if G is None:
-        out = []
-        for name in reg_names:
-            s = s_before.get(name)
-            if s is not None:
-                out.extend(_merge_weyl_layers((name,), [s]))
-        return tuple(out)
+        return _stabilizer_layers(reg_names, s_before)
     if isinstance(G, WeylOperator):
         if len(reg_names) == 1 and reg_names[0] in s_before:
             return _merge_weyl_layers(reg_names, [G, s_before[reg_names[0]]])
-        pre = []
-        for name in reg_names:
-            s = s_before.get(name)
-            if s is not None:
-                pre.extend(_merge_weyl_layers((name,), [s]))
-        return tuple(pre) + _merge_weyl_layers(reg_names, [G])
+        return _stabilizer_layers(reg_names, s_before) + _merge_weyl_layers(reg_names, [G])
     if isinstance(G, tuple):  # dihedral (r, L): operator R * L * S
         r, L = G
         s = s_before.get(reg_names[0])
@@ -433,6 +421,16 @@ def _audit(value):
     if isinstance(value, np.ndarray):
         return "custom-unitary"
     return value
+
+
+def _readout_randomization(draws: dict, wire: str, d: int):
+    """(internal, classical_add) for X^x Z^z ahead of a readout, the output
+    corrected by -x and the restore Z^z' X^-x after it."""
+    if "x" not in draws:
+        return {}, {}
+    add = (-draws["x"]) % d
+    internal = {"rc": (draws["x"], draws["z"]), "post_z": draws["z'"]}
+    return internal, ({wire: add} if add else {})
 
 
 def realize_gadget(
@@ -492,8 +490,7 @@ def realize_gadget(
     if g.kind == SYNDROME_EXTRACTION:
         reg = circuit.register(g.registers[0])
         A = reg.code.stab_gens[g.generator]
-        internal: dict = {}
-        classical: dict = {}
+        internal, classical = _readout_randomization(draws, g.wire, d)
         s = draws.get(f"S:{g.registers[0]}")
         before = _merge_weyl_layers(g.registers, [s]) if s is not None else ()
         L = draws.get("L")
@@ -503,34 +500,15 @@ def realize_gadget(
         P = draws.get("P")
         if P is not None:
             internal["readout_weyl"] = P
-        if "x" in draws:
-            internal["rc"] = (draws["x"], draws["z"])
-            internal["post_z"] = draws["z'"]
-            add = (-draws["x"]) % d
-            if add:
-                classical[g.wire] = add
-        idle_pre = []
-        idle_post = []
         lh = draws.get("Lh")
-        if lh is not None:
-            idle_pre.append(lh)
-            idle_post.append(lh.dagger())
         sp = draws.get(f"S':{g.registers[0]}")
-        if sp is not None:
-            idle_pre.insert(0, sp)
         spp = draws.get(f"S'':{g.registers[0]}")
-        if spp is not None:
-            idle_post.insert(0, spp)
+        idle_pre = [op for op in (sp, lh) if op is not None]
+        idle_post = [op for op in (spp, lh.dagger() if lh is not None else None) if op is not None]
         if idle_pre:
-            acc = idle_pre[0]
-            for op in idle_pre[1:]:
-                acc = acc.mul(op)
-            internal["idle_before"] = acc
+            internal["idle_before"] = functools.reduce(WeylOperator.mul, idle_pre)
         if idle_post:
-            acc = idle_post[0]
-            for op in idle_post[1:]:
-                acc = acc.mul(op)
-            internal["idle_after"] = acc
+            internal["idle_after"] = functools.reduce(WeylOperator.mul, idle_post)
         return GadgetInsertions(
             before=before, internal=internal, classical_add=classical, draws=audit
         )
@@ -550,57 +528,22 @@ def realize_gadget(
         return GadgetInsertions(before=before, after=after, draws=audit)
 
     if g.kind == READOUT_MEASUREMENT:
-        internal = {}
-        classical = {}
-        if "x" in draws:
-            internal["rc"] = (draws["x"], draws["z"])
-            internal["post_z"] = draws["z'"]
-            add = (-draws["x"]) % d
-            if add:
-                classical[g.wire] = add
+        internal, classical = _readout_randomization(draws, g.wire, d)
         return GadgetInsertions(internal=internal, classical_add=classical, draws=audit)
 
     raise CompileError(f"cannot compile gadget kind {g.kind!r}")
 
 
-# -- single-gadget entry points -------------------------------------------------
+# -- single-gadget entry point -------------------------------------------------
 
 
-def _draw_once(components, rng):
+def compile_gadget(circuit, index, policy, rng=None) -> GadgetInsertions:
+    """Insertions for gadget ``index`` from one uniform draw of its components."""
     if rng is None:
         rng = np.random.default_rng(DEFAULT_SEED)
-    return {c.name: c.values[int(rng.integers(len(c.values)))] for c in components}
-
-
-def compile_reset(circuit, index, policy, rng=None) -> GadgetInsertions:
-    g = circuit.gadgets[index]
-    if g.kind != RESET:
-        raise CompileError(f"gadget {index} is not a reset")
-    if circuit.register(g.registers[0]).kind != "logical":
-        raise CompileError("stabilizer insertion applies to encoded resets")
-    return realize_gadget(circuit, index, _draw_once(gadget_components(circuit, index, policy), rng), policy)
-
-
-def compile_unitary(circuit, index, group: TwirlGroupSpec, policy, rng=None) -> GadgetInsertions:
-    g = circuit.gadgets[index]
-    if g.kind != UNITARY:
-        raise CompileError(f"gadget {index} is not a unitary")
-    policy = replace(policy, twirl_groups={**policy.twirl_groups, index: group})
-    return realize_gadget(circuit, index, _draw_once(gadget_components(circuit, index, policy), rng), policy)
-
-
-def compile_measurement(circuit, index, policy, rng=None) -> GadgetInsertions:
-    g = circuit.gadgets[index]
-    if g.kind != MEASUREMENT:
-        raise CompileError(f"gadget {index} is not a logical measurement")
-    return realize_gadget(circuit, index, _draw_once(gadget_components(circuit, index, policy), rng), policy)
-
-
-def compile_syndrome_extraction(circuit, index, policy, rng=None) -> GadgetInsertions:
-    g = circuit.gadgets[index]
-    if g.kind != SYNDROME_EXTRACTION:
-        raise CompileError(f"gadget {index} is not a syndrome extraction")
-    return realize_gadget(circuit, index, _draw_once(gadget_components(circuit, index, policy), rng), policy)
+    components = gadget_components(circuit, index, policy)
+    draws = {c.name: c.values[int(rng.integers(len(c.values)))] for c in components}
+    return realize_gadget(circuit, index, draws, policy)
 
 
 # -- instantiation -------------------------------------------------------------

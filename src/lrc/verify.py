@@ -50,8 +50,8 @@ from .circuits import (
     Register,
     controlled_weyl,
     evaluate,
-    expand_gadget,
     fourier_matrix,
+    instance_channel,
 )
 from .codes import (
     StabilizerCode,
@@ -69,12 +69,12 @@ from .compiler import (
     RandomizationPolicy,
     TwirlGroupSpec,
     compute_propagation_correction,
-    dihedral_elements,
+    element_matrix,
+    group_elements,
     instantiate,
     t_gate_matrix,
-    _rotation_power,
 )
-from .weyl import WeylOperator, braiding_phase, iter_weyls
+from .weyl import DimensionError, WeylOperator, braiding_exponent, braiding_phase, iter_weyls
 
 STRUCTURAL_TOL = 1e-10
 
@@ -132,6 +132,19 @@ def _timed(fn):
     return out, (time.perf_counter() - start) * 1e3
 
 
+def _structural_report(check: str, value: float, ms: float, seed: int, details=None):
+    """Report of a check that passes when its residual is below STRUCTURAL_TOL."""
+    return VerificationReport(
+        check=check,
+        passed=value < STRUCTURAL_TOL,
+        value=value,
+        tolerance=STRUCTURAL_TOL,
+        runtime_ms=ms,
+        seed=seed,
+        details=details or {},
+    )
+
+
 # -- state diagnostics ---------------------------------------------------------
 
 
@@ -175,34 +188,10 @@ def cospace_projector_sum(code: StabilizerCode) -> Superoperator:
     return acc
 
 
-def instance_channel(inst) -> Superoperator:
-    """Superoperator of a measurement-free compiled instance."""
-    c = inst.base
-    d, n = c.d, c.n_qudits
-    acc = identity_channel(c.dim)
-    for g, ins in zip(c.gadgets, inst.insertions):
-        for step in expand_gadget(c, g, ins, ideal=False):
-            kind = step[0]
-            if kind == "weyl":
-                term = natural_rep(step[1].to_matrix())
-            elif kind == "gate":
-                term = natural_rep(embed_operator(step[2], step[1], d, n))
-            elif kind == "channel":
-                term = lift_local_superop(step[2], step[1], d, n)
-            else:
-                raise ValueError(f"instance contains a non-channel step {kind!r}")
-            acc = compose(term, acc)
-    return acc
-
-
 def group_unitaries(spec: TwirlGroupSpec, code: StabilizerCode | None):
     if spec.kind == "trivial":
         return [np.eye(code.dim if code else 2)]
-    if spec.kind == "logical_weyl":
-        return [l.to_matrix() for l in logical_weyls(code)]
-    if spec.kind == "dihedral":
-        return [_rotation_power(r) @ L.to_matrix() for r, L in dihedral_elements()]
-    return [np.asarray(u) for u in spec.elements]
+    return [element_matrix(G) for G in group_elements(spec, code)]
 
 
 def logical_channel(C: Superoperator, code: StabilizerCode) -> Superoperator:
@@ -259,14 +248,7 @@ def check_theorem1(code_name, seed: int = 0) -> VerificationReport:
         return float(np.max(np.abs(lhs.matrix - rhs.matrix)))
 
     value, ms = _timed(run)
-    return VerificationReport(
-        check=f"theorem1:{name}",
-        passed=value < STRUCTURAL_TOL,
-        value=value,
-        tolerance=STRUCTURAL_TOL,
-        runtime_ms=ms,
-        seed=seed,
-    )
+    return _structural_report(f"theorem1:{name}", value, ms, seed)
 
 
 def check_character_orthogonality(code_name, seed: int = 0) -> VerificationReport:
@@ -274,8 +256,6 @@ def check_character_orthogonality(code_name, seed: int = 0) -> VerificationRepor
     name, code = _resolve(code_name)
 
     def run():
-        from .weyl import braiding_exponent
-
         stabs = enumerate_stabilizers(code)
         errors = enumerate_pure_errors(code)
         d = code.d
@@ -342,14 +322,7 @@ def check_theorem2(
         return float(np.max(np.abs(averaged.matrix - rhs.matrix)))
 
     value, ms = _timed(run)
-    return VerificationReport(
-        check=f"theorem2:{label}" if label else "theorem2",
-        passed=value < STRUCTURAL_TOL,
-        value=value,
-        tolerance=STRUCTURAL_TOL,
-        runtime_ms=ms,
-        seed=seed,
-    )
+    return _structural_report(f"theorem2:{label}" if label else "theorem2", value, ms, seed)
 
 
 def random_hermitian_weyl(rng, d: int, n: int) -> WeylOperator:
@@ -403,14 +376,7 @@ def check_theorem2_suite(seed: int, noise_draws: int = 10) -> VerificationReport
         return worst
 
     value, ms = _timed(run)
-    return VerificationReport(
-        check="theorem2",
-        passed=value < STRUCTURAL_TOL,
-        value=value,
-        tolerance=STRUCTURAL_TOL,
-        runtime_ms=ms,
-        seed=seed,
-    )
+    return _structural_report("theorem2", value, ms, seed)
 
 
 def logical_s_gate(code: StabilizerCode) -> np.ndarray:
@@ -437,14 +403,7 @@ def check_clifford_path(seed: int, noise_draws: int = 5) -> VerificationReport:
         return worst
 
     value, ms = _timed(run)
-    return VerificationReport(
-        check="clifford_path",
-        passed=value < STRUCTURAL_TOL,
-        value=value,
-        tolerance=STRUCTURAL_TOL,
-        runtime_ms=ms,
-        seed=seed,
-    )
+    return _structural_report("clifford_path", value, ms, seed)
 
 
 def check_t_path(seed: int, noise_draws: int = 5) -> VerificationReport:
@@ -470,14 +429,8 @@ def check_t_path(seed: int, noise_draws: int = 5) -> VerificationReport:
         return worst, px_py
 
     (value, px_py), ms = _timed(run)
-    return VerificationReport(
-        check="t_path",
-        passed=value < STRUCTURAL_TOL,
-        value=value,
-        tolerance=STRUCTURAL_TOL,
-        runtime_ms=ms,
-        seed=seed,
-        details={"px_py": [[float(a), float(b)] for a, b in px_py]},
+    return _structural_report(
+        "t_path", value, ms, seed, {"px_py": [[float(a), float(b)] for a, b in px_py]}
     )
 
 
@@ -637,6 +590,8 @@ def averaged_extraction_channels(
         policy = RandomizationPolicy()
     d = code.d
     n = code.n
+    if readout_noise is not None and readout_noise.dim != d:
+        raise DimensionError(f"readout noise dimension {readout_noise.dim}, the code needs {d}")
     Df = code.dim * d
     enc = list(range(n))
     ro = [n]
@@ -724,6 +679,21 @@ def averaged_extraction_channels(
     return out
 
 
+def readout_rotation(d: int, theta: float) -> Superoperator:
+    """Coherent readout noise: exp(-i theta X) on a qubit, exp(-i theta (X + X^dagger))
+    on a qudit of dimension d > 2."""
+    X = WeylOperator.x_op(d, 1)
+    if d == 2:
+        return coherent_rotation(X, theta)
+    w, V = np.linalg.eigh(X.to_matrix() + X.dagger().to_matrix())
+    return natural_rep((V * np.exp(-1j * theta * w)) @ V.conj().T)
+
+
+def readout_flip(d: int, p: float) -> Superoperator:
+    """Stochastic readout noise: the shift X with probability p."""
+    return stochastic_weyl({WeylOperator.identity(d, 1): 1.0 - p, WeylOperator.x_op(d, 1): p})
+
+
 def check_measurement_rc(
     code_name="bitflip3",
     readout_noise: Superoperator | None = None,
@@ -764,15 +734,8 @@ def check_measurement_rc(
 
     (weyl_residual, residual, row_sums, confusion, tp), ms = _timed(run)
     value = max(weyl_residual, residual, row_sums, 0.0 if tp else 1.0)
-    return VerificationReport(
-        check=f"measurement_rc:{label}" if label else "measurement_rc",
-        passed=value < STRUCTURAL_TOL,
-        value=value,
-        tolerance=STRUCTURAL_TOL,
-        runtime_ms=ms,
-        seed=seed,
-        details={"confusion": confusion.tolist()},
-    )
+    check = f"measurement_rc:{label}" if label else "measurement_rc"
+    return _structural_report(check, value, ms, seed, {"confusion": confusion.tolist()})
 
 
 # -- compiled equals bare --------------------------------------------------------
@@ -863,15 +826,8 @@ def check_compiled_equals_bare(seed: int, n_circuits: int = 100) -> Verification
         return worst, checked
 
     (value, checked), ms = _timed(run)
-    return VerificationReport(
-        check="compiled_equals_bare",
-        passed=value < STRUCTURAL_TOL,
-        value=value,
-        tolerance=STRUCTURAL_TOL,
-        runtime_ms=ms,
-        seed=seed,
-        details={"instances_checked": checked, "circuits": n_circuits},
-    )
+    details = {"instances_checked": checked, "circuits": n_circuits}
+    return _structural_report("compiled_equals_bare", value, ms, seed, details)
 
 
 # -- sampling equivalence ---------------------------------------------------------
@@ -962,21 +918,11 @@ def run_check(name: str, seed: int, code: str | None = None) -> list:
     if name == "toffoli":
         return [run_toffoli_example(0.0, seed=seed), run_toffoli_example(0.1, seed=seed)]
     if name == "measurement_rc":
+        code = code or "bitflip3"
+        d = _resolve(code)[1].d
         return [
-            check_measurement_rc(
-                code or "bitflip3",
-                readout_noise=coherent_rotation(WeylOperator.x_op(2, 1), 0.2),
-                seed=seed,
-                label="coherent",
-            ),
-            check_measurement_rc(
-                code or "bitflip3",
-                readout_noise=stochastic_weyl(
-                    {WeylOperator.identity(2, 1): 0.9, WeylOperator.x_op(2, 1): 0.1}
-                ),
-                seed=seed,
-                label="stochastic",
-            ),
+            check_measurement_rc(code, readout_rotation(d, 0.2), seed=seed, label="coherent"),
+            check_measurement_rc(code, readout_flip(d, 0.1), seed=seed, label="stochastic"),
         ]
     if name == "compiled_equals_bare":
         return [check_compiled_equals_bare(seed)]

@@ -308,33 +308,28 @@ class WeylOperator:
         M[rows, np.arange(D)] = vals
         return M
 
+    def _shift_and_phases(self):
+        """(perm, u) with (W psi)[i] = phase * u[i] * psi[perm[i]]."""
+        digits = _digit_table(self.d, self.n)
+        shifted = (digits - np.asarray(self.x)) % self.d
+        perm = shifted @ _place_values(self.d, self.n)
+        u = np.exp(2j * np.pi * ((shifted @ np.asarray(self.z)) % self.d) / self.d)
+        return perm, u
+
     def apply_to_vector(self, psi: np.ndarray) -> np.ndarray:
         """W |psi> without forming the matrix."""
         D = self.dim
         if psi.shape != (D,):
             raise DimensionError(f"state has dimension {psi.shape}, expected ({D},)")
-        digits = _digit_table(self.d, self.n)
-        place = _place_values(self.d, self.n)
-        x = np.asarray(self.x)
-        z = np.asarray(self.z)
-        src = ((digits - x) % self.d) @ place
-        phases = self.phase.value * np.exp(
-            2j * np.pi * ((((digits - x) % self.d) @ z) % self.d) / self.d
-        )
-        return phases * psi[src]
+        perm, u = self._shift_and_phases()
+        return (self.phase.value * u) * psi[perm]
 
     def conjugate_matrix(self, M: np.ndarray) -> np.ndarray:
         """W M W^dagger as an index permutation plus phases, O(dim^2)."""
         D = self.dim
         if M.shape != (D, D):
             raise DimensionError(f"matrix has shape {M.shape}, expected ({D},{D})")
-        digits = _digit_table(self.d, self.n)
-        place = _place_values(self.d, self.n)
-        x = np.asarray(self.x)
-        z = np.asarray(self.z)
-        shifted = (digits - x) % self.d
-        perm = shifted @ place
-        u = np.exp(2j * np.pi * ((shifted @ z) % self.d) / self.d)
+        perm, u = self._shift_and_phases()
         return (u[:, None] * u.conj()[None, :]) * M[np.ix_(perm, perm)]
 
     # -- text form ----------------------------------------------------------
@@ -375,10 +370,6 @@ def braiding_phase(P: WeylOperator, Q: WeylOperator) -> RootPhase:
 def braiding_exponent(P: WeylOperator, Q: WeylOperator) -> int:
     """Integer m with braiding_phase(P, Q) = exp(2*pi*i*m/d)."""
     return braiding_phase(P, Q).dth_exponent()
-
-
-def commutes(P: WeylOperator, Q: WeylOperator) -> bool:
-    return braiding_exponent(P, Q) == 0
 
 
 def iter_weyls(d: int, n: int):

@@ -17,6 +17,7 @@ from lrc.circuits import (
     LogicalCircuit,
     Register,
     SchemaError,
+    _site_outcomes,
     circuit_from_dict,
     controlled_weyl,
     evaluate,
@@ -363,3 +364,19 @@ def test_controlled_weyl_writes_eigenvalue():
     # readout should end in |1> since XII anticommutes with ZZI
     expect = np.kron(state, np.array([0.0, 1.0]))
     assert abs(abs(expect.conj() @ out) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("site", [0, 1])
+@pytest.mark.parametrize("d", [2, 3])
+def test_site_measurement_equals_dense_projector_sandwich(d, site):
+    n = 3
+    rng = np.random.default_rng(10 * d + site)
+    m = rng.normal(size=(d**n, d**n)) + 1j * rng.normal(size=(d**n, d**n))
+    rho = m @ m.conj().T
+    outcomes = list(_site_outcomes(rho, site, d, n))
+    assert len(outcomes) == d
+    for value, sub in enumerate(outcomes):
+        block = np.zeros((d, d))
+        block[value, value] = 1.0
+        K = embed_operator(block, [site], d, n)
+        assert np.array_equal(sub, K @ rho @ K)

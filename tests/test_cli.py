@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -188,6 +190,15 @@ def test_failing_check_exits_one(monkeypatch, tmp_path):
     assert main(["toffoli", "--delta", "0.1", "--out", str(tmp_path / "t.json")]) == 1
 
 
+REPO = Path(__file__).resolve().parents[1]
+
+#: One-qutrit code with the single stabilizer Z and no logical qudit.
+QUTRIT_CODE = (
+    '{"d":3,"n":1,"k":0,"stabilizer_generators":["0;0;1;3"],'
+    '"pure_error_generators":["0;1;0;3"],"logical_generators":[]}'
+)
+
+
 def test_verify_all_passes(tmp_path):
     out = tmp_path / "all.json"
     code = main(["verify", "--all", "--seed", "7", "--out", str(out)])
@@ -198,6 +209,61 @@ def test_verify_all_passes(tmp_path):
     assert "theorem1:five_one_three" in names
     assert "compiled_equals_bare" in names
     assert "sampling_equivalence" in names
+    # The report is reproducible byte for byte, rounding residuals included.
+    assert out.read_bytes() == (REPO / "benchmarks/reference/registry_seed7.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--check", "measurement_rc"], ["syndrome"], ["syndrome", "--flip-prob", "0.2"]],
+    ids=["verify", "syndrome_rotation", "syndrome_flip"],
+)
+def test_measurement_rc_on_a_qutrit_code_file(tmp_path, argv):
+    path = tmp_path / "q.json"
+    path.write_text(QUTRIT_CODE)
+    out = tmp_path / "rep.json"
+    assert main(argv + ["--code", str(path), "--out", str(out)]) == 0
+    reports = json.loads(out.read_text())
+    assert reports and all(r["pass"] for r in reports)
+    for r in reports:
+        assert np.array(r["details"]["confusion"]).shape == (3, 3)
+
+
+def test_syndrome_unknown_code_file(tmp_path, capsys):
+    assert main(["syndrome", "--code", str(tmp_path / "missing.json")]) == 2
+    assert "unknown code" in capsys.readouterr().err
+
+
+def test_compile_output_is_pinned(tmp_path):
+    """Every gadget kind, Weyl gadgets only, so the output holds no computed floats."""
+    code = builtin_code("bitflip3")
+    circuit = LogicalCircuit(
+        d=2,
+        registers=(
+            Register(name="L0", kind="logical", qudits=(0, 1, 2), code=code),
+            Register(name="R0", kind="readout", qudits=(3,)),
+        ),
+        gadgets=(
+            Gadget.reset("L0", (0,)),
+            Gadget.reset("R0", (0,)),
+            Gadget.unitary("L0", weyl=code.logical_x()),
+            Gadget.idle("L0", ticks=2),
+            Gadget.syndrome_extraction("L0", 0, "R0", "s"),
+            Gadget.reset("R0", (0,)),
+            Gadget.readout_measurement("R0", "r"),
+            Gadget.measurement("L0", "m"),
+        ),
+        classical_wires=("s", "r", "m"),
+    )
+    circuit_path = tmp_path / "c.json"
+    circuit_path.write_text(serialize(circuit))
+    policy_path = tmp_path / "p.json"
+    policy_path.write_text('{"seed": 7, "mode": {"sampled": 24}, "twirl_groups": {"2": "logical_weyl"}}')
+    out = tmp_path / "instances.json"
+    argv = ["compile", "--circuit", str(circuit_path), "--policy", str(policy_path), "--out", str(out)]
+    assert main(argv) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "ab714bdb118b0c0a281803c9ac5e1f5240fd065265c9a805e7ea44931fe729e3"
 
 
 def test_sample_byte_identical(tmp_path):

@@ -17,8 +17,7 @@ from lrc.compiler import (
     CompileError,
     RandomizationPolicy,
     TwirlGroupSpec,
-    compile_reset,
-    compile_unitary,
+    compile_gadget,
     compute_propagation_correction,
     dihedral_elements,
     draw_space_size,
@@ -65,7 +64,7 @@ def extraction_circuit(code=BITFLIP, generator=0):
 
 def test_reset_with_stabilizers_off_has_no_insertion():
     policy = RandomizationPolicy(stabilizers=False)
-    ins = compile_reset(reset_circuit(), 0, policy)
+    ins = compile_gadget(reset_circuit(), 0, policy)
     assert ins.before == () and ins.after == ()
 
 
@@ -94,7 +93,8 @@ def test_unitary_trivial_group_sandwich_only():
         gadgets=(Gadget.unitary("L0", weyl=WeylOperator.from_label("XXX")),),
         classical_wires=(),
     )
-    ins = compile_unitary(c, 0, TwirlGroupSpec.trivial(), RandomizationPolicy(), np.random.default_rng(0))
+    policy = RandomizationPolicy(twirl_groups={0: TwirlGroupSpec.trivial()})
+    ins = compile_gadget(c, 0, policy, np.random.default_rng(0))
     assert len(ins.before) == 1 and ins.before[0].weyl is not None
     assert len(ins.after) == 1 and ins.after[0].weyl is not None
     assert "G" not in ins.draws

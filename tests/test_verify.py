@@ -21,6 +21,7 @@ from lrc.circuits import (
 )
 from lrc.codes import (
     builtin_code,
+    code_from_json,
     enumerate_pure_errors,
     logical_basis_state,
     projector_for_syndrome,
@@ -47,7 +48,7 @@ from lrc.verify import (
     stabilizer_average_channel,
     weyl_error_probabilities,
 )
-from lrc.weyl import WeylOperator
+from lrc.weyl import DimensionError, WeylOperator
 
 BITFLIP = builtin_code("bitflip3")
 
@@ -438,3 +439,13 @@ def test_two_point_mixture_matches_average_formula():
 def test_derive_seed_stable():
     assert derive_seed(1, "x") == derive_seed(1, "x")
     assert derive_seed(1, "x") != derive_seed(2, "x")
+
+
+def test_extraction_rejects_readout_noise_of_another_dimension():
+    qutrit_z = code_from_json(
+        '{"d":3,"n":1,"k":0,"stabilizer_generators":["0;0;1;3"],'
+        '"pure_error_generators":["0;1;0;3"],"logical_generators":[]}'
+    )
+    qubit_flip = stochastic_weyl({WeylOperator.identity(2, 1): 0.9, WeylOperator.x_op(2, 1): 0.1})
+    with pytest.raises(DimensionError):
+        averaged_extraction_channels(qutrit_z, readout_noise=qubit_flip)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrc.weyl import (
     CapacityError,
@@ -237,6 +239,26 @@ def test_conjugate_matrix_matches_dense():
         M = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
         expected = w.to_matrix() @ M @ w.to_matrix().conj().T
         np.testing.assert_allclose(w.conjugate_matrix(M), expected, atol=1e-12)
+
+
+@st.composite
+def weyls(draw):
+    d = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, 2 if d == 5 else 3))
+    dits = st.lists(st.integers(0, d - 1), min_size=n, max_size=n)
+    return WeylOperator(d, tuple(draw(dits)), tuple(draw(dits)), draw(st.integers(0, 2 * d - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(w=weyls(), seed=st.integers(0, 2**32 - 1))
+def test_permutation_forms_match_dense_products(w, seed):
+    rng = np.random.default_rng(seed)
+    D = w.dim
+    W = w.to_matrix()
+    psi = rng.normal(size=D) + 1j * rng.normal(size=D)
+    M = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
+    np.testing.assert_allclose(w.apply_to_vector(psi), W @ psi, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(w.conjugate_matrix(M), W @ M @ W.conj().T, rtol=0, atol=1e-12)
 
 
 def test_iter_weyls_count_and_uniqueness():
