@@ -7,6 +7,11 @@ conj(M) (x) M.  Composition is written compose(A, B) with B applied first.
 Structural identities are expected to hold to 1e-12 and physicality checks
 to 1e-10; superoperators are restricted to D <= 64 while density matrices
 may use the full dense capacity.
+
+Every operator on a footprint of k of the n sites meets a d^n x d^n matrix
+in one site layout: ``to_sites`` views the matrix as a (d^k, R, R, d^k)
+tensor, R = d^(n-k), of footprint row digits (in footprint order), other row
+digits, other column digits and footprint column digits; ``from_sites`` undoes it.
 """
 
 from __future__ import annotations
@@ -224,15 +229,8 @@ def is_trace_preserving(C: Superoperator, atol: float = 1e-10) -> bool:
 def choi_matrix(C: Superoperator) -> np.ndarray:
     """sum_ij |i><j| (x) C(|i><j|); positive iff the channel is CP."""
     D = C.dim
-    out = np.zeros((D * D, D * D), dtype=complex)
-    basis = np.zeros((D, D), dtype=complex)
-    for i in range(D):
-        for j in range(D):
-            basis[i, j] = 1.0
-            block = C(basis)
-            out[i * D : (i + 1) * D, j * D : (j + 1) * D] = block
-            basis[i, j] = 0.0
-    return out
+    # Entry (i, a), (j, b) is C(|i><j|)[a, b], the matrix entry (a + D b, i + D j).
+    return C.matrix.reshape(D, D, D, D).transpose(3, 1, 2, 0).reshape(D * D, D * D)
 
 
 def min_choi_eigenvalue(C: Superoperator) -> float:
@@ -271,48 +269,49 @@ def max_offdiagonal(R: np.ndarray) -> float:
 # -- multi-register tensor helpers --------------------------------------------
 
 
-def reorder_sites(M: np.ndarray, site_order, d: int) -> np.ndarray:
-    """Permute tensor factors of a matrix whose current factor i is global
-    site site_order[i]; returns the matrix in global site order."""
-    n = len(site_order)
-    axes = np.argsort(np.asarray(site_order, dtype=int))
-    t = M.reshape([d] * (2 * n))
-    t = t.transpose(list(axes) + [n + int(a) for a in axes])
-    return t.reshape(d**n, d**n)
+@functools.lru_cache(maxsize=None)
+def _site_axes(positions: tuple, n: int):
+    """Axis permutation into the site layout of a footprint, and its inverse."""
+    rest = [i for i in range(n) if i not in positions]
+    perm = (*positions, *rest, *(n + i for i in rest), *(n + i for i in positions))
+    return perm, tuple(np.argsort(perm))
+
+
+def to_sites(M: np.ndarray, positions, d: int, n: int) -> np.ndarray:
+    """A d^n x d^n matrix in the site layout of the footprint, shape (Dk, R, R, Dk)."""
+    positions = tuple(positions)
+    Dk = d ** len(positions)
+    t = np.asarray(M).reshape((d,) * (2 * n)).transpose(_site_axes(positions, n)[0])
+    return t.reshape(Dk, d**n // Dk, d**n // Dk, Dk)
+
+
+def from_sites(t: np.ndarray, positions, d: int, n: int) -> np.ndarray:
+    """The d^n x d^n matrix of a tensor in the site layout (inverse of to_sites)."""
+    inv = _site_axes(tuple(positions), n)[1]
+    return t.reshape((d,) * (2 * n)).transpose(inv).reshape(d**n, d**n)
 
 
 def embed_operator(M: np.ndarray, positions, d: int, n_total: int) -> np.ndarray:
     """Extend an operator on the given sites by the identity elsewhere."""
-    positions = [int(p) for p in positions]
     D = d**n_total
     if D > dense_limit():
         raise CapacityError(f"embedding dimension {D} exceeds the dense cap")
-    rest = [i for i in range(n_total) if i not in positions]
-    full = np.kron(np.asarray(M, dtype=complex), np.eye(d ** len(rest)))
-    return reorder_sites(full, positions + rest, d)
+    rest = np.eye(D // d ** len(positions))
+    full = np.asarray(M, dtype=complex)[:, None, None, :] * rest[None, :, :, None]
+    return from_sites(full, positions, d, n_total)
 
 
 def partial_trace(rho: np.ndarray, keep, d: int, n: int) -> np.ndarray:
     """Trace out every site not listed in keep; keep order is preserved."""
-    keep = [int(p) for p in keep]
-    traced = [i for i in range(n) if i not in keep]
-    t = np.asarray(rho).reshape([d] * (2 * n))
-    perm = keep + traced + [n + i for i in keep] + [n + i for i in traced]
-    t = t.transpose(perm)
-    Dk = d ** len(keep)
-    Dr = d ** len(traced)
-    t = t.reshape(Dk, Dr, Dk, Dr)
-    return np.einsum("abcb->ac", t)
+    return np.einsum("abbc->ac", to_sites(rho, keep, d, n))
 
 
 def reset_sites(rho: np.ndarray, positions, state: np.ndarray, d: int, n: int) -> np.ndarray:
     """Replace the reduced state on the given sites by a fresh pure state."""
-    positions = [int(p) for p in positions]
     rest = [i for i in range(n) if i not in positions]
     reduced = partial_trace(rho, rest, d, n) if rest else np.array([[1.0 + 0j]])
     block = np.outer(state, np.conj(state))
-    full = np.kron(block, reduced)
-    return reorder_sites(full, positions + rest, d)
+    return from_sites(block[:, None, None, :] * reduced[None, :, :, None], positions, d, n)
 
 
 def lift_local_superop(C: Superoperator, positions, d: int, n: int) -> Superoperator:
@@ -322,8 +321,7 @@ def lift_local_superop(C: Superoperator, positions, d: int, n: int) -> Superoper
     operator on 2n sites ordered (column digits, row digits), so the lift is
     an operator embedding on the doubled register.
     """
-    positions = [int(p) for p in positions]
-    doubled = positions + [n + p for p in positions]
+    doubled = [*positions, *(n + p for p in positions)]
     return Superoperator(d**n, embed_operator(C.matrix, doubled, d, 2 * n))
 
 
@@ -331,19 +329,31 @@ def apply_local_channel(
     rho: np.ndarray, C: Superoperator, positions, d: int, n: int
 ) -> np.ndarray:
     """Apply a channel on a subset of sites to a global density matrix."""
-    positions = [int(p) for p in positions]
-    k = len(positions)
-    Dk = d**k
+    Dk = d ** len(positions)
     if C.dim != Dk:
         raise DimensionError(f"channel dimension {C.dim} does not match footprint {Dk}")
-    rest = [i for i in range(n) if i not in positions]
-    R = d ** len(rest)
-    t = np.asarray(rho).reshape([d] * (2 * n))
-    perm = positions + rest + [n + i for i in positions] + [n + i for i in rest]
-    t = t.transpose(perm).reshape(Dk, R, Dk, R)
-    # Column-stacked vec index r + Dk*c splits as S4[c_out, r_out, c_in, r_in].
-    S4 = np.asarray(C.matrix).reshape(Dk, Dk, Dk, Dk)
-    out = np.einsum("CRcr,rbcf->RbCf", S4, t)
-    out = out.reshape([d] * (2 * n))
-    inv = np.argsort(perm)
-    return out.transpose(list(inv)).reshape(d**n, d**n)
+    t = to_sites(rho, positions, d, n)
+    R = t.shape[1]
+    # Column-stacked vec index r + Dk*c: the channel acts on (c, r)-ordered rows.
+    out = C.matrix @ t.transpose(3, 0, 1, 2).reshape(Dk * Dk, R * R)
+    return from_sites(out.reshape(Dk, Dk, R, R).transpose(1, 2, 3, 0), positions, d, n)
+
+
+def apply_local_measurement(rho: np.ndarray, kraus_by_outcome, positions, d: int, n: int):
+    """Yields, per outcome, sum_K K rho K^dagger over its operators K on the given sites.
+
+    rho enters the site layout once, whatever the number of outcomes and operators.
+    """
+    t = to_sites(rho, positions, d, n)
+    Dk = t.shape[0]
+    rows = t.reshape(Dk, -1)
+    for kraus in kraus_by_outcome:
+        out = np.zeros((rows.size // Dk, Dk), dtype=complex)
+        for K in kraus:
+            out += (K @ rows).reshape(-1, Dk) @ K.conj().T
+        yield from_sites(out, positions, d, n)
+
+
+def apply_local_kraus(rho: np.ndarray, kraus, positions, d: int, n: int) -> np.ndarray:
+    """sum_K K rho K^dagger for operators K on the given sites."""
+    return next(apply_local_measurement(rho, (kraus,), positions, d, n))

@@ -18,6 +18,11 @@ The evaluator tracks the exact distribution over measurement outcomes by
 branch enumeration, with a configurable branch limit and a sampling
 fallback.  Compiled randomization draws enter as insertion layers around
 and inside gadgets; the same evaluator runs bare and compiled circuits.
+``expand_gadget`` lowers gadgets to five step kinds: ("weyl", op),
+("gate", sites, U), ("channel", sites, C), ("reset", sites, state) and
+("measure", sites, kraus_by_outcome, wire), one step for site readouts
+(|m><m|) and logical measurements (cospace-refined projectors on the block);
+all but "weyl" act on their footprint in the site layout of ``channels``.
 
 Circuits serialize to JSON (schema_version 1) with top-level keys
 "codes", "registers", "gadgets" and "classical_wires".
@@ -35,6 +40,8 @@ from .channels import (
     SUPEROP_DIM_LIMIT,
     Superoperator,
     apply_local_channel,
+    apply_local_kraus,
+    apply_local_measurement,
     compose,
     embed_operator,
     identity_channel,
@@ -421,10 +428,6 @@ def _layer_steps(circuit: LogicalCircuit, layers) -> list:
     return steps
 
 
-def _default_measured(reg: Register) -> WeylOperator:
-    return reg.code.logical_z(0)
-
-
 def _readout_steps(d: int, n: int, site: int, wire: str, ins: GadgetInsertions, noise: list) -> list:
     """X^x Z^z, the readout noise, the measurement, then the restore Z^z' X^-x."""
     steps = []
@@ -433,7 +436,7 @@ def _readout_steps(d: int, n: int, site: int, wire: str, ins: GadgetInsertions, 
         x, z = rc
         steps.append(_step_weyl(WeylOperator(d, (x,), (z,)), (site,), n))
     steps += noise
-    steps.append(("measure", site, wire))
+    steps.append(("measure", (site,), _site_projectors(d), wire))
     zp = ins.internal.get("post_z")
     if rc is not None or zp is not None:
         x = rc[0] if rc is not None else 0
@@ -472,8 +475,9 @@ def expand_gadget(circuit: LogicalCircuit, g: Gadget, ins: GadgetInsertions, ide
 
     elif g.kind == MEASUREMENT:
         steps += noise
-        measured = g.weyl if g.weyl is not None else _default_measured(reg)
-        steps.append(("measure_logical", reg.code, measured, tuple(reg.qudits), g.wire))
+        measured = g.weyl if g.weyl is not None else reg.code.logical_z(0)
+        kraus = _logical_measurement_kraus(reg.code, measured)
+        steps.append(("measure", tuple(reg.qudits), kraus, g.wire))
         restore = ins.internal.get("restore")
         if restore is not None and not restore.is_identity(ignore_phase=True):
             steps.append(_step_weyl(restore, reg.qudits, n))
@@ -564,30 +568,15 @@ class CircuitResult:
         return {k: (p, states[k] / p) for k, p in probs.items()}
 
 
-def _site_outcomes(rho: np.ndarray, site: int, d: int, n: int):
-    """Yields, per outcome m, rho with every entry off the site-digit-m block zeroed.
-
-    Entry for entry this is K rho K for the projector K = |m><m| on the site.
-    """
-    t = rho.reshape((d**site, d, d ** (n - site - 1)) * 2)
-    for m in range(d):
-        sub = np.zeros_like(t)
-        sub[:, m, :, :, m, :] = t[:, m, :, :, m, :]
-        yield sub.reshape(rho.shape)
-
-
-def _kraus_outcomes(rho: np.ndarray, kraus_by_outcome):
-    """Yields, per outcome, the sum of K rho K^dagger over its Kraus operators."""
-    for kraus in kraus_by_outcome:
-        sub = np.zeros_like(rho)
-        for K in kraus:
-            sub = sub + K @ rho @ K.conj().T
-        yield sub
+@functools.lru_cache(maxsize=None)
+def _site_projectors(d: int):
+    """Per outcome m, the readout projector |m><m| on one qudit."""
+    return tuple((np.outer(e, e),) for e in np.eye(d, dtype=complex))
 
 
 @functools.lru_cache(maxsize=None)
-def _logical_measurement_kraus(code: StabilizerCode, measured: WeylOperator, positions, n_total):
-    """Per outcome b, the cospace-refined projectors onto eigenvalue w^b."""
+def _logical_measurement_kraus(code: StabilizerCode, measured: WeylOperator):
+    """Per outcome b, the cospace-refined projectors onto eigenvalue w^b, on the code block."""
     d = code.d
     M = measured.to_matrix()
     spectral = []
@@ -596,17 +585,10 @@ def _logical_measurement_kraus(code: StabilizerCode, measured: WeylOperator, pos
         for j in range(d):
             acc += np.exp(-2j * np.pi * j * b / d) * np.linalg.matrix_power(M, j)
         spectral.append(acc / d)
-    out = []
-    for b in range(d):
-        kraus = []
-        for T in enumerate_pure_errors(code):
-            pi_t = projector_for_syndrome(code, syndrome_of(code, T))
-            K = pi_t @ spectral[b]
-            if np.max(np.abs(K)) < 1e-14:
-                continue
-            kraus.append(embed_operator(K, positions, d, n_total))
-        out.append(tuple(kraus))
-    return tuple(out)
+    syndromes = [syndrome_of(code, T) for T in enumerate_pure_errors(code)]
+    pis = [projector_for_syndrome(code, s) for s in syndromes]
+    by_outcome = ([pi_t @ S for pi_t in pis] for S in spectral)
+    return tuple(tuple(K for K in kraus if np.max(np.abs(K)) >= 1e-14) for kraus in by_outcome)
 
 
 def evaluate(
@@ -652,9 +634,8 @@ def evaluate(
                 br.state = op.conjugate_matrix(br.state)
         elif kind == "gate":
             _, positions, matrix = step
-            U = embed_operator(matrix, positions, d, n)
             for br in branches:
-                br.state = U @ br.state @ U.conj().T
+                br.state = apply_local_kraus(br.state, (matrix,), positions, d, n)
         elif kind == "channel":
             _, positions, chan = step
             for br in branches:
@@ -664,13 +645,8 @@ def evaluate(
             for br in branches:
                 br.state = reset_sites(br.state, positions, state, d, n)
         elif kind == "measure":
-            _, site, wire = step
-            outcomes = (_site_outcomes(br.state, site, d, n) for br in branches)
-            branches, exact = _branch_measure(branches, outcomes, wire, branch_limit, rng, exact)
-        elif kind == "measure_logical":
-            _, code, measured, positions, wire = step
-            kraus_by_outcome = _logical_measurement_kraus(code, measured, positions, n)
-            outcomes = (_kraus_outcomes(br.state, kraus_by_outcome) for br in branches)
+            _, sites, kraus, wire = step
+            outcomes = (apply_local_measurement(br.state, kraus, sites, d, n) for br in branches)
             branches, exact = _branch_measure(branches, outcomes, wire, branch_limit, rng, exact)
         else:
             raise EvaluationError(f"unknown step {kind!r}")

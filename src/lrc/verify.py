@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import (
+    SUPEROP_DIM_LIMIT,
     DensityMatrix,
     Superoperator,
     average,
@@ -74,7 +75,7 @@ from .compiler import (
     instantiate,
     t_gate_matrix,
 )
-from .weyl import DimensionError, WeylOperator, braiding_exponent, braiding_phase, iter_weyls
+from .weyl import CapacityError, DimensionError, WeylOperator, braiding_exponent, braiding_phase, iter_weyls
 
 STRUCTURAL_TOL = 1e-10
 
@@ -572,6 +573,10 @@ def _trace_readout(D_enc: int, d: int) -> np.ndarray:
     return R
 
 
+#: Estimated flops above which averaged_extraction_channels refuses to run.
+EXTRACTION_FLOP_LIMIT = 1e12
+
+
 def averaged_extraction_channels(
     code: StabilizerCode,
     generator: int = 0,
@@ -593,6 +598,14 @@ def averaged_extraction_channels(
     if readout_noise is not None and readout_noise.dim != d:
         raise DimensionError(f"readout noise dimension {readout_noise.dim}, the code needs {d}")
     Df = code.dim * d
+    # Df^2 x Df^2 compositions from the loop bounds below; wider registers meet the cap.
+    composes = 2 + 3 * d + (3 * d**4 if policy.measurement_rc else d) + 2 * policy.stabilizers
+    composes += 2 * d * d + 5 * len(logical_weyls(code)) if policy.twirl else 0
+    flops = composes * 8 * Df**6
+    if Df <= SUPEROP_DIM_LIMIT and flops > EXTRACTION_FLOP_LIMIT:
+        raise CapacityError(
+            f"extraction averaging needs about {flops:.1e} flops, over {EXTRACTION_FLOP_LIMIT:.0e}"
+        )
     enc = list(range(n))
     ro = [n]
     A = code.stab_gens[generator]

@@ -1,12 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrc.channels import (
     DensityMatrix,
     Superoperator,
     apply,
     apply_local_channel,
+    apply_local_kraus,
     average,
     choi_matrix,
     coherent_rotation,
@@ -271,6 +276,15 @@ def test_choi_of_unitary_is_rank_one():
     np.testing.assert_allclose(sorted(eig), [0, 0, 0, 2], atol=1e-12)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_choi_of_unitary_is_outer_product_of_its_vectorisation(d, seed):
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    v = U.flatten(order="F")  # column stacking, written out independently of vec
+    np.testing.assert_allclose(choi_matrix(natural_rep(U)), np.outer(v, v.conj()), atol=1e-15)
+
+
 def test_embed_operator_matches_kron():
     rng = np.random.default_rng(5)
     A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -343,6 +357,81 @@ def test_apply_local_channel_two_sites_unordered():
     got = apply_local_channel(rho, natural_rep(U), [2, 0], 2, 3)
     full = embed_operator(U, [2, 0], 2, 3)
     np.testing.assert_allclose(got, full @ rho @ full.conj().T, atol=1e-12)
+
+
+# -- local operators against kron and an explicit basis permutation --------------
+
+
+@st.composite
+def footprints(draw):
+    """(d, n, positions): d^n <= 125 and 1-2 sites in any order."""
+    d = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, {2: 6, 3: 4, 5: 3}[d]))
+    k = draw(st.integers(1, min(2, n)))
+    return d, n, tuple(draw(st.permutations(range(n)))[:k])
+
+
+def site_permutation(positions, d, n):
+    """P with P (A (x) B) P^T acting as A on positions (in order) and B on the other sites."""
+    order = list(positions) + [i for i in range(n) if i not in positions]
+    P = np.zeros((d**n, d**n))
+    for digits in itertools.product(range(d), repeat=n):
+        local = [digits[i] for i in order]
+        P[np.ravel_multi_index(digits, (d,) * n), np.ravel_multi_index(local, (d,) * n)] = 1.0
+    return P
+
+
+def dense_on_sites(K, positions, d, n):
+    P = site_permutation(positions, d, n)
+    return P @ np.kron(K, np.eye(d ** (n - len(positions)))) @ P.T
+
+
+def random_matrix(rng, D):
+    return (rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))) / D
+
+
+@settings(max_examples=40)
+@given(site=footprints(), seed=st.integers(0, 2**32 - 1), count=st.integers(1, 3))
+def test_apply_local_kraus_matches_dense(site, seed, count):
+    d, n, positions = site
+    rng = np.random.default_rng(seed)
+    rho = random_matrix(rng, d**n)
+    kraus = [random_matrix(rng, d ** len(positions)) for _ in range(count)]
+    want = sum(E @ rho @ E.conj().T for E in (dense_on_sites(K, positions, d, n) for K in kraus))
+    np.testing.assert_allclose(apply_local_kraus(rho, kraus, positions, d, n), want, atol=1e-12)
+
+
+@settings(max_examples=40)
+@given(site=footprints(), seed=st.integers(0, 2**32 - 1))
+def test_apply_local_channel_matches_dense(site, seed):
+    d, n, positions = site
+    rng = np.random.default_rng(seed)
+    rho = random_matrix(rng, d**n)
+    Dk = d ** len(positions)
+    # rho -> sum_j A_j rho B_j^dagger, whose column-stacked matrix is sum_j conj(B_j) (x) A_j
+    pairs = [(random_matrix(rng, Dk), random_matrix(rng, Dk)) for _ in range(2)]
+    C = Superoperator(Dk, sum(np.kron(B.conj(), A) for A, B in pairs))
+    want = sum(
+        dense_on_sites(A, positions, d, n) @ rho @ dense_on_sites(B, positions, d, n).conj().T
+        for A, B in pairs
+    )
+    np.testing.assert_allclose(apply_local_channel(rho, C, positions, d, n), want, atol=1e-12)
+
+
+@settings(max_examples=40)
+@given(site=footprints(), seed=st.integers(0, 2**32 - 1))
+def test_partial_trace_matches_dense(site, seed):
+    d, n, keep = site
+    rng = np.random.default_rng(seed)
+    rho = random_matrix(rng, d**n)
+    P = site_permutation(keep, d, n)
+    ordered = P.T @ rho @ P  # keep's sites first, in keep's order
+    eye = np.eye(d ** len(keep))
+    want = sum(
+        np.kron(eye, e[None, :]) @ ordered @ np.kron(eye, e[:, None])
+        for e in np.eye(d ** (n - len(keep)))
+    )
+    np.testing.assert_allclose(partial_trace(rho, keep, d, n), want, atol=1e-12)
 
 
 def test_density_matrix_validation():

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import lrc.channels
+import lrc.circuits
 from lrc.channels import (
+    apply_local_measurement,
     coherent_rotation,
     embed_operator,
     identity_channel,
@@ -17,7 +20,7 @@ from lrc.circuits import (
     LogicalCircuit,
     Register,
     SchemaError,
-    _site_outcomes,
+    _site_projectors,
     circuit_from_dict,
     controlled_weyl,
     evaluate,
@@ -373,10 +376,42 @@ def test_site_measurement_equals_dense_projector_sandwich(d, site):
     rng = np.random.default_rng(10 * d + site)
     m = rng.normal(size=(d**n, d**n)) + 1j * rng.normal(size=(d**n, d**n))
     rho = m @ m.conj().T
-    outcomes = list(_site_outcomes(rho, site, d, n))
+    outcomes = list(apply_local_measurement(rho, _site_projectors(d), (site,), d, n))
     assert len(outcomes) == d
     for value, sub in enumerate(outcomes):
         block = np.zeros((d, d))
         block[value, value] = 1.0
         K = embed_operator(block, [site], d, n)
         assert np.array_equal(sub, K @ rho @ K)
+
+
+def test_evaluate_never_embeds_into_the_full_register(monkeypatch):
+    """Two-block syndrome extraction on a shared readout, then a logical
+    measurement: every gate and measurement acts on its footprint."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluate built a full-register operator")
+
+    monkeypatch.setattr(lrc.channels, "embed_operator", refuse)
+    monkeypatch.setattr(lrc.circuits, "embed_operator", refuse)
+    code = builtin_code("bitflip3")
+    circuit = LogicalCircuit(
+        d=2,
+        registers=(
+            Register(name="L0", kind="logical", qudits=(0, 1, 2), code=code),
+            Register(name="L1", kind="logical", qudits=(3, 4, 5), code=code),
+            Register(name="R0", kind="readout", qudits=(6,)),
+        ),
+        gadgets=(
+            Gadget.reset("L0", (1,)),
+            Gadget.reset("L1", (0,)),
+            Gadget.reset("R0", (0,)),
+            Gadget.syndrome_extraction("L0", 0, "R0", "s0"),
+            Gadget.reset("R0", (0,)),
+            Gadget.syndrome_extraction("L1", 1, "R0", "s1"),
+            Gadget.measurement("L0", "m"),
+        ),
+        classical_wires=("s0", "s1", "m"),
+    )
+    res = evaluate(circuit)
+    assert res.distribution() == {(0, 0, 1): pytest.approx(1.0, abs=1e-12)}

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +233,22 @@ def test_measurement_rc_on_a_qutrit_code_file(tmp_path, argv):
 def test_syndrome_unknown_code_file(tmp_path, capsys):
     assert main(["syndrome", "--code", str(tmp_path / "missing.json")]) == 2
     assert "unknown code" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["verify", "--check", "measurement_rc", "--code", "five_one_three"], "flops"),
+        (["syndrome", "--code", "five_one_three"], "flops"),
+        (["verify", "--check", "measurement_rc", "--code", "qutrit_rep3"], "exceeds the cap"),
+    ],
+    ids=["verify_five_one_three", "syndrome_five_one_three", "verify_qutrit_rep3"],
+)
+def test_extraction_out_of_range_fails_fast(argv, message, capsys):
+    start = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - start < 5.0
+    assert message in capsys.readouterr().err
 
 
 def test_compile_output_is_pinned(tmp_path):

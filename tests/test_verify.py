@@ -315,12 +315,10 @@ def brute_force_extraction_channels(code, policy, noise=None, idle_noise=None, g
                 term = lift_local_superop(step[2], step[1], d, n)
                 prefix = [(m, compose(term, p)) for m, p in prefix]
             elif step[0] == "measure":
-                site = step[1]
+                _, positions, kraus_by_outcome, _ = step
                 new = []
-                for m in range(d):
-                    block = np.zeros((d, d))
-                    block[m, m] = 1.0
-                    proj = natural_rep(embed_operator(block, [site], d, n))
+                for m, (block,) in enumerate(kraus_by_outcome):
+                    proj = natural_rep(embed_operator(block, positions, d, n))
                     new.extend((m, compose(proj, p)) for _, p in prefix)
                 prefix = new
         for m, chain in prefix:
