@@ -343,7 +343,18 @@ def apply_local_measurement(rho: np.ndarray, kraus_by_outcome, positions, d: int
     """Yields, per outcome, sum_K K rho K^dagger over its operators K on the given sites.
 
     rho enters the site layout once, whatever the number of outcomes and operators.
+    With kraus_by_outcome None, one site is read out in the computational basis:
+    outcome m copies the block of rho whose row and column digits there are m, which
+    equals |m><m| rho |m><m| entry for entry.
     """
+    if kraus_by_outcome is None:
+        (site,) = positions
+        t = np.asarray(rho).reshape((d**site, d, d ** (n - site - 1)) * 2)
+        for m in range(d):
+            out = np.zeros_like(t)
+            out[:, m, :, :, m, :] = t[:, m, :, :, m, :]
+            yield out.reshape(d**n, d**n)
+        return
     t = to_sites(rho, positions, d, n)
     Dk = t.shape[0]
     rows = t.reshape(Dk, -1)

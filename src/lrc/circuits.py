@@ -21,8 +21,9 @@ and inside gadgets; the same evaluator runs bare and compiled circuits.
 ``expand_gadget`` lowers gadgets to five step kinds: ("weyl", op),
 ("gate", sites, U), ("channel", sites, C), ("reset", sites, state) and
 ("measure", sites, kraus_by_outcome, wire), one step for site readouts
-(|m><m|) and logical measurements (cospace-refined projectors on the block);
-all but "weyl" act on their footprint in the site layout of ``channels``.
+(kraus_by_outcome None: the diagonal blocks of |m><m|, copied) and logical
+measurements (cospace-refined projectors on the block); "weyl" is an index
+map, the others act on their footprint in the site layout of ``channels``.
 
 Circuits serialize to JSON (schema_version 1) with top-level keys
 "codes", "registers", "gadgets" and "classical_wires".
@@ -436,7 +437,7 @@ def _readout_steps(d: int, n: int, site: int, wire: str, ins: GadgetInsertions, 
         x, z = rc
         steps.append(_step_weyl(WeylOperator(d, (x,), (z,)), (site,), n))
     steps += noise
-    steps.append(("measure", (site,), _site_projectors(d), wire))
+    steps.append(("measure", (site,), None, wire))
     zp = ins.internal.get("post_z")
     if rc is not None or zp is not None:
         x = rc[0] if rc is not None else 0
@@ -566,12 +567,6 @@ class CircuitResult:
             probs[key] = probs.get(key, 0.0) + br.probability
             states[key] = states.get(key, 0.0) + br.probability * br.state
         return {k: (p, states[k] / p) for k, p in probs.items()}
-
-
-@functools.lru_cache(maxsize=None)
-def _site_projectors(d: int):
-    """Per outcome m, the readout projector |m><m| on one qudit."""
-    return tuple((np.outer(e, e),) for e in np.eye(d, dtype=complex))
 
 
 @functools.lru_cache(maxsize=None)

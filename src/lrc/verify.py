@@ -597,6 +597,8 @@ def averaged_extraction_channels(
     n = code.n
     if readout_noise is not None and readout_noise.dim != d:
         raise DimensionError(f"readout noise dimension {readout_noise.dim}, the code needs {d}")
+    if not 0 <= generator < code.n_generators:
+        raise ValueError(f"generator {generator} lies outside [0, {code.n_generators})")
     Df = code.dim * d
     # Df^2 x Df^2 compositions from the loop bounds below; wider registers meet the cap.
     composes = 2 + 3 * d + (3 * d**4 if policy.measurement_rc else d) + 2 * policy.stabilizers
@@ -868,6 +870,8 @@ def check_sampling_equivalence(
     seed: int = 0,
 ) -> VerificationReport:
     """One shot per uniformly drawn compilation, against the exact average."""
+    if shots < 1:
+        raise ValueError(f"shots must be at least 1, got {shots}")
     if circuit is None:
         circuit = noisy_reset_measure_circuit()
     if policy is None:

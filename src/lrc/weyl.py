@@ -67,6 +67,18 @@ def _place_values(d: int, n: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=256)
+def _shift_and_phases(d: int, x: tuple, z: tuple):
+    """(perm, u) with (X^x Z^z psi)[i] = u[i] * psi[perm[i]]; read-only, length d^n."""
+    digits = _digit_table(d, len(x))
+    shifted = (digits - np.asarray(x)) % d
+    perm = shifted @ _place_values(d, len(x))
+    u = np.exp(2j * np.pi * ((shifted @ np.asarray(z)) % d) / d)
+    perm.setflags(write=False)
+    u.setflags(write=False)
+    return perm, u
+
+
 @dataclass(frozen=True)
 class RootPhase:
     """A 2d-th root of unity exp(i*pi*exp/d) with exact exponent arithmetic."""
@@ -308,29 +320,22 @@ class WeylOperator:
         M[rows, np.arange(D)] = vals
         return M
 
-    def _shift_and_phases(self):
-        """(perm, u) with (W psi)[i] = phase * u[i] * psi[perm[i]]."""
-        digits = _digit_table(self.d, self.n)
-        shifted = (digits - np.asarray(self.x)) % self.d
-        perm = shifted @ _place_values(self.d, self.n)
-        u = np.exp(2j * np.pi * ((shifted @ np.asarray(self.z)) % self.d) / self.d)
-        return perm, u
-
     def apply_to_vector(self, psi: np.ndarray) -> np.ndarray:
         """W |psi> without forming the matrix."""
         D = self.dim
         if psi.shape != (D,):
             raise DimensionError(f"state has dimension {psi.shape}, expected ({D},)")
-        perm, u = self._shift_and_phases()
+        perm, u = _shift_and_phases(self.d, self.x, self.z)
         return (self.phase.value * u) * psi[perm]
 
     def conjugate_matrix(self, M: np.ndarray) -> np.ndarray:
-        """W M W^dagger as an index permutation plus phases, O(dim^2)."""
+        """W M W^dagger as one flat gather plus phases, O(dim^2)."""
         D = self.dim
         if M.shape != (D, D):
             raise DimensionError(f"matrix has shape {M.shape}, expected ({D},{D})")
-        perm, u = self._shift_and_phases()
-        return (u[:, None] * u.conj()[None, :]) * M[np.ix_(perm, perm)]
+        perm, u = _shift_and_phases(self.d, self.x, self.z)
+        g = np.ravel(M).take((perm * D)[:, None] + perm[None, :])
+        return np.multiply(u[:, None] * u.conj()[None, :], g, out=g)
 
     # -- text form ----------------------------------------------------------
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lrc.channels
 import lrc.circuits
@@ -11,7 +13,7 @@ from lrc.channels import (
     natural_rep,
     partial_trace,
 )
-from lrc.codes import builtin_code, logical_basis_state, syndrome_of
+from lrc.codes import StabilizerCode, builtin_code, logical_basis_state, syndrome_of, trivial_code
 from lrc.circuits import (
     EvaluationError,
     Gadget,
@@ -20,7 +22,6 @@ from lrc.circuits import (
     LogicalCircuit,
     Register,
     SchemaError,
-    _site_projectors,
     circuit_from_dict,
     controlled_weyl,
     evaluate,
@@ -30,6 +31,7 @@ from lrc.circuits import (
     serialize,
     validate,
 )
+from lrc.verify import readout_flip, readout_rotation
 from lrc.weyl import WeylOperator
 
 BITFLIP = builtin_code("bitflip3")
@@ -369,14 +371,14 @@ def test_controlled_weyl_writes_eigenvalue():
     assert abs(abs(expect.conj() @ out) - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("site", [0, 1])
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("site", [0, 1, 2])
+@pytest.mark.parametrize("d", [2, 3, 5])
 def test_site_measurement_equals_dense_projector_sandwich(d, site):
     n = 3
     rng = np.random.default_rng(10 * d + site)
     m = rng.normal(size=(d**n, d**n)) + 1j * rng.normal(size=(d**n, d**n))
     rho = m @ m.conj().T
-    outcomes = list(apply_local_measurement(rho, _site_projectors(d), (site,), d, n))
+    outcomes = list(apply_local_measurement(rho, None, (site,), d, n))
     assert len(outcomes) == d
     for value, sub in enumerate(outcomes):
         block = np.zeros((d, d))
@@ -415,3 +417,73 @@ def test_evaluate_never_embeds_into_the_full_register(monkeypatch):
     )
     res = evaluate(circuit)
     assert res.distribution() == {(0, 0, 1): pytest.approx(1.0, abs=1e-12)}
+
+
+def repetition3(d):
+    """The three-qudit repetition code Z_i Z_{i+1}^-1 of any dimension d."""
+    w = WeylOperator
+    return StabilizerCode(
+        d=d,
+        n=3,
+        k=1,
+        stab_gens=(w(d, (0, 0, 0), (1, d - 1, 0)), w(d, (0, 0, 0), (0, 1, d - 1))),
+        pure_error_gens=(w(d, (1, 0, 0), (0, 0, 0)), w(d, (0, 1, 0), (0, 0, 0))),
+        logical_gens=(w(d, (1, 1, 1), (0, 0, 0)), w(d, (0, 0, 0), (1, 0, 0))),
+    )
+
+
+@st.composite
+def random_circuits(draw):
+    """A valid circuit over d in {2, 3, 5}: a code block, a readout qudit and a
+    random run of every gadget kind, with Weyl, matrix and noisy gadgets."""
+    d = draw(st.sampled_from((2, 3, 5)))
+    codes = {2: ("bitflip3", "phaseflip3"), 3: ("qutrit_rep3",), 5: ()}[d]
+    code = draw(st.sampled_from([builtin_code(c) for c in codes] + [repetition3(d), trivial_code(d)]))
+    dit = st.integers(0, d - 1)
+    noise = st.none() | st.builds(readout_flip, st.just(d), st.floats(0, 1)) | st.builds(
+        readout_rotation, st.just(d), st.floats(-3, 3)
+    )
+    gadgets = [Gadget.reset("L0", draw(st.lists(dit, min_size=code.k, max_size=code.k)))]
+    wires = []
+    for i in range(draw(st.integers(0, 5))):
+        wire = f"w{i}"
+        kind = draw(st.sampled_from(("weyl", "matrix", "measure", "extract", "idle", "readout")))
+        if kind == "weyl":
+            dits = st.lists(dit, min_size=code.n, max_size=code.n)
+            weyl = WeylOperator(d, draw(dits), draw(dits), draw(st.integers(0, 2 * d - 1)))
+            gadgets.append(Gadget.unitary("L0", weyl=weyl, label=draw(st.none() | st.text(max_size=3))))
+        elif kind == "matrix":
+            gadgets.append(Gadget.unitary("R0", matrix=fourier_matrix(d), noise=draw(noise)))
+        elif kind == "measure":
+            gadgets.append(Gadget.measurement("L0", wire))
+        elif kind == "idle":
+            gadgets.append(Gadget.idle("L0", ticks=draw(st.integers(1, 3))))
+        elif kind == "readout" or not code.n_generators:
+            gadgets.append(Gadget.reset("R0", (draw(dit),), noise=draw(noise)))
+            gadgets.append(Gadget.readout_measurement("R0", wire, noise=draw(noise)))
+        else:
+            generator = draw(st.integers(0, code.n_generators - 1))
+            gadgets.append(Gadget.reset("R0", (0,)))
+            gadgets.append(Gadget.syndrome_extraction("L0", generator, "R0", wire, noise=draw(noise)))
+        if kind in ("measure", "extract", "readout"):
+            wires.append(wire)
+    return LogicalCircuit(
+        d=d,
+        registers=(
+            Register(name="L0", kind="logical", qudits=tuple(range(code.n)), code=code),
+            Register(name="R0", kind="readout", qudits=(code.n,)),
+        ),
+        gadgets=tuple(gadgets),
+        classical_wires=tuple(wires),
+    )
+
+
+@settings(max_examples=40)
+@given(circuit=random_circuits())
+def test_serialize_parse_round_trip(circuit):
+    """LogicalCircuit compares by identity, so the serialized forms are compared."""
+    assert validate(circuit) == []
+    text = serialize(circuit)
+    again = parse(text)
+    assert validate(again) == []
+    assert serialize(again) == text

@@ -160,6 +160,18 @@ def test_syndrome_flip_prob_validation(capsys):
     assert main(["syndrome", "--flip-prob", "1.5"]) == 2
 
 
+@pytest.mark.parametrize("generator", ["-1", "99"])
+def test_syndrome_generator_out_of_range(generator, capsys):
+    assert main(["syndrome", "--code", "bitflip3", "--generator", generator]) == 2
+    assert "outside [0, 2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shots", ["0", "-5"])
+def test_sample_rejects_nonpositive_shots(shots, capsys):
+    assert main(["sample", "--shots", shots]) == 2
+    assert "shots must be at least 1" in capsys.readouterr().err
+
+
 def test_sample_command(tmp_path):
     out = tmp_path / "sample.json"
     assert main(["sample", "--shots", "20000", "--seed", "5", "--out", str(out)]) == 0

@@ -316,6 +316,8 @@ def brute_force_extraction_channels(code, policy, noise=None, idle_noise=None, g
                 prefix = [(m, compose(term, p)) for m, p in prefix]
             elif step[0] == "measure":
                 _, positions, kraus_by_outcome, _ = step
+                if kraus_by_outcome is None:  # a site readout: |m><m| on its qudit
+                    kraus_by_outcome = [(np.outer(e, e),) for e in np.eye(d)]
                 new = []
                 for m, (block,) in enumerate(kraus_by_outcome):
                     proj = natural_rep(embed_operator(block, positions, d, n))

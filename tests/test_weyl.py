@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from lrc.weyl import (
     RootPhase,
     WeylOperator,
     braiding_phase,
+    _shift_and_phases,
     chi,
     iter_weyls,
     weyl_from_matrix,
@@ -259,6 +262,72 @@ def test_permutation_forms_match_dense_products(w, seed):
     M = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
     np.testing.assert_allclose(w.apply_to_vector(psi), W @ psi, rtol=0, atol=1e-12)
     np.testing.assert_allclose(w.conjugate_matrix(M), W @ M @ W.conj().T, rtol=0, atol=1e-12)
+
+
+@st.composite
+def embedded_weyls(draw):
+    """A random Weyl on a random footprint (any order) of a register of D <= 125."""
+    d = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, 3))
+    sites = draw(st.permutations(range(n)))[: draw(st.integers(1, n))]
+    dits = st.lists(st.integers(0, d - 1), min_size=len(sites), max_size=len(sites))
+    local = WeylOperator(d, tuple(draw(dits)), tuple(draw(dits)), draw(st.integers(0, 2 * d - 1)))
+    return local.embed(sites, n)
+
+
+@settings(max_examples=60)
+@given(w=embedded_weyls(), seed=st.integers(0, 2**32 - 1))
+def test_index_maps_equal_the_gather_formula_bit_for_bit(w, seed):
+    """conjugate_matrix and apply_to_vector against the shift/phase formula
+    written out here, on a contiguous and two non-contiguous operands."""
+    d, n, D = w.d, w.n, w.dim
+    digits = np.array(list(itertools.product(range(d), repeat=n)), dtype=np.int64)
+    shifted = (digits - np.asarray(w.x)) % d
+    perm = shifted @ (d ** np.arange(n - 1, -1, -1, dtype=np.int64))
+    u = np.exp(2j * np.pi * ((shifted @ np.asarray(w.z)) % d) / d)
+    rng = np.random.default_rng(seed)
+    big = rng.normal(size=(2 * D, 2 * D)) + 1j * rng.normal(size=(2 * D, 2 * D))
+    for M in (np.ascontiguousarray(big[:D, :D]), big[:D, :D].T, big[::2, 1::2]):
+        expect = (u[:, None] * u.conj()[None, :]) * M[np.ix_(perm, perm)]
+        assert np.array_equal(w.conjugate_matrix(M).view(np.float64), expect.view(np.float64))
+    psi = big[0, ::2]
+    expect = (w.phase.value * u) * psi[perm]
+    assert np.array_equal(w.apply_to_vector(psi).view(np.float64), expect.view(np.float64))
+
+
+def test_shift_and_phase_cache_is_bounded_and_read_only():
+    assert isinstance(_shift_and_phases.cache_parameters()["maxsize"], int)
+    for d, n in [(2, 3), (3, 2), (5, 2)]:
+        w = random_weyl(d, n)
+        perm, u = _shift_and_phases(d, w.x, w.z)
+        assert perm.shape == u.shape == (d**n,)
+        assert np.issubdtype(perm.dtype, np.integer) and u.dtype == complex
+        assert not perm.flags.writeable and not u.flags.writeable
+        assert _shift_and_phases(d, w.x, w.z)[0] is perm  # cached, not rebuilt
+
+
+@st.composite
+def weyl_pairs(draw):
+    d = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, 2 if d == 5 else 3))
+    dits = st.lists(st.integers(0, d - 1), min_size=n, max_size=n)
+    phase = st.integers(0, 2 * d - 1)
+    return tuple(
+        WeylOperator(d, tuple(draw(dits)), tuple(draw(dits)), draw(phase)) for _ in range(2)
+    )
+
+
+@settings(max_examples=60)
+@given(pair=weyl_pairs(), k=st.integers(-3, 4))
+def test_group_law_matches_dense_products(pair, k):
+    P, Q = pair
+    Pm = P.to_matrix()
+    np.testing.assert_allclose((P * Q).to_matrix(), Pm @ Q.to_matrix(), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(P.dagger().to_matrix(), Pm.conj().T, rtol=0, atol=1e-12)
+    base = Pm if k >= 0 else Pm.conj().T
+    np.testing.assert_allclose(
+        (P**k).to_matrix(), np.linalg.matrix_power(base, abs(k)), rtol=0, atol=1e-12
+    )
 
 
 def test_iter_weyls_count_and_uniqueness():
