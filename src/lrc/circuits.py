@@ -337,6 +337,9 @@ class Layer:
 
 @dataclass
 class GadgetInsertions:
+    """One gadget's draw: its layers, internal settings, output corrections and
+    the raw drawn values by component name."""
+
     before: tuple = ()
     after: tuple = ()
     internal: dict = field(default_factory=dict)
@@ -349,27 +352,26 @@ EMPTY_INSERTIONS = GadgetInsertions()
 
 @dataclass
 class CompiledInstance:
-    """One randomization draw over a base circuit.
+    """One randomization draw over a base circuit: one insertion record per gadget.
 
-    Replaying with the same seed and index reproduces the instance exactly;
-    classical_post maps each wire to the additive correction applied to its
-    raw value.
+    Replaying with the same seed and index reproduces the instance exactly.
     """
 
     base: LogicalCircuit
     insertions: tuple
-    classical_post: dict
     seed: int | None = None
     index: int | None = None
 
+    @property
+    def classical_post(self) -> dict:
+        """Each wire's additive correction to its raw value, read from the insertions."""
+        out: dict = {}
+        for ins in self.insertions:
+            out.update(ins.classical_add)
+        return out
+
     def evaluate(self, ideal: bool = False, **kwargs) -> "CircuitResult":
-        return evaluate(
-            self.base,
-            insertions=self.insertions,
-            classical_post=self.classical_post,
-            ideal=ideal,
-            **kwargs,
-        )
+        return evaluate(self.base, insertions=self.insertions, ideal=ideal, **kwargs)
 
     def to_dict(self) -> dict:
         return {
@@ -589,13 +591,13 @@ def _logical_measurement_kraus(code: StabilizerCode, measured: WeylOperator):
 def evaluate(
     circuit: LogicalCircuit,
     insertions=None,
-    classical_post=None,
     ideal: bool = False,
     branch_limit: int = 4096,
     rng: np.random.Generator | None = None,
 ) -> CircuitResult:
     """Run the circuit, returning the exact branch decomposition.
 
+    Each insertion's ``classical_add`` corrects the raw value of its wire.
     With ``ideal=True`` every noise channel is skipped.  If the branch count
     would exceed ``branch_limit`` and an rng is supplied, measurements fall
     back to sampling one outcome per branch (the result is then a stochastic
@@ -646,9 +648,9 @@ def evaluate(
         else:
             raise EvaluationError(f"unknown step {kind!r}")
 
-    if classical_post:
-        for br in branches:
-            for wire, add in classical_post.items():
+    for ins in insertions:
+        for wire, add in ins.classical_add.items():
+            for br in branches:
                 if wire in br.record:
                     br.record[wire] = (br.record[wire] + add) % d
     return CircuitResult(circuit, branches, exact=exact)
@@ -727,7 +729,7 @@ def ideal_channel(circuit: LogicalCircuit):
         if diags:
             raise EvaluationError(f"invalid circuit: {diags[0].rule}: {diags[0].message}")
         empty = (EMPTY_INSERTIONS,) * len(circuit.gadgets)
-        return instance_channel(CompiledInstance(circuit, empty, {}), ideal=True)
+        return instance_channel(CompiledInstance(circuit, empty), ideal=True)
     return evaluate(circuit, ideal=True)
 
 
@@ -919,19 +921,20 @@ def _layer_to_dict(layer: Layer) -> dict:
     return out
 
 
+def _audit(value):
+    """JSON form of a drawn or internal value: Weyls as strings, tuples as lists."""
+    if isinstance(value, WeylOperator):
+        return value.to_string()
+    if isinstance(value, tuple):
+        return [_audit(v) for v in value]
+    return value
+
+
 def _insertions_to_dict(ins: GadgetInsertions) -> dict:
-    internal = {}
-    for key, value in sorted(ins.internal.items()):
-        if isinstance(value, WeylOperator):
-            internal[key] = value.to_string()
-        elif isinstance(value, tuple):
-            internal[key] = list(value)
-        else:
-            internal[key] = value
     return {
         "before": [_layer_to_dict(l) for l in ins.before],
         "after": [_layer_to_dict(l) for l in ins.after],
-        "internal": internal,
+        "internal": {k: _audit(v) for k, v in sorted(ins.internal.items())},
         "classical_add": {k: int(v) for k, v in sorted(ins.classical_add.items())},
-        "draws": {k: ins.draws[k] for k in sorted(ins.draws)},
+        "draws": {k: _audit(v) for k, v in sorted(ins.draws.items())},
     }

@@ -172,6 +172,9 @@ def cmd_syndrome(args) -> int:
     if args.flip_prob is not None and not 0.0 <= args.flip_prob <= 1.0:
         print("--flip-prob must lie in [0, 1]", file=sys.stderr)
         return 2
+    if not np.isfinite(args.rotation):
+        print("--rotation must be finite", file=sys.stderr)
+        return 2
     code = _resolve_code(args.code)
     if code is None:
         return 2

@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,12 +67,16 @@ class TwirlGroupSpec:
 
     kinds: 'trivial' (no twirl), 'logical_weyl' (the d^2k channel-distinct
     logical Weyls of the register's code), 'dihedral' (rotation-times-Weyl
-    factored elements for a single-qubit T gadget), 'custom' (explicit
-    unitaries).
+    factored elements for a single-qubit T gadget).
     """
 
     kind: str = "trivial"
-    elements: tuple = ()
+
+    def __post_init__(self):
+        if self.kind not in ("trivial", "logical_weyl", "dihedral"):
+            raise CompileError(
+                f"unknown twirl group kind {self.kind!r}; use trivial, logical_weyl or dihedral"
+            )
 
     @classmethod
     def trivial(cls):
@@ -84,10 +89,6 @@ class TwirlGroupSpec:
     @classmethod
     def dihedral(cls):
         return cls("dihedral")
-
-    @classmethod
-    def custom(cls, unitaries):
-        return cls("custom", tuple(np.asarray(u, dtype=complex) for u in unitaries))
 
 
 @dataclass
@@ -114,11 +115,6 @@ class RandomizationPolicy:
         return register_name in self.stabilizer_registers
 
     def to_dict(self) -> dict:
-        groups = {}
-        for idx, spec in sorted(self.twirl_groups.items()):
-            if spec.kind == "custom":
-                raise CompileError("custom twirl groups are not serializable")
-            groups[str(idx)] = spec.kind
         return {
             "seed": self.seed,
             "mode": "exhaustive" if self.mode == "exhaustive" else {"sampled": self.samples},
@@ -131,7 +127,7 @@ class RandomizationPolicy:
                 list(self.stabilizer_registers) if self.stabilizer_registers is not None else None
             ),
             "exhaustive_cap": self.exhaustive_cap,
-            "twirl_groups": groups,
+            "twirl_groups": {str(i): spec.kind for i, spec in sorted(self.twirl_groups.items())},
             "default_twirl_group": self.default_twirl_group.kind,
         }
 
@@ -188,15 +184,11 @@ def dihedral_elements(d: int = 2):
 def group_elements(spec: TwirlGroupSpec, code: StabilizerCode | None):
     if spec.kind == "trivial":
         return []
-    if spec.kind == "logical_weyl":
-        if code is None:
-            raise CompileError("logical_weyl twirl needs an encoded register")
-        return list(logical_weyls(code))
     if spec.kind == "dihedral":
         return dihedral_elements()
-    if spec.kind == "custom":
-        return list(spec.elements)
-    raise CompileError(f"unknown twirl group kind {spec.kind!r}")
+    if code is None:
+        raise CompileError("logical_weyl twirl needs an encoded register")
+    return list(logical_weyls(code))
 
 
 def compute_propagation_correction(A: WeylOperator, L: WeylOperator) -> WeylOperator:
@@ -246,9 +238,7 @@ def gadget_components(circuit: LogicalCircuit, index: int, policy: Randomization
             code = _single_logical_code(circuit, g)
             if spec.kind == "dihedral":
                 _require_t_gadget(circuit, g)
-                comps.append(Component("G", dihedral_elements()))
-            else:
-                comps.append(Component("G", group_elements(spec, code)))
+            comps.append(Component("G", group_elements(spec, code)))
         for name in g.registers:
             stab_component("S'", name)
 
@@ -339,14 +329,11 @@ def _merge_weyl_layers(reg_names, ops):
 
 
 def element_matrix(G) -> np.ndarray:
-    """Dense matrix of a twirl-group element: a Weyl, a dihedral (r, L) pair,
-    or an explicit unitary."""
-    if isinstance(G, WeylOperator):
-        return G.to_matrix()
+    """Dense matrix of a twirl-group element: a Weyl or a dihedral (r, L) pair."""
     if isinstance(G, tuple):  # dihedral (r, L): operator R * L
         r, L = G
         return _rotation_power(r) @ L.to_matrix()
-    return np.asarray(G)
+    return G.to_matrix()
 
 
 def _stabilizer_layers(reg_names, stabs: dict) -> tuple:
@@ -396,31 +383,12 @@ def _before_twirl_layers(reg_names, G, s_before):
         if len(reg_names) == 1 and reg_names[0] in s_before:
             return _merge_weyl_layers(reg_names, [G, s_before[reg_names[0]]])
         return _stabilizer_layers(reg_names, s_before) + _merge_weyl_layers(reg_names, [G])
-    if isinstance(G, tuple):  # dihedral (r, L): operator R * L * S
-        r, L = G
-        s = s_before.get(reg_names[0])
-        layers = _merge_weyl_layers(reg_names, [L, s] if s is not None else [L])
-        if r % 4:
-            layers = layers + (Layer(reg_names, matrix=_rotation_power(r), label=f"T2^{r}"),)
-        return layers
-    layers = []
+    r, L = G  # dihedral (r, L): operator R * L * S
     s = s_before.get(reg_names[0])
-    if s is not None:
-        layers.extend(_merge_weyl_layers(reg_names, [s]))
-    layers.append(Layer(reg_names, matrix=np.asarray(G), label="twirl"))
-    return tuple(layers)
-
-
-def _audit(value):
-    if isinstance(value, WeylOperator):
-        return value.to_string()
-    if isinstance(value, tuple) and len(value) == 2 and isinstance(value[1], WeylOperator):
-        return [value[0], value[1].to_string()]
-    if isinstance(value, tuple):
-        return list(value)
-    if isinstance(value, np.ndarray):
-        return "custom-unitary"
-    return value
+    layers = _merge_weyl_layers(reg_names, [L, s] if s is not None else [L])
+    if r % 4:
+        layers = layers + (Layer(reg_names, matrix=_rotation_power(r), label=f"T2^{r}"),)
+    return layers
 
 
 def _readout_randomization(draws: dict, wire: str, d: int):
@@ -439,12 +407,11 @@ def realize_gadget(
     """Build the insertion record for one gadget from drawn values."""
     g = circuit.gadgets[index]
     d = circuit.d
-    audit = {name: _audit(v) for name, v in draws.items()}
 
     if g.kind == RESET:
         s = draws.get(f"S:{g.registers[0]}")
         after = _merge_weyl_layers(g.registers, [s]) if s is not None else ()
-        return GadgetInsertions(after=after, draws=audit)
+        return GadgetInsertions(after=after, draws=draws)
 
     if g.kind == UNITARY:
         s_before = {
@@ -456,7 +423,7 @@ def realize_gadget(
         G = draws.get("G")
         before = _before_twirl_layers(g.registers, G, s_before)
         after = _unitary_correction_layers(circuit, g, G, s_after)
-        return GadgetInsertions(before=before, after=after, draws=audit)
+        return GadgetInsertions(before=before, after=after, draws=draws)
 
     if g.kind == MEASUREMENT:
         reg = circuit.register(g.registers[0])
@@ -484,7 +451,7 @@ def realize_gadget(
             # channel-equivalent to the bare gadget, not just classically.
             internal["restore"] = before[0].weyl.dagger()
         return GadgetInsertions(
-            before=before, internal=internal, classical_add=classical, draws=audit
+            before=before, internal=internal, classical_add=classical, draws=draws
         )
 
     if g.kind == SYNDROME_EXTRACTION:
@@ -510,7 +477,7 @@ def realize_gadget(
         if idle_post:
             internal["idle_after"] = functools.reduce(WeylOperator.mul, idle_post)
         return GadgetInsertions(
-            before=before, internal=internal, classical_add=classical, draws=audit
+            before=before, internal=internal, classical_add=classical, draws=draws
         )
 
     if g.kind == IDLE:
@@ -525,11 +492,11 @@ def realize_gadget(
             after_ops.append(lh.dagger())
         before = _merge_weyl_layers(g.registers, before_ops) if before_ops else ()
         after = _merge_weyl_layers(g.registers, after_ops) if after_ops else ()
-        return GadgetInsertions(before=before, after=after, draws=audit)
+        return GadgetInsertions(before=before, after=after, draws=draws)
 
     if g.kind == READOUT_MEASUREMENT:
         internal, classical = _readout_randomization(draws, g.wire, d)
-        return GadgetInsertions(internal=internal, classical_add=classical, draws=audit)
+        return GadgetInsertions(internal=internal, classical_add=classical, draws=draws)
 
     raise CompileError(f"cannot compile gadget kind {g.kind!r}")
 
@@ -537,12 +504,16 @@ def realize_gadget(
 # -- single-gadget entry point -------------------------------------------------
 
 
+def _draw(components, rng) -> dict:
+    """One uniform draw of every component, in component order."""
+    return {c.name: c.values[int(rng.integers(len(c.values)))] for c in components}
+
+
 def compile_gadget(circuit, index, policy, rng=None) -> GadgetInsertions:
     """Insertions for gadget ``index`` from one uniform draw of its components."""
     if rng is None:
         rng = np.random.default_rng(DEFAULT_SEED)
-    components = gadget_components(circuit, index, policy)
-    draws = {c.name: c.values[int(rng.integers(len(c.values)))] for c in components}
+    draws = _draw(gadget_components(circuit, index, policy), rng)
     return realize_gadget(circuit, index, draws, policy)
 
 
@@ -550,58 +521,44 @@ def compile_gadget(circuit, index, policy, rng=None) -> GadgetInsertions:
 
 
 def draw_space_size(circuit: LogicalCircuit, policy: RandomizationPolicy) -> int:
-    total = 1
-    for i in range(len(circuit.gadgets)):
-        for comp in gadget_components(circuit, i, policy):
-            total *= len(comp.values)
-    return total
+    return math.prod(
+        len(comp.values)
+        for i in range(len(circuit.gadgets))
+        for comp in gadget_components(circuit, i, policy)
+    )
 
 
 def instantiate(circuit: LogicalCircuit, policy: RandomizationPolicy):
-    """Stream of compiled instances, deterministic under the policy seed."""
+    """Stream of compiled instances, deterministic under the policy seed.
+
+    An instance is one independent draw per gadget: exhaustive mode runs
+    through every combination of per-gadget draws in lexicographic order,
+    sampled mode draws each gadget's components uniformly, gadget by gadget.
+    """
     diags = validate(circuit)
     if diags:
         raise CompileError(f"invalid circuit: {diags[0].rule}: {diags[0].message}")
     per_gadget = [gadget_components(circuit, i, policy) for i in range(len(circuit.gadgets))]
-    flat = [(gi, comp) for gi, comps in enumerate(per_gadget) for comp in comps]
-
-    def build(draw_values, index):
-        insertions = []
-        classical_post: dict = {}
-        for gi in range(len(circuit.gadgets)):
-            draws = {
-                comp.name: value
-                for (gj, comp), value in zip(flat, draw_values)
-                if gj == gi
-            }
-            ins = realize_gadget(circuit, gi, draws, policy)
-            insertions.append(ins)
-            classical_post.update(ins.classical_add)
-        return CompiledInstance(
-            base=circuit,
-            insertions=tuple(insertions),
-            classical_post=classical_post,
-            seed=policy.seed,
-            index=index,
-        )
-
     if policy.mode == "exhaustive":
-        total = 1
-        for _, comp in flat:
-            total *= len(comp.values)
+        total = math.prod(len(comp.values) for comps in per_gadget for comp in comps)
         if total > policy.exhaustive_cap:
             raise CompileError(
                 f"exhaustive draw space has {total} instances, above the cap "
                 f"{policy.exhaustive_cap}"
             )
-        for index, values in enumerate(
-            itertools.product(*[comp.values for _, comp in flat])
-        ):
-            yield build(values, index)
+        names = [[comp.name for comp in comps] for comps in per_gadget]
+        spaces = [itertools.product(*[comp.values for comp in comps]) for comps in per_gadget]
+        draws = ([dict(zip(n, v)) for n, v in zip(names, row)] for row in itertools.product(*spaces))
     elif policy.mode == "sampled":
+        if policy.samples < 1:
+            raise CompileError(f"sampled mode needs at least one sample, not {policy.samples}")
         rng = np.random.default_rng(policy.seed)
-        for shot in range(policy.samples):
-            values = [comp.values[int(rng.integers(len(comp.values)))] for _, comp in flat]
-            yield build(values, shot)
+        draws = ([_draw(comps, rng) for comps in per_gadget] for _ in range(policy.samples))
     else:
         raise CompileError(f"unknown policy mode {policy.mode!r}")
+    for index, per_gadget_draws in enumerate(draws):
+        insertions = tuple(
+            realize_gadget(circuit, i, gadget_draws, policy)
+            for i, gadget_draws in enumerate(per_gadget_draws)
+        )
+        yield CompiledInstance(circuit, insertions, seed=policy.seed, index=index)

@@ -553,26 +553,6 @@ def run_toffoli_example(delta: float, blocks: str = "all", seed: int = 0) -> Ver
 # -- syndrome extraction randomization ------------------------------------------
 
 
-def _inject_readout(D_enc: int, d: int) -> np.ndarray:
-    """vec(rho_enc) -> vec(rho_enc (x) |0><0|), readout as the last factor."""
-    Df = D_enc * d
-    J = np.zeros((Df**2, D_enc**2))
-    for i in range(D_enc):
-        for j in range(D_enc):
-            J[(i * d) + Df * (j * d), i + D_enc * j] = 1.0
-    return J
-
-
-def _trace_readout(D_enc: int, d: int) -> np.ndarray:
-    Df = D_enc * d
-    R = np.zeros((D_enc**2, Df**2))
-    for i in range(D_enc):
-        for j in range(D_enc):
-            for o in range(d):
-                R[i + D_enc * j, (i * d + o) + Df * (j * d + o)] = 1.0
-    return R
-
-
 #: Estimated flops above which averaged_extraction_channels refuses to run.
 EXTRACTION_FLOP_LIMIT = 1e12
 
@@ -685,12 +665,14 @@ def averaged_extraction_channels(
         )
     tail = compose(stab_avg, compose(phi, stab_avg)) if policy.stabilizers else phi
 
-    J = _inject_readout(code.dim, d)
-    R = _trace_readout(code.dim, d)
+    # vec index (i*d + io) + Df*(j*d + jo) splits rows and columns as (j, jo, i, io):
+    # the readout starts in |0> (column jo = io = 0) and is traced out (row jo = io).
+    De = code.dim
     out = {}
     for b in range(d):
         chain = compose(tail, compose(measured[b], compose(coupling, stab_avg)))
-        out[b] = Superoperator(code.dim, R @ chain.matrix @ J)
+        block = chain.matrix.reshape((De, d) * 4)[..., 0, :, 0]
+        out[b] = Superoperator(De, np.einsum("jaiakl->jikl", block).reshape(De**2, De**2))
     return out
 
 

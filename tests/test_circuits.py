@@ -335,7 +335,7 @@ def test_insertions_weyl_layers_and_classical_post():
         ),
     ]
     # X-bar flips the raw outcome to 1, the classical correction restores 0.
-    res = evaluate(c, insertions=ins, classical_post={"m": 1})
+    res = evaluate(c, insertions=ins)
     assert res.distribution() == pytest.approx({(0,): 1.0})
 
 

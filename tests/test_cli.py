@@ -112,6 +112,29 @@ def test_compile_invalid_circuit(tmp_path, capsys):
     assert "missing required field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["sampled=0", "sampled=-3"])
+def test_compile_rejects_sampled_mode_without_samples(reset_circuit_file, mode, capsys):
+    assert main(["compile", "--circuit", str(reset_circuit_file), "--mode", mode]) == 2
+    assert "at least one sample" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "policy,message",
+    [
+        ('{"mode": {"sampled": -2}}', "at least one sample"),
+        ('{"twirl_groups": {"0": "bogus"}}', "invalid policy: unknown twirl group kind 'bogus'"),
+        ('{"twirl_groups": {"0": "custom"}}', "invalid policy: unknown twirl group kind 'custom'"),
+        ('{"default_twirl_group": "bogus"}', "invalid policy: unknown twirl group kind 'bogus'"),
+    ],
+    ids=["sampled_negative", "bogus_group", "custom_group", "bogus_default_group"],
+)
+def test_compile_rejects_bad_policy_file(reset_circuit_file, tmp_path, policy, message, capsys):
+    path = tmp_path / "p.json"
+    path.write_text(policy)
+    assert main(["compile", "--circuit", str(reset_circuit_file), "--policy", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_compile_missing_file(capsys):
     assert main(["compile", "--circuit", "/nonexistent/x.json"]) == 2
 
@@ -158,6 +181,12 @@ def test_syndrome_command(tmp_path):
 
 def test_syndrome_flip_prob_validation(capsys):
     assert main(["syndrome", "--flip-prob", "1.5"]) == 2
+
+
+@pytest.mark.parametrize("rotation", ["nan", "inf", "-inf"])
+def test_syndrome_rejects_nonfinite_rotation(rotation, capsys):
+    assert main(["syndrome", f"--rotation={rotation}"]) == 2
+    assert "--rotation must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("generator", ["-1", "99"])

@@ -1,10 +1,15 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_circuits import random_circuits
 
 from lrc.channels import coherent_rotation
 from lrc.circuits import (
+    CompiledInstance,
     Gadget,
     GadgetInsertions,
     LogicalCircuit,
@@ -23,6 +28,7 @@ from lrc.compiler import (
     draw_space_size,
     gadget_components,
     instantiate,
+    realize_gadget,
     t_gate_matrix,
 )
 from lrc.weyl import WeylOperator, braiding_exponent
@@ -388,3 +394,104 @@ def test_idle_compilation_twirl_pair():
         zero = np.zeros(8)
         zero[0] = 1.0
         assert np.real(zero @ res.final_state() @ zero) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["bogus", "custom", ""])
+def test_twirl_group_kind_is_validated(kind):
+    with pytest.raises(CompileError, match="unknown twirl group kind"):
+        TwirlGroupSpec(kind)
+    with pytest.raises(CompileError, match="unknown twirl group kind"):
+        RandomizationPolicy.from_dict({"twirl_groups": {"1": kind}})
+
+
+@pytest.mark.parametrize("samples", [0, -2])
+def test_sampled_mode_needs_a_sample(samples):
+    policy = RandomizationPolicy(mode="sampled", samples=samples)
+    with pytest.raises(CompileError, match="at least one sample"):
+        list(instantiate(reset_circuit(), policy))
+
+
+def test_classical_post_is_read_from_the_insertions():
+    for inst in instantiate(reset_measure_circuit(), RandomizationPolicy()):
+        assert inst.classical_post == inst.insertions[1].classical_add
+        with pytest.raises(AttributeError):
+            inst.classical_post = {}
+
+
+# -- the instance stream against the flat enumeration ---------------------------
+
+
+def flat_enumeration(circuit, policy):
+    """Oracle: every component of every gadget in one flat list, drawn as one
+    itertools.product row (exhaustive) or one rng draw per component in list
+    order (sampled), then filtered back into per-gadget draws."""
+    flat = [
+        (gi, comp)
+        for gi in range(len(circuit.gadgets))
+        for comp in gadget_components(circuit, gi, policy)
+    ]
+    if policy.mode == "exhaustive":
+        rows = itertools.product(*[comp.values for _, comp in flat])
+    else:
+        rng = np.random.default_rng(policy.seed)
+        rows = (
+            [comp.values[int(rng.integers(len(comp.values)))] for _, comp in flat]
+            for _ in range(policy.samples)
+        )
+    for index, values in enumerate(rows):
+        insertions, post = [], {}
+        for gi in range(len(circuit.gadgets)):
+            draws = {comp.name: v for (gj, comp), v in zip(flat, values) if gj == gi}
+            insertions.append(realize_gadget(circuit, gi, draws, policy))
+            post.update(insertions[-1].classical_add)
+        yield CompiledInstance(circuit, tuple(insertions), policy.seed, index), post
+
+
+#: Instances are evaluated only up to this register dimension: at D=625 one
+#: logical measurement of repetition3(5) applies 125 Kraus operators.
+EVALUATE_DIM_LIMIT = 125
+
+
+def _twirled_policy(circuit, **kwargs):
+    """A logical Weyl twirl on each Weyl unitary, toggles as given."""
+    groups = {
+        i: TwirlGroupSpec.logical_weyl() for i, g in enumerate(circuit.gadgets) if g.weyl is not None
+    }
+    return RandomizationPolicy(twirl_groups=groups, **kwargs)
+
+
+def _assert_stream_matches_oracle(circuit, policy):
+    expected = list(flat_enumeration(circuit, policy))
+    got = list(instantiate(circuit, policy))
+    assert len(got) == len(expected) > 0
+    for inst, (oracle, post) in zip(got, expected):
+        got_dict, oracle_dict = inst.to_dict(), oracle.to_dict()
+        assert json.dumps(got_dict, sort_keys=True) == json.dumps(oracle_dict, sort_keys=True)
+        assert inst.classical_post == post
+    if circuit.dim > EVALUATE_DIM_LIMIT:
+        return
+    bare = evaluate(circuit, ideal=True).distribution()
+    for inst in got:
+        dist = inst.evaluate(ideal=True).distribution()
+        for key in set(dist) | set(bare):
+            assert abs(dist.get(key, 0.0) - bare.get(key, 0.0)) < 1e-10, (key, inst.index)
+
+
+@settings(max_examples=25)
+@given(circuit=random_circuits())
+def test_exhaustive_stream_is_the_flat_product_and_equals_bare(circuit):
+    """The first policy with at most 64 instances: every toggle on, then
+    stabilizers, twirl and measurement randomization switched off in turn."""
+    toggles = ("stabilizers", "twirl", "measurement_rc")
+    for k in range(len(toggles) + 1):
+        policy = _twirled_policy(circuit, **dict.fromkeys(toggles[:k], False))
+        if draw_space_size(circuit, policy) <= 64:
+            break
+    _assert_stream_matches_oracle(circuit, policy)
+
+
+@settings(max_examples=25)
+@given(circuit=random_circuits(), seed=st.integers(0, 2**32 - 1))
+def test_sampled_stream_is_the_flat_rng_order_and_equals_bare(circuit, seed):
+    policy = _twirled_policy(circuit, mode="sampled", samples=3, seed=seed)
+    _assert_stream_matches_oracle(circuit, policy)

@@ -293,10 +293,15 @@ def brute_force_extraction_channels(code, policy, noise=None, idle_noise=None, g
     d = code.d
     n = code.n + 1
     comps = gadget_components(circ, 2, policy)
-    from lrc.verify import _inject_readout, _trace_readout
-
-    J = _inject_readout(code.dim, d)
-    R = _trace_readout(code.dim, d)
+    # vec(rho) -> vec(rho (x) |0><0|) and its partial trace back, readout last.
+    De, Df = code.dim, code.dim * d
+    J = np.zeros((Df**2, De**2))
+    R = np.zeros((De**2, Df**2))
+    for i in range(De):
+        for j in range(De):
+            J[(i * d) + Df * (j * d), i + De * j] = 1.0
+            for o in range(d):
+                R[i + De * j, (i * d + o) + Df * (j * d + o)] = 1.0
     acc = {b: 0.0 for b in range(d)}
     combos = list(itertools.product(*[c.values for c in comps])) or [()]
     for values in combos:
