@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import json
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -317,6 +318,19 @@ def validate(circuit: LogicalCircuit) -> list:
     return diags
 
 
+#: Diagnostics per circuit object: circuits are immutable, so each is validated once.
+_DIAGNOSTICS = weakref.WeakKeyDictionary()
+
+
+def check_valid(circuit: LogicalCircuit, error=EvaluationError) -> None:
+    """Raise ``error`` naming the circuit's first diagnostic, if it has one."""
+    diags = _DIAGNOSTICS.get(circuit)
+    if diags is None:
+        diags = _DIAGNOSTICS[circuit] = tuple(validate(circuit))
+    if diags:
+        raise error(f"invalid circuit: {diags[0].rule}: {diags[0].message}")
+
+
 # -- insertion layers ----------------------------------------------------------
 
 
@@ -335,10 +349,11 @@ class Layer:
             raise ValueError("layer needs exactly one of weyl or matrix")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class GadgetInsertions:
     """One gadget's draw: its layers, internal settings, output corrections and
-    the raw drawn values by component name."""
+    the raw drawn values by component name.  Immutable, because the instances
+    of a stream with equal draws share one record; compared by identity."""
 
     before: tuple = ()
     after: tuple = ()
@@ -527,6 +542,31 @@ def expand_gadget(circuit: LogicalCircuit, g: Gadget, ins: GadgetInsertions, ide
     return steps + _layer_steps(circuit, ins.after)
 
 
+#: Expanded steps per insertions object, keyed (circuit, gadget index, ideal).
+#: An entry lives as long as its insertions object, so a stream's expansions
+#: go with the stream.
+_EXPANSIONS = weakref.WeakKeyDictionary()
+
+
+def _instance_steps(circuit: LogicalCircuit, insertions, ideal: bool) -> list:
+    """Every gadget's steps, each gadget expanded once per insertions object."""
+    if len(insertions) != len(circuit.gadgets):
+        raise EvaluationError(
+            f"{len(insertions)} insertion records for {len(circuit.gadgets)} gadgets"
+        )
+    steps = []
+    for i, (g, ins) in enumerate(zip(circuit.gadgets, insertions)):
+        if ins is EMPTY_INSERTIONS:  # never freed: caching it would pin every bare circuit
+            steps.extend(expand_gadget(circuit, g, ins, ideal))
+            continue
+        cached = _EXPANSIONS.setdefault(ins, {})
+        key = (circuit, i, ideal)
+        if key not in cached:
+            cached[key] = tuple(expand_gadget(circuit, g, ins, ideal))
+        steps.extend(cached[key])
+    return steps
+
+
 # -- evaluation ----------------------------------------------------------------
 
 
@@ -603,9 +643,7 @@ def evaluate(
     back to sampling one outcome per branch (the result is then a stochastic
     estimate and ``exact`` is False); without an rng the limit raises.
     """
-    diags = validate(circuit)
-    if diags:
-        raise EvaluationError(f"invalid circuit: {diags[0].rule}: {diags[0].message}")
+    check_valid(circuit)
     d = circuit.d
     n = circuit.n_qudits
     D = circuit.dim
@@ -613,10 +651,7 @@ def evaluate(
         raise CapacityError(f"circuit dimension {D} exceeds the dense cap")
     if insertions is None:
         insertions = [EMPTY_INSERTIONS] * len(circuit.gadgets)
-
-    steps = []
-    for g, ins in zip(circuit.gadgets, insertions):
-        steps.extend(expand_gadget(circuit, g, ins, ideal))
+    steps = _instance_steps(circuit, insertions, ideal)
 
     rho0 = np.zeros((D, D), dtype=complex)
     rho0[0, 0] = 1.0
@@ -696,18 +731,17 @@ def instance_channel(inst, ideal: bool = False) -> Superoperator:
     c = inst.base
     d, n = c.d, c.n_qudits
     acc = identity_channel(c.dim)
-    for g, ins in zip(c.gadgets, inst.insertions):
-        for step in expand_gadget(c, g, ins, ideal):
-            kind = step[0]
-            if kind == "weyl":
-                term = natural_rep(step[1].to_matrix())
-            elif kind == "gate":
-                term = natural_rep(embed_operator(step[2], step[1], d, n))
-            elif kind == "channel":
-                term = lift_local_superop(step[2], step[1], d, n)
-            else:
-                raise ValueError(f"instance contains a non-channel step {kind!r}")
-            acc = compose(term, acc)
+    for step in _instance_steps(c, inst.insertions, ideal):
+        kind = step[0]
+        if kind == "weyl":
+            term = natural_rep(step[1].to_matrix())
+        elif kind == "gate":
+            term = natural_rep(embed_operator(step[2], step[1], d, n))
+        elif kind == "channel":
+            term = lift_local_superop(step[2], step[1], d, n)
+        else:
+            raise ValueError(f"instance contains a non-channel step {kind!r}")
+        acc = compose(term, acc)
     return acc
 
 
@@ -725,9 +759,7 @@ def ideal_channel(circuit: LogicalCircuit):
             raise CapacityError(
                 f"superoperator for dimension {D} exceeds the cap {SUPEROP_DIM_LIMIT}"
             )
-        diags = validate(circuit)
-        if diags:
-            raise EvaluationError(f"invalid circuit: {diags[0].rule}: {diags[0].message}")
+        check_valid(circuit)
         empty = (EMPTY_INSERTIONS,) * len(circuit.gadgets)
         return instance_channel(CompiledInstance(circuit, empty), ideal=True)
     return evaluate(circuit, ideal=True)

@@ -134,10 +134,11 @@ def cmd_compile(args) -> int:
     else:
         policy = RandomizationPolicy()
     if args.mode:
+        kind, _, count = args.mode.partition("=")
         if args.mode == "exhaustive":
             policy.mode, policy.samples = "exhaustive", 0
-        elif args.mode.startswith("sampled="):
-            policy.mode, policy.samples = "sampled", int(args.mode.split("=", 1)[1])
+        elif kind == "sampled" and count.removeprefix("-").isdecimal():
+            policy.mode, policy.samples = "sampled", int(count)
         else:
             print(f"bad --mode {args.mode!r}; use exhaustive or sampled=N", file=sys.stderr)
             return 2

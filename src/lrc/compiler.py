@@ -39,7 +39,7 @@ from .circuits import (
     GadgetInsertions,
     Layer,
     LogicalCircuit,
-    validate,
+    check_valid,
 )
 from .codes import StabilizerCode, enumerate_stabilizers, logical_weyls
 from .weyl import WeylOperator, braiding_exponent, braiding_phase, iter_weyls, weyl_from_matrix
@@ -534,10 +534,9 @@ def instantiate(circuit: LogicalCircuit, policy: RandomizationPolicy):
     An instance is one independent draw per gadget: exhaustive mode runs
     through every combination of per-gadget draws in lexicographic order,
     sampled mode draws each gadget's components uniformly, gadget by gadget.
+    Equal draws of a gadget share one ``GadgetInsertions`` across the stream.
     """
-    diags = validate(circuit)
-    if diags:
-        raise CompileError(f"invalid circuit: {diags[0].rule}: {diags[0].message}")
+    check_valid(circuit, CompileError)
     per_gadget = [gadget_components(circuit, i, policy) for i in range(len(circuit.gadgets))]
     if policy.mode == "exhaustive":
         total = math.prod(len(comp.values) for comps in per_gadget for comp in comps)
@@ -556,9 +555,12 @@ def instantiate(circuit: LogicalCircuit, policy: RandomizationPolicy):
         draws = ([_draw(comps, rng) for comps in per_gadget] for _ in range(policy.samples))
     else:
         raise CompileError(f"unknown policy mode {policy.mode!r}")
+    shared = {}  # (gadget index, drawn values) -> the one record of that draw
     for index, per_gadget_draws in enumerate(draws):
-        insertions = tuple(
-            realize_gadget(circuit, i, gadget_draws, policy)
-            for i, gadget_draws in enumerate(per_gadget_draws)
-        )
-        yield CompiledInstance(circuit, insertions, seed=policy.seed, index=index)
+        insertions = []
+        for i, gadget_draws in enumerate(per_gadget_draws):
+            key = (i, tuple(gadget_draws.values()))
+            if key not in shared:
+                shared[key] = realize_gadget(circuit, i, gadget_draws, policy)
+            insertions.append(shared[key])
+        yield CompiledInstance(circuit, tuple(insertions), seed=policy.seed, index=index)

@@ -15,6 +15,7 @@ from lrc.channels import (
 )
 from lrc.codes import StabilizerCode, builtin_code, logical_basis_state, syndrome_of, trivial_code
 from lrc.circuits import (
+    CompiledInstance,
     EvaluationError,
     Gadget,
     GadgetInsertions,
@@ -27,6 +28,7 @@ from lrc.circuits import (
     evaluate,
     fourier_matrix,
     ideal_channel,
+    instance_channel,
     parse,
     serialize,
     validate,
@@ -337,6 +339,24 @@ def test_insertions_weyl_layers_and_classical_post():
     # X-bar flips the raw outcome to 1, the classical correction restores 0.
     res = evaluate(c, insertions=ins)
     assert res.distribution() == pytest.approx({(0,): 1.0})
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_insertions_must_match_the_gadgets(count):
+    """A short list used to drop the trailing measurement; a long one was cut."""
+    c = LogicalCircuit(
+        d=2,
+        registers=(one_block(),),
+        gadgets=(Gadget.reset("L0", (0,)), Gadget.measurement("L0", "m")),
+        classical_wires=("m",),
+    )
+    ins = [GadgetInsertions() for _ in range(count)]
+    with pytest.raises(EvaluationError, match=f"{count} insertion records for 2 gadgets"):
+        evaluate(c, insertions=ins)
+    x = Gadget.unitary("L0", weyl=WeylOperator.from_label("XXX"))
+    u = LogicalCircuit(d=2, registers=(one_block(),), gadgets=(x, x), classical_wires=())
+    with pytest.raises(EvaluationError, match=f"{count} insertion records for 2 gadgets"):
+        instance_channel(CompiledInstance(u, tuple(ins)))
 
 
 def test_branch_limit_raises_then_samples():

@@ -118,6 +118,12 @@ def test_compile_rejects_sampled_mode_without_samples(reset_circuit_file, mode, 
     assert "at least one sample" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["sampled=abc", "sampled=", "sampled", "sampled=2.5", "bogus"])
+def test_compile_rejects_a_malformed_mode(reset_circuit_file, mode, capsys):
+    assert main(["compile", "--circuit", str(reset_circuit_file), "--mode", mode]) == 2
+    assert f"bad --mode {mode!r}; use exhaustive or sampled=N" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "policy,message",
     [

@@ -1,12 +1,16 @@
+import dataclasses
+import gc
 import itertools
 import json
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_circuits import random_circuits
 
+import lrc.circuits
 from lrc.channels import coherent_rotation
 from lrc.circuits import (
     CompiledInstance,
@@ -495,3 +499,105 @@ def test_exhaustive_stream_is_the_flat_product_and_equals_bare(circuit):
 def test_sampled_stream_is_the_flat_rng_order_and_equals_bare(circuit, seed):
     policy = _twirled_policy(circuit, mode="sampled", samples=3, seed=seed)
     _assert_stream_matches_oracle(circuit, policy)
+
+
+# -- shared insertions and the expansion cache ---------------------------------
+
+
+def _assert_same_branches(got, want):
+    assert got.exact == want.exact
+    assert len(got.branches) == len(want.branches)
+    for a, b in zip(got.branches, want.branches):
+        assert a.record == b.record
+        assert np.array_equal(a.probability, b.probability)
+        assert np.array_equal(a.state, b.state)
+
+
+def two_measurements(code=BITFLIP):
+    """Two measurements with one draw space, so equal draws of different gadgets occur."""
+    gadgets = (Gadget.reset("L0", (0,)), Gadget.measurement("L0", "m1"), Gadget.measurement("L0", "m2"))
+    return LogicalCircuit(d=code.d, registers=(block(code),), gadgets=gadgets, classical_wires=("m1", "m2"))
+
+
+@settings(max_examples=25)
+@given(circuit=random_circuits(), seed=st.integers(0, 2**32 - 1))
+@example(circuit=two_measurements(trivial_code(2)), seed=0)
+def test_shared_insertions_evaluate_like_fresh_ones(circuit, seed):
+    """Every instance, evaluated through the shared insertions and the
+    expansion cache, equals an oracle that evaluates fresh insertion records
+    once, so no cache has seen them.  A shared record is evaluated noisy and
+    ideal in alternating order, on the circuit and on a noiseless copy of it,
+    and one hand-built record is reused at every gadget."""
+    if circuit.dim > EVALUATE_DIM_LIMIT:
+        return
+    policy = _twirled_policy(circuit)
+    if draw_space_size(circuit, policy) > 64:
+        policy = _twirled_policy(circuit, mode="sampled", samples=3, seed=seed)
+    quiet = LogicalCircuit(
+        d=circuit.d,
+        registers=circuit.registers,
+        gadgets=tuple(dataclasses.replace(g, noise=None, idle_noise=None) for g in circuit.gadgets),
+        classical_wires=circuit.classical_wires,
+    )
+
+    def fresh(inst):
+        records = (
+            realize_gadget(circuit, i, dict(ins.draws), policy) for i, ins in enumerate(inst.insertions)
+        )
+        return CompiledInstance(circuit, tuple(records), inst.seed, inst.index)
+
+    for inst in instantiate(circuit, policy):
+        assert inst.to_dict() == fresh(inst).to_dict()
+        want = {ideal: fresh(inst).evaluate(ideal=ideal) for ideal in (False, True)}
+        for ideal in (False, True) if inst.index % 2 else (True, False):
+            _assert_same_branches(inst.evaluate(ideal=ideal), want[ideal])
+        # Without noise the steps are the ideal ones.
+        _assert_same_branches(evaluate(quiet, insertions=inst.insertions), want[True])
+    blank = GadgetInsertions()
+    for ideal in (False, True):
+        got = evaluate(circuit, insertions=[blank] * len(circuit.gadgets), ideal=ideal)
+        _assert_same_branches(got, evaluate(circuit, ideal=ideal))
+
+
+def test_equal_draws_share_one_immutable_record():
+    """Equal draws of one gadget share a record; equal draws of two gadgets do not."""
+    instances = list(instantiate(two_measurements(), RandomizationPolicy(stabilizers=False)))
+    by_draw = {}
+    for inst in instances:
+        for i, ins in enumerate(inst.insertions):
+            by_draw.setdefault((i, tuple(ins.draws.values())), []).append(ins)
+    assert len(instances) == 16 and len(by_draw) == 1 + 4 + 4
+    for records in by_draw.values():
+        assert all(ins is records[0] for ins in records)
+    assert len({id(records[0]) for records in by_draw.values()}) == len(by_draw)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        instances[0].insertions[1].before = ()
+
+
+def test_expansions_live_as_long_as_their_insertions():
+    gc.collect()
+    sizes = len(lrc.circuits._EXPANSIONS), len(lrc.circuits._DIAGNOSTICS)
+    noise = coherent_rotation(WeylOperator.from_label("XII"), 0.2)
+    instances = list(instantiate(reset_measure_circuit(noise), RandomizationPolicy()))
+    for inst in instances:
+        inst.evaluate()
+    assert len(lrc.circuits._EXPANSIONS) == sizes[0] + 4 + 16
+    probe = weakref.ref(instances[0].insertions[1])
+    del instances, inst
+    gc.collect()
+    assert probe() is None
+    assert (len(lrc.circuits._EXPANSIONS), len(lrc.circuits._DIAGNOSTICS)) == sizes
+
+
+def test_each_circuit_object_is_validated_once(monkeypatch):
+    calls = []
+    validate = lrc.circuits.validate
+    monkeypatch.setattr(lrc.circuits, "validate", lambda c: calls.append(c) or validate(c))
+    c = reset_measure_circuit()
+    for inst in instantiate(c, RandomizationPolicy(mode="sampled", samples=3, seed=5)):
+        inst.evaluate()
+    evaluate(c, ideal=True)
+    assert calls == [c]
+    again = reset_measure_circuit()
+    evaluate(again)
+    assert calls == [c, again]

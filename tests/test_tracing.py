@@ -46,7 +46,8 @@ def test_tracer_replaces_and_restores_every_traced_name():
 
 def test_tracer_counts_the_instance_stream():
     """instantiate calls gadget_components and realize_gadget through the
-    module globals the tracer patches."""
+    module globals the tracer patches, realize_gadget once per distinct draw
+    of a gadget."""
     tracing = _load_tracing()
     code = builtin_code("bitflip3")
     circuit = LogicalCircuit(
@@ -63,5 +64,7 @@ def test_tracer_counts_the_instance_stream():
     assert len(instances) == metrics["compiler.instances"] == 5
     assert metrics["compiler.instantiate.calls"] == 6  # five instances and the final next()
     assert metrics["compiler.gadget_components.calls"] == 2
-    assert metrics["compiler.realize_gadget.calls"] == 10
+    distinct = {(i, tuple(ins.draws.values())) for inst in instances for i, ins in enumerate(inst.insertions)}
+    records = {id(ins) for inst in instances for ins in inst.insertions}
+    assert metrics["compiler.realize_gadget.calls"] == len(distinct) == len(records) == 8
     assert lrc.compiler.instantiate is instantiate
