@@ -465,14 +465,15 @@ def _readout_steps(d: int, n: int, site: int, wire: str, ins: GadgetInsertions, 
     return steps
 
 
-def expand_gadget(circuit: LogicalCircuit, g: Gadget, ins: GadgetInsertions, ideal: bool) -> list:
-    """Primitive step list for one gadget with its compiled insertions."""
+def expand_gadget(circuit: LogicalCircuit, g: Gadget, ins: GadgetInsertions) -> list:
+    """Primitive step list for one gadget with its compiled insertions; every
+    "channel" step is the gadget's noise."""
     d = circuit.d
     n = circuit.n_qudits
     reg = circuit.register(g.registers[0])
     positions = circuit.footprint(g)
     noise_sites = circuit.register(g.readout).qudits if g.kind == SYNDROME_EXTRACTION else positions
-    noise = [] if ideal or g.noise is None else [("channel", noise_sites, g.noise)]
+    noise = [] if g.noise is None else [("channel", noise_sites, g.noise)]
     steps = _layer_steps(circuit, ins.before)
 
     if g.kind == RESET:
@@ -524,7 +525,7 @@ def expand_gadget(circuit: LogicalCircuit, g: Gadget, ins: GadgetInsertions, ide
         ib = ins.internal.get("idle_before")
         if ib is not None:
             steps.append(_step_weyl(ib, reg.qudits, n))
-        if not ideal and g.idle_noise is not None:
+        if g.idle_noise is not None:
             steps.append(("channel", tuple(reg.qudits), g.idle_noise))
         ia = ins.internal.get("idle_after")
         if ia is not None:
@@ -542,14 +543,15 @@ def expand_gadget(circuit: LogicalCircuit, g: Gadget, ins: GadgetInsertions, ide
     return steps + _layer_steps(circuit, ins.after)
 
 
-#: Expanded steps per insertions object, keyed (circuit, gadget index, ideal).
+#: Expanded steps per insertions object, keyed (circuit, gadget index).
 #: An entry lives as long as its insertions object, so a stream's expansions
-#: go with the stream.
+#: go with the stream; the noisy and the ideal runs of one object share it.
 _EXPANSIONS = weakref.WeakKeyDictionary()
 
 
 def _instance_steps(circuit: LogicalCircuit, insertions, ideal: bool) -> list:
-    """Every gadget's steps, each gadget expanded once per insertions object."""
+    """Every gadget's steps, each gadget expanded once per insertions object;
+    ``ideal`` drops the noise ("channel") steps."""
     if len(insertions) != len(circuit.gadgets):
         raise EvaluationError(
             f"{len(insertions)} insertion records for {len(circuit.gadgets)} gadgets"
@@ -557,14 +559,14 @@ def _instance_steps(circuit: LogicalCircuit, insertions, ideal: bool) -> list:
     steps = []
     for i, (g, ins) in enumerate(zip(circuit.gadgets, insertions)):
         if ins is EMPTY_INSERTIONS:  # never freed: caching it would pin every bare circuit
-            steps.extend(expand_gadget(circuit, g, ins, ideal))
+            steps.extend(expand_gadget(circuit, g, ins))
             continue
         cached = _EXPANSIONS.setdefault(ins, {})
-        key = (circuit, i, ideal)
+        key = (circuit, i)
         if key not in cached:
-            cached[key] = tuple(expand_gadget(circuit, g, ins, ideal))
+            cached[key] = tuple(expand_gadget(circuit, g, ins))
         steps.extend(cached[key])
-    return steps
+    return [step for step in steps if step[0] != "channel"] if ideal else steps
 
 
 # -- evaluation ----------------------------------------------------------------

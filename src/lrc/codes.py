@@ -258,17 +258,7 @@ def logical_weyls(code: StabilizerCode):
     Products Xbar^a Zbar^b with (a, b) in lexicographic order; the identity
     comes first.
     """
-    d, k = code.d, code.k
-    out = []
-    for a in itertools.product(range(d), repeat=k):
-        for b in itertools.product(range(d), repeat=k):
-            acc = WeylOperator.identity(code.d, code.n)
-            for i, ai in enumerate(a):
-                acc = acc.mul(code.logical_x(i) ** ai)
-            for i, bi in enumerate(b):
-                acc = acc.mul(code.logical_z(i) ** bi)
-            out.append(acc)
-    return tuple(out)
+    return _enumerate_products(code.logical_gens[0::2] + code.logical_gens[1::2], code.d, code.n)
 
 
 def is_logical_weyl(code: StabilizerCode, op: WeylOperator) -> bool:

@@ -20,7 +20,6 @@ path) stay separate.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -133,24 +132,33 @@ class RandomizationPolicy:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RandomizationPolicy":
+        """The policy of a parsed JSON object; a value of the wrong JSON type
+        raises CompileError rather than being coerced."""
         mode = data.get("mode", "exhaustive")
         if mode == "exhaustive":
             mode_name, samples = "exhaustive", 0
         elif isinstance(mode, dict) and "sampled" in mode:
-            mode_name, samples = "sampled", int(mode["sampled"])
+            mode_name, samples = "sampled", _json_int(mode["sampled"], "mode.sampled")
         else:
             raise CompileError(f"unknown mode {mode!r}")
         toggles = data.get("toggles", {})
+        for name, value in toggles.items():
+            if not isinstance(value, bool):
+                raise CompileError(f"toggles.{name} must be true or false, not {value!r}")
         regs = data.get("stabilizer_registers")
+        if regs is not None and not (isinstance(regs, list) and all(isinstance(r, str) for r in regs)):
+            raise CompileError(
+                f"stabilizer_registers must be a list of register names or null, not {regs!r}"
+            )
         return cls(
-            seed=int(data.get("seed", DEFAULT_SEED)),
+            seed=_json_int(data.get("seed", DEFAULT_SEED), "seed"),
             mode=mode_name,
             samples=samples,
-            stabilizers=bool(toggles.get("stabilizers", True)),
-            twirl=bool(toggles.get("twirl", True)),
-            measurement_rc=bool(toggles.get("measurement_rc", True)),
+            stabilizers=toggles.get("stabilizers", True),
+            twirl=toggles.get("twirl", True),
+            measurement_rc=toggles.get("measurement_rc", True),
             stabilizer_registers=tuple(regs) if regs is not None else None,
-            exhaustive_cap=int(data.get("exhaustive_cap", 10**6)),
+            exhaustive_cap=_json_int(data.get("exhaustive_cap", 10**6), "exhaustive_cap"),
             twirl_groups={
                 int(k): TwirlGroupSpec(v) for k, v in data.get("twirl_groups", {}).items()
             },
@@ -160,6 +168,12 @@ class RandomizationPolicy:
     @classmethod
     def from_json(cls, text: str) -> "RandomizationPolicy":
         return cls.from_dict(json.loads(text))
+
+
+def _json_int(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise CompileError(f"{what} must be an integer, not {value!r}")
+    return value
 
 
 # -- group enumeration -----------------------------------------------------
@@ -182,8 +196,7 @@ def dihedral_elements(d: int = 2):
 
 
 def group_elements(spec: TwirlGroupSpec, code: StabilizerCode | None):
-    if spec.kind == "trivial":
-        return []
+    """The elements of a nontrivial twirl group."""
     if spec.kind == "dihedral":
         return dihedral_elements()
     if code is None:
@@ -202,7 +215,7 @@ def compute_propagation_correction(A: WeylOperator, L: WeylOperator) -> WeylOper
     return WeylOperator(A.d, (0,), (m,))
 
 
-# -- draw spaces -------------------------------------------------------------
+# -- randomization ------------------------------------------------------------
 
 
 @dataclass
@@ -211,76 +224,152 @@ class Component:
     values: list
 
 
-def gadget_components(circuit: LogicalCircuit, index: int, policy: RandomizationPolicy):
-    """Named draw components for one gadget under the policy toggles."""
+def _product(ops):
+    """Operator product of the Weyls in ops, skipping None (the last is applied first)."""
+    acc = None
+    for op in ops:
+        if op is not None:
+            acc = op if acc is None else acc.mul(op)
+    return acc
+
+
+def _dagger(op):
+    return None if op is None else op.dagger()
+
+
+def _lazy(fn, *args):
+    """The values of fn(*args), computed only when iterated."""
+    yield from fn(*args)
+
+
+def _randomize(circuit: LogicalCircuit, index: int, policy: RandomizationPolicy, pick) -> dict:
+    """How gadget ``index`` is randomized: its draw components and their insertions.
+
+    Calls ``pick(name, values)`` for each component the policy enables, in draw
+    order, and returns the ``GadgetInsertions`` fields built from the picked
+    values; a value picked as None inserts nothing.  Which components are
+    picked depends only on the gadget and the policy, never on a picked value.
+    ``values`` is a lazy iterable, so realizing a draw builds no value list.
+    """
     g = circuit.gadgets[index]
     d = circuit.d
-    comps: list = []
+    regs = g.registers
+    reg = circuit.register(regs[0])
 
-    def stab_component(tag, reg_name):
-        reg = circuit.register(reg_name)
-        if reg.kind != "logical" or not policy.stabilizers_for(reg_name):
-            return
-        stabs = list(enumerate_stabilizers(reg.code))
-        if len(stabs) > 1:
-            comps.append(Component(f"{tag}:{reg_name}", stabs))
+    def stabilizer(tag, name):
+        if not policy.stabilizers_for(name):
+            return None
+        r = circuit.register(name)
+        if r.kind != "logical" or not r.code.stab_gens:
+            return None  # a code without stabilizer generators has only the identity
+        return pick(f"{tag}:{name}", _lazy(enumerate_stabilizers, r.code))
+
+    def logical_twirl(name):
+        return pick(name, _lazy(logical_weyls, reg.code)) if policy.twirl else None
+
+    def readout(wire):
+        """X^x Z^z ahead of a readout, the output corrected by -x and the
+        restore Z^z' X^-x after it: (internal, classical_add)."""
+        if not policy.measurement_rc:
+            return {}, {}
+        x, z, zp = (pick(name, range(d)) for name in ("x", "z", "z'"))
+        if x is None:
+            return {}, {}
+        add = (-x) % d
+        return {"rc": (x, z), "post_z": zp}, ({wire: add} if add else {})
 
     if g.kind == RESET:
-        reg = circuit.register(g.registers[0])
-        if reg.kind == "logical":
-            stab_component("S", g.registers[0])
+        return {"after": _merge_weyl_layers(regs, [stabilizer("S", regs[0])])}
 
-    elif g.kind == UNITARY:
-        for name in g.registers:
-            stab_component("S", name)
+    if g.kind == UNITARY:
+        s_before = {name: stabilizer("S", name) for name in regs}
         spec = policy.group_for(index)
+        G = None
         if policy.twirl and spec.kind != "trivial":
             code = _single_logical_code(circuit, g)
             if spec.kind == "dihedral":
                 _require_t_gadget(circuit, g)
-            comps.append(Component("G", group_elements(spec, code)))
-        for name in g.registers:
-            stab_component("S'", name)
+            G = pick("G", _lazy(group_elements, spec, code))
+        s_after = {name: stabilizer("S'", name) for name in regs}
+        return {
+            "before": _before_twirl_layers(regs, G, s_before),
+            "after": _unitary_correction_layers(circuit, g, G, s_after),
+        }
 
-    elif g.kind == MEASUREMENT:
-        reg = circuit.register(g.registers[0])
-        stab_component("S", g.registers[0])
+    if g.kind == MEASUREMENT:
+        code = reg.code
+        s = stabilizer("S", regs[0])
+        shift, add = None, 0
         if policy.measurement_rc:
-            k = reg.code.k
-            vectors = list(itertools.product(range(d), repeat=k))
-            comps.append(Component("x", vectors))
-            comps.append(Component("z", vectors))
+            x, z = (pick(name, itertools.product(range(d), repeat=code.k)) for name in ("x", "z"))
+            if x is not None:
+                shift = WeylOperator.identity(d, code.n)
+                for i, xi in enumerate(x):
+                    shift = shift.mul(code.logical_x(i) ** xi)
+                for i, zi in enumerate(z):
+                    shift = shift.mul(code.logical_z(i) ** zi)
+                measured = g.weyl if g.weyl is not None else code.logical_z(0)
+                add = (-braiding_exponent(shift, measured)) % d
+        before = _merge_weyl_layers(regs, [s, shift])
+        # Undo the inserted Weyl after the projection so the instance is
+        # channel-equivalent to the bare gadget, not just classically.
+        internal = {"restore": before[0].weyl.dagger()} if before else {}
+        return {"before": before, "internal": internal, "classical_add": {g.wire: add} if add else {}}
 
-    elif g.kind == SYNDROME_EXTRACTION:
-        reg = circuit.register(g.registers[0])
-        stab_component("S", g.registers[0])
-        if policy.twirl:
-            comps.append(Component("L", list(logical_weyls(reg.code))))
-            comps.append(Component("P", list(iter_weyls(d, 1))))
-        if policy.measurement_rc:
-            comps.append(Component("x", list(range(d))))
-            comps.append(Component("z", list(range(d))))
-            comps.append(Component("z'", list(range(d))))
-        stab_component("S'", g.registers[0])
-        if policy.twirl:
-            comps.append(Component("Lh", list(logical_weyls(reg.code))))
-        stab_component("S''", g.registers[0])
+    if g.kind == SYNDROME_EXTRACTION:
+        s = stabilizer("S", regs[0])
+        L = logical_twirl("L")
+        P = pick("P", iter_weyls(d, 1)) if policy.twirl else None
+        rc, classical = readout(g.wire)
+        sp = stabilizer("S'", regs[0])
+        lh = logical_twirl("Lh")
+        spp = stabilizer("S''", regs[0])
+        A = reg.code.stab_gens[g.generator]
+        internal = {
+            "enc_twirl": L,
+            "readout_correction": None if L is None else compute_propagation_correction(A, L).dagger(),
+            "readout_weyl": P,
+            **rc,
+            "idle_before": _product([sp, lh]),
+            "idle_after": _product([spp, _dagger(lh)]),
+        }
+        return {
+            "before": _merge_weyl_layers(regs, [s]),
+            "internal": {k: v for k, v in internal.items() if v is not None},
+            "classical_add": classical,
+        }
 
-    elif g.kind == IDLE:
-        reg = circuit.register(g.registers[0])
-        if reg.kind == "logical":
-            stab_component("S", g.registers[0])
-            if policy.twirl:
-                comps.append(Component("Lh", list(logical_weyls(reg.code))))
-            stab_component("S'", g.registers[0])
+    if g.kind == IDLE:
+        if reg.kind != "logical":
+            return {}
+        s = stabilizer("S", regs[0])
+        lh = logical_twirl("Lh")
+        sp = stabilizer("S'", regs[0])
+        return {
+            "before": _merge_weyl_layers(regs, [lh, s]),
+            "after": _merge_weyl_layers(regs, [sp, _dagger(lh)]),
+        }
 
-    elif g.kind == READOUT_MEASUREMENT:
-        if policy.measurement_rc:
-            comps.append(Component("x", list(range(d))))
-            comps.append(Component("z", list(range(d))))
-            comps.append(Component("z'", list(range(d))))
+    if g.kind == READOUT_MEASUREMENT:
+        internal, classical = readout(g.wire)
+        return {"internal": internal, "classical_add": classical}
 
+    raise CompileError(f"cannot compile gadget kind {g.kind!r}")
+
+
+def gadget_components(circuit: LogicalCircuit, index: int, policy: RandomizationPolicy):
+    """Named draw components for one gadget under the policy toggles, in draw order."""
+    comps: list = []
+    _randomize(circuit, index, policy, lambda name, values: comps.append(Component(name, list(values))))
     return comps
+
+
+def realize_gadget(
+    circuit: LogicalCircuit, index: int, draws: dict, policy: RandomizationPolicy
+) -> GadgetInsertions:
+    """Build the insertion record for one gadget from drawn values."""
+    fields = _randomize(circuit, index, policy, lambda name, values: draws.get(name))
+    return GadgetInsertions(**fields, draws=draws)
 
 
 def _single_logical_code(circuit, g):
@@ -306,23 +395,13 @@ def _require_t_gadget(circuit, g):
         raise CompileError("the dihedral twirl applies only to gadgets implementing T")
 
 
-# -- realization --------------------------------------------------------------
-
-
-def _ideal_unitary_matrix(circuit, g):
-    if g.weyl is not None:
-        return g.weyl.to_matrix()
-    return np.asarray(g.matrix)
+# -- insertion layers -----------------------------------------------------------
 
 
 def _merge_weyl_layers(reg_names, ops):
-    """Single merged Weyl layer for the operator product ops[0]*ops[1]*...
-
-    The product is an operator product: the last element is applied first.
-    """
-    acc = None
-    for op in ops:
-        acc = op if acc is None else acc.mul(op)
+    """Single merged Weyl layer for the operator product ops[0]*ops[1]*...,
+    skipping None; the last element is applied first."""
+    acc = _product(ops)
     if acc is None or acc.is_identity(ignore_phase=True):
         return ()
     return (Layer(reg_names, weyl=acc),)
@@ -340,17 +419,15 @@ def _stabilizer_layers(reg_names, stabs: dict) -> tuple:
     """One Weyl layer per register with a drawn stabilizer, in register order."""
     out = []
     for name in reg_names:
-        s = stabs.get(name)
-        if s is not None:
-            out.extend(_merge_weyl_layers((name,), [s]))
+        out.extend(_merge_weyl_layers((name,), [stabs[name]]))
     return tuple(out)
 
 
 def _unitary_correction_layers(circuit, g, G, s_after: dict):
     """Layers for the after box: stabilizers composed onto U G^dagger U^dagger.
 
-    Returns the time-ordered layer tuple.  s_after maps register name to the
-    drawn stabilizer (possibly empty).
+    Returns the time-ordered layer tuple.  s_after maps each register name to
+    its drawn stabilizer or None.
     """
     d = circuit.d
     reg_names = g.registers
@@ -363,14 +440,14 @@ def _unitary_correction_layers(circuit, g, G, s_after: dict):
         phase = braiding_phase(g.weyl, gd)
         corr = WeylOperator(d, gd.x, gd.z, gd.phase_exp - phase.exp)
     else:
-        U = _ideal_unitary_matrix(circuit, g)
+        U = g.weyl.to_matrix() if g.weyl is not None else np.asarray(g.matrix)
         corr = U @ element_matrix(G).conj().T @ U.conj().T
         rec = weyl_from_matrix(corr, d, len(circuit.footprint(g)))
         if rec is None:
             layer = Layer(reg_names, matrix=corr, label="twirl-correction")
             return (layer,) + _stabilizer_layers(reg_names, s_after)
         corr = rec
-    if len(reg_names) == 1 and reg_names[0] in s_after:
+    if len(reg_names) == 1:
         return _merge_weyl_layers(reg_names, [s_after[reg_names[0]], corr])
     return _merge_weyl_layers(reg_names, [corr]) + _stabilizer_layers(reg_names, s_after)
 
@@ -380,125 +457,14 @@ def _before_twirl_layers(reg_names, G, s_before):
     if G is None:
         return _stabilizer_layers(reg_names, s_before)
     if isinstance(G, WeylOperator):
-        if len(reg_names) == 1 and reg_names[0] in s_before:
+        if len(reg_names) == 1:
             return _merge_weyl_layers(reg_names, [G, s_before[reg_names[0]]])
         return _stabilizer_layers(reg_names, s_before) + _merge_weyl_layers(reg_names, [G])
     r, L = G  # dihedral (r, L): operator R * L * S
-    s = s_before.get(reg_names[0])
-    layers = _merge_weyl_layers(reg_names, [L, s] if s is not None else [L])
+    layers = _merge_weyl_layers(reg_names, [L, s_before[reg_names[0]]])
     if r % 4:
         layers = layers + (Layer(reg_names, matrix=_rotation_power(r), label=f"T2^{r}"),)
     return layers
-
-
-def _readout_randomization(draws: dict, wire: str, d: int):
-    """(internal, classical_add) for X^x Z^z ahead of a readout, the output
-    corrected by -x and the restore Z^z' X^-x after it."""
-    if "x" not in draws:
-        return {}, {}
-    add = (-draws["x"]) % d
-    internal = {"rc": (draws["x"], draws["z"]), "post_z": draws["z'"]}
-    return internal, ({wire: add} if add else {})
-
-
-def realize_gadget(
-    circuit: LogicalCircuit, index: int, draws: dict, policy: RandomizationPolicy
-) -> GadgetInsertions:
-    """Build the insertion record for one gadget from drawn values."""
-    g = circuit.gadgets[index]
-    d = circuit.d
-
-    if g.kind == RESET:
-        s = draws.get(f"S:{g.registers[0]}")
-        after = _merge_weyl_layers(g.registers, [s]) if s is not None else ()
-        return GadgetInsertions(after=after, draws=draws)
-
-    if g.kind == UNITARY:
-        s_before = {
-            name: draws[f"S:{name}"] for name in g.registers if f"S:{name}" in draws
-        }
-        s_after = {
-            name: draws[f"S':{name}"] for name in g.registers if f"S':{name}" in draws
-        }
-        G = draws.get("G")
-        before = _before_twirl_layers(g.registers, G, s_before)
-        after = _unitary_correction_layers(circuit, g, G, s_after)
-        return GadgetInsertions(before=before, after=after, draws=draws)
-
-    if g.kind == MEASUREMENT:
-        reg = circuit.register(g.registers[0])
-        code = reg.code
-        parts = []
-        add = 0
-        if "x" in draws or "z" in draws:
-            x = draws.get("x", (0,) * code.k)
-            z = draws.get("z", (0,) * code.k)
-            shift = WeylOperator.identity(d, code.n)
-            for i, xi in enumerate(x):
-                shift = shift.mul(code.logical_x(i) ** xi)
-            for i, zi in enumerate(z):
-                shift = shift.mul(code.logical_z(i) ** zi)
-            measured = g.weyl if g.weyl is not None else code.logical_z(0)
-            add = (-braiding_exponent(shift, measured)) % d
-            parts.append(shift)
-        s = draws.get(f"S:{g.registers[0]}")
-        ops = ([s] if s is not None else []) + parts
-        before = _merge_weyl_layers(g.registers, ops) if ops else ()
-        classical = {g.wire: add} if add else {}
-        internal = {}
-        if before:
-            # Undo the inserted Weyl after the projection so the instance is
-            # channel-equivalent to the bare gadget, not just classically.
-            internal["restore"] = before[0].weyl.dagger()
-        return GadgetInsertions(
-            before=before, internal=internal, classical_add=classical, draws=draws
-        )
-
-    if g.kind == SYNDROME_EXTRACTION:
-        reg = circuit.register(g.registers[0])
-        A = reg.code.stab_gens[g.generator]
-        internal, classical = _readout_randomization(draws, g.wire, d)
-        s = draws.get(f"S:{g.registers[0]}")
-        before = _merge_weyl_layers(g.registers, [s]) if s is not None else ()
-        L = draws.get("L")
-        if L is not None:
-            internal["enc_twirl"] = L
-            internal["readout_correction"] = compute_propagation_correction(A, L).dagger()
-        P = draws.get("P")
-        if P is not None:
-            internal["readout_weyl"] = P
-        lh = draws.get("Lh")
-        sp = draws.get(f"S':{g.registers[0]}")
-        spp = draws.get(f"S'':{g.registers[0]}")
-        idle_pre = [op for op in (sp, lh) if op is not None]
-        idle_post = [op for op in (spp, lh.dagger() if lh is not None else None) if op is not None]
-        if idle_pre:
-            internal["idle_before"] = functools.reduce(WeylOperator.mul, idle_pre)
-        if idle_post:
-            internal["idle_after"] = functools.reduce(WeylOperator.mul, idle_post)
-        return GadgetInsertions(
-            before=before, internal=internal, classical_add=classical, draws=draws
-        )
-
-    if g.kind == IDLE:
-        s = draws.get(f"S:{g.registers[0]}")
-        lh = draws.get("Lh")
-        sp = draws.get(f"S':{g.registers[0]}")
-        before_ops = [op for op in (lh, s) if op is not None]
-        after_ops = []
-        if sp is not None:
-            after_ops.append(sp)
-        if lh is not None:
-            after_ops.append(lh.dagger())
-        before = _merge_weyl_layers(g.registers, before_ops) if before_ops else ()
-        after = _merge_weyl_layers(g.registers, after_ops) if after_ops else ()
-        return GadgetInsertions(before=before, after=after, draws=draws)
-
-    if g.kind == READOUT_MEASUREMENT:
-        internal, classical = _readout_randomization(draws, g.wire, d)
-        return GadgetInsertions(internal=internal, classical_add=classical, draws=draws)
-
-    raise CompileError(f"cannot compile gadget kind {g.kind!r}")
 
 
 # -- single-gadget entry point -------------------------------------------------

@@ -555,6 +555,8 @@ def run_toffoli_example(delta: float, blocks: str = "all", seed: int = 0) -> Ver
 
 #: Estimated flops above which averaged_extraction_channels refuses to run.
 EXTRACTION_FLOP_LIMIT = 1e12
+#: Estimated bytes above which check_sampling_equivalence refuses to run.
+SAMPLING_BYTE_LIMIT = 2**30
 
 
 def averaged_extraction_channels(
@@ -856,6 +858,13 @@ def check_sampling_equivalence(
         raise ValueError(f"shots must be at least 1, got {shots}")
     if circuit is None:
         circuit = noisy_reset_measure_circuit()
+    # Per shot: the drawn compilation and uniform (8 B each), the summed
+    # outcome (8 B), and its compilation's CDF row with the comparison (9 B per key).
+    n_bytes = shots * (24 + 9 * circuit.d ** len(circuit.classical_wires))
+    if n_bytes > SAMPLING_BYTE_LIMIT:
+        raise ValueError(
+            f"{shots} shots need about {n_bytes:.2e} bytes, over {SAMPLING_BYTE_LIMIT:.2e}"
+        )
     if policy is None:
         policy = RandomizationPolicy(seed=derive_seed(seed, "sampling_policy"))
 
@@ -900,47 +909,42 @@ def check_sampling_equivalence(
 # -- registry ---------------------------------------------------------------------
 
 
+def _per_code(check):
+    return lambda seed, code: [check(c, seed=seed) for c in ([code] if code else BUILTIN_CHECK_CODES)]
+
+
+def _measurement_rc_pair(seed, code):
+    code = code or "bitflip3"
+    d = _resolve(code)[1].d
+    return [
+        check_measurement_rc(code, readout_rotation(d, 0.2), seed=seed, label="coherent"),
+        check_measurement_rc(code, readout_flip(d, 0.1), seed=seed, label="stochastic"),
+    ]
+
+
+#: Each registry check by name, as fn(seed, code) -> reports, in ``--all`` order.
+_CHECKS = {
+    "theorem1": _per_code(check_theorem1),
+    "character_orthogonality": _per_code(check_character_orthogonality),
+    "theorem2": lambda seed, code: [check_theorem2_suite(seed)],
+    "clifford_path": lambda seed, code: [check_clifford_path(seed)],
+    "t_path": lambda seed, code: [check_t_path(seed)],
+    "toffoli": lambda seed, code: [
+        run_toffoli_example(0.0, seed=seed),
+        run_toffoli_example(0.1, seed=seed),
+    ],
+    "measurement_rc": _measurement_rc_pair,
+    "compiled_equals_bare": lambda seed, code: [check_compiled_equals_bare(seed)],
+    "sampling_equivalence": lambda seed, code: [check_sampling_equivalence(seed=seed)],
+}
+CHECK_NAMES = tuple(_CHECKS)
+
+
 def run_check(name: str, seed: int, code: str | None = None) -> list:
     """Run one named check (optionally scoped to a code); returns reports."""
-    if name == "theorem1":
-        codes = [code] if code else list(BUILTIN_CHECK_CODES)
-        return [check_theorem1(c, seed=seed) for c in codes]
-    if name == "character_orthogonality":
-        codes = [code] if code else list(BUILTIN_CHECK_CODES)
-        return [check_character_orthogonality(c, seed=seed) for c in codes]
-    if name == "theorem2":
-        return [check_theorem2_suite(seed)]
-    if name == "clifford_path":
-        return [check_clifford_path(seed)]
-    if name == "t_path":
-        return [check_t_path(seed)]
-    if name == "toffoli":
-        return [run_toffoli_example(0.0, seed=seed), run_toffoli_example(0.1, seed=seed)]
-    if name == "measurement_rc":
-        code = code or "bitflip3"
-        d = _resolve(code)[1].d
-        return [
-            check_measurement_rc(code, readout_rotation(d, 0.2), seed=seed, label="coherent"),
-            check_measurement_rc(code, readout_flip(d, 0.1), seed=seed, label="stochastic"),
-        ]
-    if name == "compiled_equals_bare":
-        return [check_compiled_equals_bare(seed)]
-    if name == "sampling_equivalence":
-        return [check_sampling_equivalence(seed=seed)]
-    raise ValueError(f"unknown check {name!r}")
-
-
-CHECK_NAMES = (
-    "theorem1",
-    "character_orthogonality",
-    "theorem2",
-    "clifford_path",
-    "t_path",
-    "toffoli",
-    "measurement_rc",
-    "compiled_equals_bare",
-    "sampling_equivalence",
-)
+    if name not in _CHECKS:
+        raise ValueError(f"unknown check {name!r}")
+    return _CHECKS[name](seed, code)
 
 
 def run_all(seed: int) -> list:

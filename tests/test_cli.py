@@ -8,7 +8,9 @@ import pytest
 
 from lrc.cli import main
 from lrc.circuits import Gadget, LogicalCircuit, Register, serialize
-from lrc.codes import builtin_code
+from lrc.codes import builtin_code, trivial_code
+from lrc.compiler import RandomizationPolicy, instantiate, t_gate_matrix
+from lrc.verify import logical_s_gate
 
 
 @pytest.fixture
@@ -131,8 +133,29 @@ def test_compile_rejects_a_malformed_mode(reset_circuit_file, mode, capsys):
         ('{"twirl_groups": {"0": "bogus"}}', "invalid policy: unknown twirl group kind 'bogus'"),
         ('{"twirl_groups": {"0": "custom"}}', "invalid policy: unknown twirl group kind 'custom'"),
         ('{"default_twirl_group": "bogus"}', "invalid policy: unknown twirl group kind 'bogus'"),
+        ('{"toggles": {"stabilizers": "false"}}', "invalid policy: toggles.stabilizers must be true or false"),
+        ('{"toggles": {"twirl": 0}}', "invalid policy: toggles.twirl must be true or false, not 0"),
+        ('{"stabilizer_registers": "L0"}', "invalid policy: stabilizer_registers must be a list"),
+        ('{"stabilizer_registers": [0]}', "invalid policy: stabilizer_registers must be a list"),
+        ('{"mode": {"sampled": 2.5}}', "invalid policy: mode.sampled must be an integer, not 2.5"),
+        ('{"mode": {"sampled": true}}', "invalid policy: mode.sampled must be an integer, not True"),
+        ('{"seed": 2.9}', "invalid policy: seed must be an integer, not 2.9"),
+        ('{"exhaustive_cap": true}', "invalid policy: exhaustive_cap must be an integer, not True"),
     ],
-    ids=["sampled_negative", "bogus_group", "custom_group", "bogus_default_group"],
+    ids=[
+        "sampled_negative",
+        "bogus_group",
+        "custom_group",
+        "bogus_default_group",
+        "string_toggle",
+        "integer_toggle",
+        "string_registers",
+        "integer_register",
+        "sampled_float",
+        "sampled_bool",
+        "float_seed",
+        "bool_cap",
+    ],
 )
 def test_compile_rejects_bad_policy_file(reset_circuit_file, tmp_path, policy, message, capsys):
     path = tmp_path / "p.json"
@@ -205,6 +228,14 @@ def test_syndrome_generator_out_of_range(generator, capsys):
 def test_sample_rejects_nonpositive_shots(shots, capsys):
     assert main(["sample", "--shots", shots]) == 2
     assert "shots must be at least 1" in capsys.readouterr().err
+
+
+def test_sample_rejects_shots_over_the_memory_budget(capsys):
+    # 10**9 shots at two keys would need 4.2e10 B; refused before any allocation.
+    start = time.perf_counter()
+    assert main(["sample", "--shots", str(10**9)]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert "1000000000 shots need about 4.20e+10 bytes, over 1.07e+09" in capsys.readouterr().err
 
 
 def test_sample_command(tmp_path):
@@ -298,36 +329,97 @@ def test_extraction_out_of_range_fails_fast(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
-def test_compile_output_is_pinned(tmp_path):
-    """Every gadget kind, Weyl gadgets only, so the output holds no computed floats."""
-    code = builtin_code("bitflip3")
-    circuit = LogicalCircuit(
+def _pinned_circuit(name):
+    """A code name gives every gadget kind with Weyl gadgets only, so the output
+    holds no computed floats; ``s_bar`` and ``t`` give matrix-gate streams."""
+    if name == "s_bar":
+        code = builtin_code("bitflip3")
+        reg = Register(name="L0", kind="logical", qudits=(0, 1, 2), code=code)
+        gate = Gadget.unitary("L0", matrix=logical_s_gate(code), label="S")
+    elif name == "t":
+        reg = Register(name="L0", kind="logical", qudits=(0,), code=trivial_code(2, 1))
+        gate = Gadget.unitary("L0", matrix=t_gate_matrix(), label="T")
+    else:
+        code = builtin_code(name)
+        return LogicalCircuit(
+            d=code.d,
+            registers=(
+                Register(name="L0", kind="logical", qudits=(0, 1, 2), code=code),
+                Register(name="R0", kind="readout", qudits=(3,)),
+            ),
+            gadgets=(
+                Gadget.reset("L0", (0,)),
+                Gadget.reset("R0", (0,)),
+                Gadget.unitary("L0", weyl=code.logical_x()),
+                Gadget.idle("L0", ticks=2),
+                Gadget.syndrome_extraction("L0", 0, "R0", "s"),
+                Gadget.reset("R0", (0,)),
+                Gadget.readout_measurement("R0", "r"),
+                Gadget.measurement("L0", "m"),
+            ),
+            classical_wires=("s", "r", "m"),
+        )
+    return LogicalCircuit(
         d=2,
-        registers=(
-            Register(name="L0", kind="logical", qudits=(0, 1, 2), code=code),
-            Register(name="R0", kind="readout", qudits=(3,)),
-        ),
-        gadgets=(
-            Gadget.reset("L0", (0,)),
-            Gadget.reset("R0", (0,)),
-            Gadget.unitary("L0", weyl=code.logical_x()),
-            Gadget.idle("L0", ticks=2),
-            Gadget.syndrome_extraction("L0", 0, "R0", "s"),
-            Gadget.reset("R0", (0,)),
-            Gadget.readout_measurement("R0", "r"),
-            Gadget.measurement("L0", "m"),
-        ),
-        classical_wires=("s", "r", "m"),
+        registers=(reg,),
+        gadgets=(Gadget.reset("L0", (0,)), gate, Gadget.measurement("L0", "m")),
+        classical_wires=("m",),
     )
-    circuit_path = tmp_path / "c.json"
-    circuit_path.write_text(serialize(circuit))
-    policy_path = tmp_path / "p.json"
-    policy_path.write_text('{"seed": 7, "mode": {"sampled": 24}, "twirl_groups": {"2": "logical_weyl"}}')
-    out = tmp_path / "instances.json"
-    argv = ["compile", "--circuit", str(circuit_path), "--policy", str(policy_path), "--out", str(out)]
-    assert main(argv) == 0
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "ab714bdb118b0c0a281803c9ac5e1f5240fd065265c9a805e7ea44931fe729e3"
+
+
+_SAMPLED = '"seed": 7, "mode": {"sampled": 24}'
+_PINNED_POLICIES = {
+    "base": '{%s, "twirl_groups": {"2": "logical_weyl"}}' % _SAMPLED,
+    "no_stabilizers": '{%s, "toggles": {"stabilizers": false}}' % _SAMPLED,
+    "no_twirl": '{%s, "toggles": {"twirl": false}, "default_twirl_group": "logical_weyl"}' % _SAMPLED,
+    "no_measurement_rc": '{%s, "toggles": {"measurement_rc": false}}' % _SAMPLED,
+    "no_stabilizer_registers": '{%s, "stabilizer_registers": []}' % _SAMPLED,
+    "stabilizer_registers_L0": '{%s, "stabilizer_registers": ["L0"]}' % _SAMPLED,
+    "default_logical_weyl": '{%s, "default_twirl_group": "logical_weyl"}' % _SAMPLED,
+    "dihedral_exhaustive": '{"seed": 7, "twirl_groups": {"1": "dihedral"}}',
+}
+
+#: sha256 of each (circuit, policy) case's output: a compiler change that moves
+#: any byte of an instance fails here.
+_PINNED = {
+    ("bitflip3", "base"): "ab714bdb118b0c0a281803c9ac5e1f5240fd065265c9a805e7ea44931fe729e3",
+    ("bitflip3", "no_stabilizers"): "49919d86fb03acb781cf38d2e95a9c59145e95daa6aa760d81dd1a59eeb3fe38",
+    ("bitflip3", "no_twirl"): "bd2f2c1a353ae4b6eabb48f053a4b13eaf9ca7a2bbad1c40f76289da3afb2603",
+    ("bitflip3", "no_measurement_rc"): "478d1e3cc5685948b1d9f8d15fc1e6a3fa79681edf5fb59fa275f934c22084e1",
+    ("bitflip3", "no_stabilizer_registers"): "71d25cf19dc9627c16c926012bafb05584b5a44c0897e85039aed5aedc2ee42c",
+    ("bitflip3", "stabilizer_registers_L0"): "720803e8b2cba6e521dbfa79b31c637338534809156e9ff1496d2514cd7f582b",
+    ("bitflip3", "default_logical_weyl"): "31ee92c1e9841cff5a1ef652f07d10018c334808638a633b6e05d90d0b1aeb41",
+    ("qutrit_rep3", "base"): "12d2a09f1c7f053d8a0db6410bd67ee16f83b93209c3199285377cce35eb9e9d",
+    ("qutrit_rep3", "no_stabilizers"): "feec136b2ad70f376dfa98e0f7535cf6454255b5051203c9ab9eb424bff96f4a",
+    ("qutrit_rep3", "no_twirl"): "4a326bc75b62b1f3508dd1f0ed742c366b1b524a7359b7c7cbc95936a12338e5",
+    ("qutrit_rep3", "no_measurement_rc"): "ef9a3cfcf089d592a44634c9c03e7a16b7508bc7ab2918c21ebd26126ac05dbc",
+    ("qutrit_rep3", "no_stabilizer_registers"): "9cf6e2a8bf7469df25f867a86cf0bd2be489eb12d7c4ef166cf021ef084d61a9",
+    ("qutrit_rep3", "stabilizer_registers_L0"): "4d4eb296c907a49f49f8c54561205033e0fa293209ffbee91ae3fa9a3539c0ba",
+    ("qutrit_rep3", "default_logical_weyl"): "3996d5b8adb1255e6dfbbcd231557c16522f6064422bcb7df4f500c2c7ae5e28",
+    ("s_bar", "default_logical_weyl"): "06c5584bcad49854682777458b1502dc289d18fe6dab9421151aa3c3e3517f85",
+    ("t", "dihedral_exhaustive"): "81f00261490903498ae71029747eea4ed7fbb18230fc683952568f820fb41f60",
+}
+
+
+@pytest.mark.parametrize("circuit_name,policy_name", list(_PINNED), ids=["-".join(case) for case in _PINNED])
+def test_compile_output_is_pinned(tmp_path, circuit_name, policy_name):
+    """`lrc compile` output for the Weyl-only circuits, and the instances of the
+    matrix-gate streams hashed in process, are pinned byte for byte."""
+    circuit = _pinned_circuit(circuit_name)
+    policy_text = _PINNED_POLICIES[policy_name]
+    if circuit_name in ("s_bar", "t"):
+        instances = instantiate(circuit, RandomizationPolicy.from_json(policy_text))
+        data = json.dumps([inst.to_dict() for inst in instances], sort_keys=True, separators=(",", ":")).encode()
+    else:
+        circuit_path = tmp_path / "c.json"
+        circuit_path.write_text(serialize(circuit))
+        policy_path = tmp_path / "p.json"
+        policy_path.write_text(policy_text)
+        out = tmp_path / "instances.json"
+        argv = ["compile", "--circuit", str(circuit_path), "--policy", str(policy_path), "--out", str(out)]
+        assert main(argv) == 0
+        data = out.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == _PINNED[circuit_name, policy_name]
 
 
 def test_sample_byte_identical(tmp_path):

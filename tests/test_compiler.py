@@ -581,7 +581,10 @@ def test_expansions_live_as_long_as_their_insertions():
     instances = list(instantiate(reset_measure_circuit(noise), RandomizationPolicy()))
     for inst in instances:
         inst.evaluate()
+        inst.evaluate(ideal=True)
     assert len(lrc.circuits._EXPANSIONS) == sizes[0] + 4 + 16
+    # The noisy and the ideal run of a record share its one expansion.
+    assert all(len(lrc.circuits._EXPANSIONS[ins]) == 1 for inst in instances for ins in inst.insertions)
     probe = weakref.ref(instances[0].insertions[1])
     del instances, inst
     gc.collect()

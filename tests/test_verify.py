@@ -223,7 +223,7 @@ def test_instance_channel_matches_evaluator():
     rho /= np.trace(rho)
     # oracle: run the dense steps by hand
     expect = rho.copy()
-    for step in expand_gadget(circ, circ.gadgets[0], inst.insertions[0], ideal=False):
+    for step in expand_gadget(circ, circ.gadgets[0], inst.insertions[0]):
         if step[0] == "weyl":
             expect = step[1].conjugate_matrix(expect)
         elif step[0] == "gate":
@@ -309,7 +309,7 @@ def brute_force_extraction_channels(code, policy, noise=None, idle_noise=None, g
         ins = realize_gadget(circ, 2, draws, policy)
         add = ins.classical_add.get("s", 0)
         prefix = [(None, identity_channel(d**n))]
-        for step in expand_gadget(circ, circ.gadgets[2], ins, ideal=False):
+        for step in expand_gadget(circ, circ.gadgets[2], ins):
             if step[0] == "weyl":
                 term = natural_rep(step[1].to_matrix())
                 prefix = [(m, compose(term, p)) for m, p in prefix]
