@@ -61,7 +61,7 @@ from .codes import (
     projector_for_syndrome,
     syndrome_of,
 )
-from .weyl import CapacityError, WeylOperator, dense_limit
+from .weyl import _SMALL_DIM, CapacityError, WeylOperator, dense_limit
 
 SCHEMA_VERSION = 1
 
@@ -549,24 +549,25 @@ def expand_gadget(circuit: LogicalCircuit, g: Gadget, ins: GadgetInsertions) -> 
 _EXPANSIONS = weakref.WeakKeyDictionary()
 
 
-def _instance_steps(circuit: LogicalCircuit, insertions, ideal: bool) -> list:
-    """Every gadget's steps, each gadget expanded once per insertions object;
-    ``ideal`` drops the noise ("channel") steps."""
+def _instance_steps(circuit: LogicalCircuit, insertions, ideal: bool, first: int = 0) -> list:
+    """Each gadget's steps from gadget ``first`` on, each gadget expanded once
+    per insertions object; ``ideal`` drops the noise ("channel") steps."""
     if len(insertions) != len(circuit.gadgets):
         raise EvaluationError(
             f"{len(insertions)} insertion records for {len(circuit.gadgets)} gadgets"
         )
-    steps = []
-    for i, (g, ins) in enumerate(zip(circuit.gadgets, insertions)):
+    out = []
+    for i, (g, ins) in enumerate(zip(circuit.gadgets[first:], insertions[first:]), first):
         if ins is EMPTY_INSERTIONS:  # never freed: caching it would pin every bare circuit
-            steps.extend(expand_gadget(circuit, g, ins))
-            continue
-        cached = _EXPANSIONS.setdefault(ins, {})
-        key = (circuit, i)
-        if key not in cached:
-            cached[key] = tuple(expand_gadget(circuit, g, ins))
-        steps.extend(cached[key])
-    return [step for step in steps if step[0] != "channel"] if ideal else steps
+            steps = expand_gadget(circuit, g, ins)
+        else:
+            cached = _EXPANSIONS.setdefault(ins, {})
+            key = (circuit, i)
+            if key not in cached:
+                cached[key] = tuple(expand_gadget(circuit, g, ins))
+            steps = cached[key]
+        out.append([step for step in steps if step[0] != "channel"] if ideal else steps)
+    return out
 
 
 # -- evaluation ----------------------------------------------------------------
@@ -630,6 +631,11 @@ def _logical_measurement_kraus(code: StabilizerCode, measured: WeylOperator):
     return tuple(tuple(K for K in kraus if np.max(np.abs(K)) >= 1e-14) for kraus in by_outcome)
 
 
+#: Per circuit object, (ideal, branch_limit) -> (weak references to the first G-1 records
+#: of the last exact run, its read-only (probability, state, record) branches after them).
+_PREFIXES = weakref.WeakKeyDictionary()
+
+
 def evaluate(
     circuit: LogicalCircuit,
     insertions=None,
@@ -643,7 +649,9 @@ def evaluate(
     With ``ideal=True`` every noise channel is skipped.  If the branch count
     would exceed ``branch_limit`` and an rng is supplied, measurements fall
     back to sampling one outcome per branch (the result is then a stochastic
-    estimate and ``exact`` is False); without an rng the limit raises.
+    estimate and ``exact`` is False); without an rng the limit raises.  Up to
+    _SMALL_DIM dimensions, a run whose first G-1 insertion records are those of
+    the circuit's last exact run resumes from its branches after them.
     """
     check_valid(circuit)
     d = circuit.d
@@ -653,37 +661,52 @@ def evaluate(
         raise CapacityError(f"circuit dimension {D} exceeds the dense cap")
     if insertions is None:
         insertions = [EMPTY_INSERTIONS] * len(circuit.gadgets)
-    steps = _instance_steps(circuit, insertions, ideal)
-
-    rho0 = np.zeros((D, D), dtype=complex)
-    rho0[0, 0] = 1.0
-    branches = [Branch(1.0, rho0, {})]
+    last = len(circuit.gadgets) - 1
+    memo = _PREFIXES.setdefault(circuit, {}) if D <= _SMALL_DIM and last >= 1 else None
+    key = (ideal, branch_limit)
+    saved = memo.get(key) if memo is not None else None
+    if saved is not None and all(ref() is ins for ref, ins in zip(saved[0], insertions)):
+        first = last
+        branches = [Branch(p, state, dict(record)) for p, state, record in saved[1]]
+    else:
+        first = 0
+        rho0 = np.zeros((D, D), dtype=complex)
+        rho0[0, 0] = 1.0
+        branches = [Branch(1.0, rho0, {})]
     exact = True
 
-    for step in steps:
-        kind = step[0]
-        if kind == "weyl":
-            op = step[1]
+    for i, steps in enumerate(_instance_steps(circuit, insertions, ideal, first), first):
+        if i == last and first == 0 and memo is not None and exact:
             for br in branches:
-                br.state = op.conjugate_matrix(br.state)
-        elif kind == "gate":
-            _, positions, matrix = step
-            for br in branches:
-                br.state = apply_local_kraus(br.state, (matrix,), positions, d, n)
-        elif kind == "channel":
-            _, positions, chan = step
-            for br in branches:
-                br.state = apply_local_channel(br.state, chan, positions, d, n)
-        elif kind == "reset":
-            _, positions, state = step
-            for br in branches:
-                br.state = reset_sites(br.state, positions, state, d, n)
-        elif kind == "measure":
-            _, sites, kraus, wire = step
-            outcomes = (apply_local_measurement(br.state, kraus, sites, d, n) for br in branches)
-            branches, exact = _branch_measure(branches, outcomes, wire, branch_limit, rng, exact)
-        else:
-            raise EvaluationError(f"unknown step {kind!r}")
+                br.state.setflags(write=False)
+            memo[key] = (
+                tuple(weakref.ref(ins) for ins in insertions[:last]),
+                tuple((br.probability, br.state, dict(br.record)) for br in branches),
+            )
+        for step in steps:
+            kind = step[0]
+            if kind == "weyl":
+                op = step[1]
+                for br in branches:
+                    br.state = op.conjugate_matrix(br.state)
+            elif kind == "gate":
+                _, positions, matrix = step
+                for br in branches:
+                    br.state = apply_local_kraus(br.state, (matrix,), positions, d, n)
+            elif kind == "channel":
+                _, positions, chan = step
+                for br in branches:
+                    br.state = apply_local_channel(br.state, chan, positions, d, n)
+            elif kind == "reset":
+                _, positions, state = step
+                for br in branches:
+                    br.state = reset_sites(br.state, positions, state, d, n)
+            elif kind == "measure":
+                _, sites, kraus, wire = step
+                outcomes = (apply_local_measurement(br.state, kraus, sites, d, n) for br in branches)
+                branches, exact = _branch_measure(branches, outcomes, wire, branch_limit, rng, exact)
+            else:
+                raise EvaluationError(f"unknown step {kind!r}")
 
     for ins in insertions:
         for wire, add in ins.classical_add.items():
@@ -733,7 +756,7 @@ def instance_channel(inst, ideal: bool = False) -> Superoperator:
     c = inst.base
     d, n = c.d, c.n_qudits
     acc = identity_channel(c.dim)
-    for step in _instance_steps(c, inst.insertions, ideal):
+    for step in (s for steps in _instance_steps(c, inst.insertions, ideal) for s in steps):
         kind = step[0]
         if kind == "weyl":
             term = natural_rep(step[1].to_matrix())

@@ -73,7 +73,13 @@ class StabilizerCode:
             tuple(t.with_phase_exp(0) for t in self.pure_error_gens),
         )
         object.__setattr__(self, "logical_gens", tuple(self.logical_gens))
+        # Hashed once: every lru_cache keyed by a code hashes it on each lookup.
+        fields = (self.d, self.n, self.k, self.stab_gens, self.pure_error_gens, self.logical_gens)
+        object.__setattr__(self, "_hash", hash(fields))
         _validate(self)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def dim(self) -> int:

@@ -132,16 +132,18 @@ class RandomizationPolicy:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RandomizationPolicy":
-        """The policy of a parsed JSON object; a value of the wrong JSON type
-        raises CompileError rather than being coerced."""
+        """The policy of a parsed JSON object with keys that ``to_dict`` writes; a value
+        of the wrong JSON type or shape raises CompileError, never coerced or ignored."""
+        known = cls().to_dict()
+        _json_object(data, "policy", known)
         mode = data.get("mode", "exhaustive")
         if mode == "exhaustive":
             mode_name, samples = "exhaustive", 0
-        elif isinstance(mode, dict) and "sampled" in mode:
+        elif isinstance(mode, dict) and "sampled" in _json_object(mode, "mode", ("sampled",)):
             mode_name, samples = "sampled", _json_int(mode["sampled"], "mode.sampled")
         else:
             raise CompileError(f"unknown mode {mode!r}")
-        toggles = data.get("toggles", {})
+        toggles = _json_object(data.get("toggles", {}), "toggles", known["toggles"])
         for name, value in toggles.items():
             if not isinstance(value, bool):
                 raise CompileError(f"toggles.{name} must be true or false, not {value!r}")
@@ -150,6 +152,10 @@ class RandomizationPolicy:
             raise CompileError(
                 f"stabilizer_registers must be a list of register names or null, not {regs!r}"
             )
+        groups = _json_object(data.get("twirl_groups", {}), "twirl_groups")
+        for k in groups:
+            if not (isinstance(k, str) and k.isdecimal()):
+                raise CompileError(f"twirl_groups key {k!r} is not a gadget index")
         return cls(
             seed=_json_int(data.get("seed", DEFAULT_SEED), "seed"),
             mode=mode_name,
@@ -159,15 +165,23 @@ class RandomizationPolicy:
             measurement_rc=toggles.get("measurement_rc", True),
             stabilizer_registers=tuple(regs) if regs is not None else None,
             exhaustive_cap=_json_int(data.get("exhaustive_cap", 10**6), "exhaustive_cap"),
-            twirl_groups={
-                int(k): TwirlGroupSpec(v) for k, v in data.get("twirl_groups", {}).items()
-            },
+            twirl_groups={int(k): TwirlGroupSpec(v) for k, v in groups.items()},
             default_twirl_group=TwirlGroupSpec(data.get("default_twirl_group", "trivial")),
         )
 
     @classmethod
     def from_json(cls, text: str) -> "RandomizationPolicy":
         return cls.from_dict(json.loads(text))
+
+
+def _json_object(value, what: str, keys=None) -> dict:
+    """value, if it is a JSON object whose keys are all among ``keys`` (any, if None)."""
+    if not isinstance(value, dict):
+        raise CompileError(f"{what} must be a JSON object, not {value!r}")
+    for key in value:
+        if keys is not None and key not in keys:
+            raise CompileError(f"unknown key {key!r} in {what}; expected one of {', '.join(keys)}")
+    return value
 
 
 def _json_int(value, what: str) -> int:

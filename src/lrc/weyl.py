@@ -31,6 +31,10 @@ DEFAULT_DENSE_LIMIT = 4096
 #: Environment variable overriding the dense-dimension cap.
 DENSE_LIMIT_ENV = "LRC_DENSE_LIMIT"
 
+#: Largest register dimension whose work is kept for reuse: the cached conjugation
+#: tables (256 of them hold at most about 25 MB) and the evaluator's gadget prefix.
+_SMALL_DIM = 64
+
 
 class DimensionError(ValueError):
     """Operands act on incompatible qudit registers."""
@@ -77,6 +81,17 @@ def _shift_and_phases(d: int, x: tuple, z: tuple):
     perm.setflags(write=False)
     u.setflags(write=False)
     return perm, u
+
+
+@functools.lru_cache(maxsize=256)
+def _gather_tables(d: int, x: tuple, z: tuple):
+    """(idx, outer) with X^x Z^z M (X^x Z^z)^dagger = outer * ravel(M)[idx]; read-only."""
+    perm, u = _shift_and_phases(d, x, z)
+    idx = (perm * len(perm))[:, None] + perm[None, :]
+    outer = u[:, None] * u.conj()[None, :]
+    idx.setflags(write=False)
+    outer.setflags(write=False)
+    return idx, outer
 
 
 @dataclass(frozen=True)
@@ -333,9 +348,10 @@ class WeylOperator:
         D = self.dim
         if M.shape != (D, D):
             raise DimensionError(f"matrix has shape {M.shape}, expected ({D},{D})")
-        perm, u = _shift_and_phases(self.d, self.x, self.z)
-        g = np.ravel(M).take((perm * D)[:, None] + perm[None, :])
-        return np.multiply(u[:, None] * u.conj()[None, :], g, out=g)
+        tables = _gather_tables if D <= _SMALL_DIM else _gather_tables.__wrapped__
+        idx, outer = tables(self.d, self.x, self.z)
+        g = np.ravel(M).take(idx)
+        return np.multiply(outer, g, out=g)
 
     # -- text form ----------------------------------------------------------
 

@@ -15,6 +15,7 @@ from lrc.channels import (
 )
 from lrc.codes import StabilizerCode, builtin_code, logical_basis_state, syndrome_of, trivial_code
 from lrc.circuits import (
+    EMPTY_INSERTIONS,
     CompiledInstance,
     EvaluationError,
     Gadget,
@@ -33,6 +34,7 @@ from lrc.circuits import (
     serialize,
     validate,
 )
+from lrc.compiler import RandomizationPolicy, TwirlGroupSpec, instantiate
 from lrc.verify import readout_flip, readout_rotation
 from lrc.weyl import WeylOperator
 
@@ -507,3 +509,124 @@ def test_serialize_parse_round_trip(circuit):
     again = parse(text)
     assert validate(again) == []
     assert serialize(again) == text
+
+
+# -- resuming from the previous run's gadget prefix ----------------------------
+
+
+def twirled_x_circuit(theta=0.2, code=BITFLIP, idle=False):
+    """Noisy reset, twirled logical X, a measurement, then (if asked) a noisy idle."""
+    noise = coherent_rotation(WeylOperator.from_label("X" + "I" * (code.n - 1)), theta)
+    gadgets = (
+        Gadget.reset("L0", (0,), noise=noise),
+        Gadget.unitary("L0", weyl=code.logical_x(), noise=noise),
+        Gadget.measurement("L0", "m", noise=noise),
+    )
+    if idle:
+        gadgets += (Gadget.idle("L0", noise=noise),)
+    return LogicalCircuit(d=2, registers=(one_block(code),), gadgets=gadgets, classical_wires=("m",))
+
+
+def twirled_stream(circuit, **kwargs):
+    policy = RandomizationPolicy(twirl_groups={1: TwirlGroupSpec.logical_weyl()}, **kwargs)
+    return list(instantiate(circuit, policy))
+
+
+def fresh_copy(c):
+    """An equal circuit object, so no cache or memo has seen it."""
+    return LogicalCircuit(d=c.d, registers=c.registers, gadgets=c.gadgets, classical_wires=c.classical_wires)
+
+
+def assert_same_result(got, want):
+    assert got.exact == want.exact
+    assert len(got.branches) == len(want.branches)
+    for a, b in zip(got.branches, want.branches):
+        assert a.record == b.record
+        assert np.array_equal(a.probability, b.probability)
+        assert np.array_equal(a.state, b.state)
+
+
+@pytest.fixture
+def reset_calls(monkeypatch):
+    """Counts the reset steps run: a run that resumes skips the first gadget's reset."""
+    calls = []
+    original = lrc.circuits.reset_sites
+    monkeypatch.setattr(lrc.circuits, "reset_sites", lambda *a: calls.append(1) or original(*a))
+    return calls
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_resumed_stream_equals_fresh_evaluations(shuffle, reset_calls):
+    c = twirled_x_circuit()
+    instances = twirled_stream(c, stabilizers=False)
+    if shuffle:
+        np.random.default_rng(3).shuffle(instances)
+    prefixes = [inst.insertions[:2] for inst in instances]
+    changes = 1 + sum(any(a is not b for a, b in zip(p, q)) for p, q in zip(prefixes, prefixes[1:]))
+    assert len(instances) == 16
+    for inst in instances:
+        want = evaluate(fresh_copy(c), insertions=inst.insertions)
+        assert_same_result(evaluate(c, insertions=inst.insertions), want)
+    assert len(reset_calls) == 2 * len(instances) - (len(instances) - changes)
+    if not shuffle:
+        assert changes == 4
+
+
+def test_interleaved_circuits_ideal_runs_and_branch_limits_resume_only_their_own():
+    circuits = [twirled_x_circuit(0.2), twirled_x_circuit(0.5)]
+    streams = [twirled_stream(c, stabilizers=False) for c in circuits]
+    for k, pair in enumerate(zip(*streams)):
+        for c, inst in zip(circuits, pair):
+            ideal, limit = bool(k % 2), (4096, 16)[k % 3 == 0]
+            got = evaluate(c, insertions=inst.insertions, ideal=ideal, branch_limit=limit)
+            want = evaluate(fresh_copy(c), insertions=inst.insertions, ideal=ideal, branch_limit=limit)
+            assert_same_result(got, want)
+    assert {key for c in circuits for key in lrc.circuits._PREFIXES[c]} == {
+        (False, 4096), (True, 4096), (False, 16), (True, 16)
+    }
+
+
+def test_sampling_fallback_neither_stores_nor_resumes(reset_calls):
+    gadgets = [Gadget.reset("L0", (0,), noise=coherent_rotation(WeylOperator.from_label("XXX"), 0.7))]
+    gadgets += [Gadget.measurement("L0", f"m{i}") for i in range(3)]
+    c = LogicalCircuit(
+        d=2, registers=(one_block(),), gadgets=tuple(gadgets), classical_wires=("m0", "m1", "m2")
+    )
+    for seed in (4, 4, 5):
+        got = evaluate(c, branch_limit=1, rng=np.random.default_rng(seed))
+        want = evaluate(fresh_copy(c), branch_limit=1, rng=np.random.default_rng(seed))
+        assert not got.exact
+        assert_same_result(got, want)
+    assert (False, 1) not in lrc.circuits._PREFIXES.get(c, {})
+    assert len(reset_calls) == 6
+
+
+def test_empty_last_gadget_returns_read_only_states(reset_calls):
+    """An ideal idle has no steps, so its branches are the stored read-only ones;
+    their records still take the measurement's correction once per run."""
+    c = twirled_x_circuit(idle=True)
+    bare = [EMPTY_INSERTIONS] * 4
+    instances = [inst.insertions for inst in twirled_stream(c, stabilizers=False)]
+    empty = [ins for ins in instances if not ins[3].before and not ins[3].after]
+    assert 0 < len(empty) < len(instances)
+    for insertions in [bare, bare] + instances + empty:
+        got = evaluate(c, insertions=insertions, ideal=True)
+        assert_same_result(got, evaluate(fresh_copy(c), insertions=insertions, ideal=True))
+        if insertions in [bare] + empty:
+            assert all(not br.state.flags.writeable for br in got.branches)
+    assert len(reset_calls) < 2 * (len(instances) + len(empty) + 2)
+
+
+def test_registers_over_64_dimensions_store_nothing(reset_calls):
+    two = (one_block(), Register(name="L1", kind="logical", qudits=(3, 4, 5), code=BITFLIP))
+    c = LogicalCircuit(
+        d=2,
+        registers=two + (Register(name="R0", kind="readout", qudits=(6,)),),
+        gadgets=(Gadget.reset("L0", (0,)), Gadget.reset("L1", (1,)), Gadget.measurement("L1", "m")),
+        classical_wires=("m",),
+    )
+    assert c.dim == 128
+    for _ in range(2):
+        assert evaluate(c).distribution() == pytest.approx({(1,): 1.0})
+    assert c not in lrc.circuits._PREFIXES
+    assert len(reset_calls) == 4

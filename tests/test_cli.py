@@ -141,6 +141,14 @@ def test_compile_rejects_a_malformed_mode(reset_circuit_file, mode, capsys):
         ('{"mode": {"sampled": true}}', "invalid policy: mode.sampled must be an integer, not True"),
         ('{"seed": 2.9}', "invalid policy: seed must be an integer, not 2.9"),
         ('{"exhaustive_cap": true}', "invalid policy: exhaustive_cap must be an integer, not True"),
+        ('{"toggles": "off"}', "invalid policy: toggles must be a JSON object, not 'off'"),
+        ("[]", "invalid policy: policy must be a JSON object, not []"),
+        ('{"twirl_groups": []}', "invalid policy: twirl_groups must be a JSON object, not []"),
+        ('{"twirl_groups": {"a": "logical_weyl"}}', "invalid policy: twirl_groups key 'a' is not a gadget index"),
+        ('{"toggles": {"stabilisers": false}}', "invalid policy: unknown key 'stabilisers' in toggles"),
+        ('{"mode": {"sampled": 2, "x": 1}}', "invalid policy: unknown key 'x' in mode"),
+        ('{"mode": []}', "invalid policy: unknown mode []"),
+        ('{"sed": 3}', "invalid policy: unknown key 'sed' in policy"),
     ],
     ids=[
         "sampled_negative",
@@ -155,6 +163,14 @@ def test_compile_rejects_a_malformed_mode(reset_circuit_file, mode, capsys):
         "sampled_bool",
         "float_seed",
         "bool_cap",
+        "string_toggles",
+        "list_policy",
+        "list_twirl_groups",
+        "word_gadget_index",
+        "misspelled_toggle",
+        "extra_mode_key",
+        "list_mode",
+        "misspelled_key",
     ],
 )
 def test_compile_rejects_bad_policy_file(reset_circuit_file, tmp_path, policy, message, capsys):

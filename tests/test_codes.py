@@ -9,6 +9,7 @@ from lrc.codes import (
     builtin_code,
     code_from_json,
     code_to_json,
+    code_to_dict,
     codespace_projector,
     cospace_projector,
     encoding_isometry,
@@ -267,3 +268,32 @@ def test_bitflip_codewords():
 @pytest.mark.parametrize("code", ALL_CODES, ids=BUILTIN_CODE_NAMES)
 def test_json_round_trip(code):
     assert code_from_json(code_to_json(code)) == code
+
+
+def test_equal_codes_built_apart_share_one_cache_entry():
+    """The hash is computed once per code, from the same fields equality reads."""
+    a = builtin_code("bitflip3")
+    b = code_from_json(code_to_json(a))
+    assert a is not b and a == b and hash(a) == hash(b)
+    fields = (a.d, a.n, a.k, a.stab_gens, a.pure_error_gens, a.logical_gens)
+    assert hash(a) == hash(fields)
+    enumerate_stabilizers(a)
+    before = enumerate_stabilizers.cache_info()
+    assert enumerate_stabilizers(b) is enumerate_stabilizers(a)
+    after = enumerate_stabilizers.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (before.hits + 2, before.misses, before.currsize)
+    assert repr(a) == (
+        "StabilizerCode(d=2, n=3, k=1, "
+        "stab_gens=(WeylOperator('0;0,0,0;1,1,0;2'), WeylOperator('0;0,0,0;0,1,1;2')), "
+        "pure_error_gens=(WeylOperator('0;1,0,0;0,0,0;2'), WeylOperator('0;0,1,0;0,0,0;2')), "
+        "logical_gens=(WeylOperator('0;1,1,1;0,0,0;2'), WeylOperator('0;0,0,0;1,1,1;2')))"
+    )
+    assert code_to_dict(b) == {
+        "d": 2,
+        "n": 3,
+        "k": 1,
+        "stabilizer_generators": ["0;0,0,0;1,1,0;2", "0;0,0,0;0,1,1;2"],
+        "pure_error_generators": ["0;1,0,0;0,0,0;2", "0;0,1,0;0,0,0;2"],
+        "logical_generators": ["0;1,1,1;0,0,0;2", "0;0,0,0;1,1,1;2"],
+    }
+    assert b != StabilizerCode(a.d, a.n, a.k, a.stab_gens, a.pure_error_gens, a.logical_gens[::-1])

@@ -6,6 +6,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import lrc.compiler
 import lrc.weyl
 from lrc.circuits import Gadget, LogicalCircuit, Register
@@ -68,3 +70,34 @@ def test_tracer_counts_the_instance_stream():
     records = {id(ins) for inst in instances for ins in inst.insertions}
     assert metrics["compiler.realize_gadget.calls"] == len(distinct) == len(records) == 8
     assert lrc.compiler.instantiate is instantiate
+
+
+def test_cold_passes_start_without_tables_or_an_earlier_stream_prefix():
+    """clear_caches empties the Weyl gather tables, and a new instance stream
+    of the same circuit holds new records, so it never resumes from the
+    prefix an earlier stream left; its first evaluation runs every gadget."""
+    tracing = _load_tracing()
+    lrc.weyl.WeylOperator.from_label("XXX").conjugate_matrix(np.eye(8, dtype=complex))
+    assert lrc.weyl._gather_tables.cache_info().currsize > 0
+    tracing.clear_caches()
+    assert lrc.weyl._gather_tables.cache_info().currsize == 0
+
+    code = builtin_code("bitflip3")
+    circuit = LogicalCircuit(
+        d=2,
+        registers=(Register(name="L0", kind="logical", qudits=(0, 1, 2), code=code),),
+        gadgets=(Gadget.reset("L0", (0,)), Gadget.measurement("L0", "m")),
+        classical_wires=("m",),
+    )
+    policy = RandomizationPolicy(mode="sampled", samples=3, seed=1)
+    first = list(instantiate(circuit, policy))
+    for inst in first + first[:1]:
+        inst.evaluate()
+    second = list(instantiate(circuit, policy))
+    assert second[0].insertions[0] is not first[0].insertions[0]
+    assert second[0].insertions[0].draws == first[0].insertions[0].draws
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        second[0].evaluate()
+    metrics = tracer.metrics()
+    assert metrics["circuits.evaluate.calls"] == metrics["channels.reset_sites.calls"] == 1

@@ -11,6 +11,7 @@ from lrc.weyl import (
     RootPhase,
     WeylOperator,
     braiding_phase,
+    _gather_tables,
     _shift_and_phases,
     chi,
     iter_weyls,
@@ -304,6 +305,47 @@ def test_shift_and_phase_cache_is_bounded_and_read_only():
         assert np.issubdtype(perm.dtype, np.integer) and u.dtype == complex
         assert not perm.flags.writeable and not u.flags.writeable
         assert _shift_and_phases(d, w.x, w.z)[0] is perm  # cached, not rebuilt
+
+
+@st.composite
+def weyls_beside_the_table_cap(draw):
+    """A Weyl on 64 dimensions, where its tables are cached, or on 81 or 128, where they are not."""
+    d, n = draw(st.sampled_from(((2, 6), (2, 7), (3, 4))))
+    dits = st.lists(st.integers(0, d - 1), min_size=n, max_size=n)
+    return WeylOperator(d, tuple(draw(dits)), tuple(draw(dits)), draw(st.integers(0, 2 * d - 1)))
+
+
+@settings(max_examples=30)
+@given(w=weyls_beside_the_table_cap(), seed=st.integers(0, 2**32 - 1))
+def test_cached_gather_tables_equal_the_formula_bit_for_bit(w, seed):
+    """The shift/phase formula of the index-map test, on both sides of the cap;
+    the second conjugation of each operand reads the cached tables."""
+    d, n, D = w.d, w.n, w.dim
+    digits = np.array(list(itertools.product(range(d), repeat=n)), dtype=np.int64)
+    shifted = (digits - np.asarray(w.x)) % d
+    perm = shifted @ (d ** np.arange(n - 1, -1, -1, dtype=np.int64))
+    u = np.exp(2j * np.pi * ((shifted @ np.asarray(w.z)) % d) / d)
+    rng = np.random.default_rng(seed)
+    big = rng.normal(size=(2 * D, 2 * D)) + 1j * rng.normal(size=(2 * D, 2 * D))
+    for M in (np.ascontiguousarray(big[:D, :D]), big[:D, :D].T, big[::2, 1::2]):
+        expect = (u[:, None] * u.conj()[None, :]) * M[np.ix_(perm, perm)]
+        for _ in range(2):
+            assert np.array_equal(w.conjugate_matrix(M).view(np.float64), expect.view(np.float64))
+
+
+def test_gather_table_cache_is_bounded_read_only_and_small_registers_only():
+    assert _gather_tables.cache_parameters()["maxsize"] == 256
+    _gather_tables.cache_clear()
+    small = [random_weyl(d, n) for d, n in [(2, 6), (3, 3), (5, 2)]]
+    for w in small + [random_weyl(2, 7), random_weyl(3, 4)]:
+        w.conjugate_matrix(np.eye(w.dim, dtype=complex))
+    assert _gather_tables.cache_info().currsize == len(small)
+    for w in small:
+        idx, outer = _gather_tables(w.d, w.x, w.z)
+        assert idx.shape == outer.shape == (w.dim, w.dim)
+        assert not idx.flags.writeable and not outer.flags.writeable
+        assert _gather_tables(w.d, w.x, w.z)[0] is idx  # cached, not rebuilt
+    assert _gather_tables.cache_info().currsize == len(small)
 
 
 @st.composite
