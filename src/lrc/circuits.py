@@ -52,6 +52,7 @@ from .channels import (
     reset_sites,
 )
 from .codes import (
+    _BUILTIN_FACTORIES,
     StabilizerCode,
     code_from_dict,
     code_to_dict,
@@ -61,7 +62,14 @@ from .codes import (
     projector_for_syndrome,
     syndrome_of,
 )
-from .weyl import _SMALL_DIM, CapacityError, WeylOperator, dense_limit
+from .weyl import (
+    _SMALL_DIM,
+    CapacityError,
+    WeylOperator,
+    dense_limit,
+    eigenprojector,
+    roots_of_unity,
+)
 
 SCHEMA_VERSION = 1
 
@@ -408,8 +416,8 @@ class CompiledInstance:
 
 @functools.lru_cache(maxsize=None)
 def fourier_matrix(d: int) -> np.ndarray:
-    j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    out = np.exp(2j * np.pi * j * k / d) / np.sqrt(d)
+    jk = np.multiply.outer(np.arange(d), np.arange(d)) % d
+    out = roots_of_unity(d)[2 * jk] / np.sqrt(d)
     out.setflags(write=False)
     return out
 
@@ -617,14 +625,7 @@ class CircuitResult:
 @functools.lru_cache(maxsize=None)
 def _logical_measurement_kraus(code: StabilizerCode, measured: WeylOperator):
     """Per outcome b, the cospace-refined projectors onto eigenvalue w^b, on the code block."""
-    d = code.d
-    M = measured.to_matrix()
-    spectral = []
-    for b in range(d):
-        acc = np.zeros((code.dim, code.dim), dtype=complex)
-        for j in range(d):
-            acc += np.exp(-2j * np.pi * j * b / d) * np.linalg.matrix_power(M, j)
-        spectral.append(acc / d)
+    spectral = [eigenprojector(measured, b) for b in range(code.d)]
     syndromes = [syndrome_of(code, T) for T in enumerate_pure_errors(code)]
     pis = [projector_for_syndrome(code, s) for s in syndromes]
     by_outcome = ([pi_t @ S for pi_t in pis] for S in spectral)
@@ -845,7 +846,7 @@ def circuit_to_dict(circuit: LogicalCircuit) -> dict:
     for r in circuit.registers:
         if r.code is not None and id(r.code) not in code_keys:
             key = f"code{len(codes)}"
-            for name, factory in _builtin_items():
+            for name, factory in _BUILTIN_FACTORIES.items():
                 if factory() == r.code:
                     key = name
                     break
@@ -869,12 +870,6 @@ def circuit_to_dict(circuit: LogicalCircuit) -> dict:
     }
 
 
-def _builtin_items():
-    from .codes import _BUILTIN_FACTORIES
-
-    return _BUILTIN_FACTORIES.items()
-
-
 def serialize(circuit: LogicalCircuit) -> str:
     return json.dumps(circuit_to_dict(circuit), sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -896,7 +891,7 @@ def circuit_from_dict(data: dict) -> LogicalCircuit:
     for key, cdata in _need(data, "codes", "$").items():
         try:
             codes[key] = code_from_dict(cdata)
-        except (KeyError, TypeError) as exc:
+        except (ValueError, TypeError) as exc:
             raise SchemaError(f"$.codes.{key}: {exc}") from None
     registers = []
     for i, rdata in enumerate(_need(data, "registers", "$")):

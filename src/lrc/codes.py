@@ -29,6 +29,7 @@ from .weyl import (
     WeylOperator,
     braiding_exponent,
     dense_limit,
+    eigenprojector,
     iter_weyls,
 )
 
@@ -232,29 +233,22 @@ def cospace_projector(code: StabilizerCode, T: WeylOperator) -> np.ndarray:
 
     T must belong to the enumerated pure-error group (phase ignored).
     """
-    key = syndrome_of(code, T).dits
-    rep = pure_error_by_syndrome(code).get(key)
-    if rep is None or not rep.same_xz(T):
+    syndrome = syndrome_of(code, T)
+    if not pure_error_by_syndrome(code)[syndrome.dits].same_xz(T):
         raise ValueError(f"{T} is not a pure error of this code")
-    return _cospace_projector_cached(code, T.x, T.z)
-
-
-@functools.lru_cache(maxsize=None)
-def _cospace_projector_cached(code, x, z) -> np.ndarray:
-    t = WeylOperator(code.d, x, z)
-    out = t.conjugate_matrix(np.asarray(codespace_projector(code)))
-    out.setflags(write=False)
-    return out
+    return projector_for_syndrome(code, syndrome)
 
 
 def projector_for_syndrome(code: StabilizerCode, syndrome: Syndrome) -> np.ndarray:
-    return _cospace_projector_cached(
-        code, *_xz(pure_error_by_syndrome(code)[tuple(syndrome.dits)])
-    )
+    return _syndrome_projector(code, syndrome.dits)
 
 
-def _xz(op: WeylOperator):
-    return op.x, op.z
+@functools.lru_cache(maxsize=None)
+def _syndrome_projector(code, dits) -> np.ndarray:
+    t = pure_error_by_syndrome(code)[dits]
+    out = t.conjugate_matrix(np.asarray(codespace_projector(code)))
+    out.setflags(write=False)
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -283,9 +277,7 @@ def encoding_isometry(code: StabilizerCode) -> np.ndarray:
     D = code.dim
     proj = np.array(codespace_projector(code))
     for i in range(k):
-        zbar = code.logical_z(i).to_matrix()
-        spectral = sum(np.linalg.matrix_power(zbar, j) for j in range(d)) / d
-        proj = proj @ spectral
+        proj = proj @ eigenprojector(code.logical_z(i))
     col = int(np.argmax(np.linalg.norm(proj, axis=0)))
     v0 = proj[:, col]
     norm = np.linalg.norm(v0)
@@ -430,6 +422,9 @@ _BUILTIN_FACTORIES = {
 # -- JSON form ---------------------------------------------------------------
 
 
+_CODE_FIELDS = ("d", "n", "k", "stabilizer_generators", "pure_error_generators", "logical_generators")
+
+
 def code_to_dict(code: StabilizerCode) -> dict:
     return {
         "d": code.d,
@@ -442,6 +437,11 @@ def code_to_dict(code: StabilizerCode) -> dict:
 
 
 def code_from_dict(data: dict) -> StabilizerCode:
+    if not isinstance(data, dict):
+        raise CodeValidationError(f"a code definition must be a JSON object, not {data!r}")
+    for key in _CODE_FIELDS:
+        if key not in data:
+            raise CodeValidationError(f"code definition lacks the field {key!r}")
     return StabilizerCode(
         d=int(data["d"]),
         n=int(data["n"]),

@@ -387,16 +387,12 @@ def realize_gadget(
 
 
 def _single_logical_code(circuit, g):
-    codes = [
-        circuit.register(name).code
-        for name in g.registers
-        if circuit.register(name).kind == "logical"
-    ]
-    if len(codes) != 1:
+    regs = [circuit.register(name) for name in g.registers]
+    if len(regs) != 1 or regs[0].kind != "logical":
         raise CompileError(
-            "a nontrivial twirl group requires a single-register unitary gadget"
+            "a nontrivial twirl group requires a unitary gadget on one logical register"
         )
-    return codes[0]
+    return regs[0].code
 
 
 def _require_t_gadget(circuit, g):
@@ -441,7 +437,7 @@ def _unitary_correction_layers(circuit, g, G, s_after: dict):
     """Layers for the after box: stabilizers composed onto U G^dagger U^dagger.
 
     Returns the time-ordered layer tuple.  s_after maps each register name to
-    its drawn stabilizer or None.
+    its drawn stabilizer or None; a drawn G means a single register.
     """
     d = circuit.d
     reg_names = g.registers
@@ -461,20 +457,14 @@ def _unitary_correction_layers(circuit, g, G, s_after: dict):
             layer = Layer(reg_names, matrix=corr, label="twirl-correction")
             return (layer,) + _stabilizer_layers(reg_names, s_after)
         corr = rec
-    if len(reg_names) == 1:
-        return _merge_weyl_layers(reg_names, [s_after[reg_names[0]], corr])
-    return _merge_weyl_layers(reg_names, [corr]) + _stabilizer_layers(reg_names, s_after)
+    return _merge_weyl_layers(reg_names, [s_after[reg_names[0]], corr])
 
 
 def _before_twirl_layers(reg_names, G, s_before):
     """Layers for the before box: G composed onto the drawn stabilizers."""
     if G is None:
         return _stabilizer_layers(reg_names, s_before)
-    if isinstance(G, WeylOperator):
-        if len(reg_names) == 1:
-            return _merge_weyl_layers(reg_names, [G, s_before[reg_names[0]]])
-        return _stabilizer_layers(reg_names, s_before) + _merge_weyl_layers(reg_names, [G])
-    r, L = G  # dihedral (r, L): operator R * L * S
+    r, L = G if isinstance(G, tuple) else (0, G)  # dihedral (r, L) or Weyl L: operator R * L * S
     layers = _merge_weyl_layers(reg_names, [L, s_before[reg_names[0]]])
     if r % 4:
         layers = layers + (Layer(reg_names, matrix=_rotation_power(r), label=f"T2^{r}"),)
@@ -508,6 +498,17 @@ def draw_space_size(circuit: LogicalCircuit, policy: RandomizationPolicy) -> int
     )
 
 
+def _check_policy_names(circuit: LogicalCircuit, policy: RandomizationPolicy):
+    """Every gadget and register the policy names exists in the circuit, of the right kind."""
+    for index in policy.twirl_groups:
+        if index not in range(len(circuit.gadgets)) or circuit.gadgets[index].kind != UNITARY:
+            raise CompileError(f"twirl_groups key {index!r} is not the index of a unitary gadget")
+    logical = [r.name for r in circuit.registers if r.kind == "logical"]
+    for name in policy.stabilizer_registers or ():
+        if name not in logical:
+            raise CompileError(f"stabilizer_registers names {name!r}, not a logical register")
+
+
 def instantiate(circuit: LogicalCircuit, policy: RandomizationPolicy):
     """Stream of compiled instances, deterministic under the policy seed.
 
@@ -517,6 +518,7 @@ def instantiate(circuit: LogicalCircuit, policy: RandomizationPolicy):
     Equal draws of a gadget share one ``GadgetInsertions`` across the stream.
     """
     check_valid(circuit, CompileError)
+    _check_policy_names(circuit, policy)
     per_gadget = [gadget_components(circuit, i, policy) for i in range(len(circuit.gadgets))]
     if policy.mode == "exhaustive":
         total = math.prod(len(comp.values) for comps in per_gadget for comp in comps)

@@ -53,20 +53,12 @@ def dense_limit() -> int:
 
 
 @functools.lru_cache(maxsize=None)
-def _digit_table(d: int, n: int) -> np.ndarray:
-    """Map basis index -> digit vector, site 0 most significant."""
-    idx = np.arange(d**n)
-    digits = np.empty((d**n, n), dtype=np.int64)
-    for site in range(n - 1, -1, -1):
-        digits[:, site] = idx % d
-        idx = idx // d
-    digits.setflags(write=False)
-    return digits
+def roots_of_unity(d: int) -> np.ndarray:
+    """Read-only exp(i*pi*k/d) for k in [0, 2d), the one source of dense Weyl phases.
 
-
-@functools.lru_cache(maxsize=None)
-def _place_values(d: int, n: int) -> np.ndarray:
-    out = d ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    The d-th root of unity omega^m = exp(2*pi*i*m/d) is entry 2m.
+    """
+    out = np.exp(1j * np.pi * np.arange(2 * d) / d)
     out.setflags(write=False)
     return out
 
@@ -74,10 +66,11 @@ def _place_values(d: int, n: int) -> np.ndarray:
 @functools.lru_cache(maxsize=256)
 def _shift_and_phases(d: int, x: tuple, z: tuple):
     """(perm, u) with (X^x Z^z psi)[i] = u[i] * psi[perm[i]]; read-only, length d^n."""
-    digits = _digit_table(d, len(x))
-    shifted = (digits - np.asarray(x)) % d
-    perm = shifted @ _place_values(d, len(x))
-    u = np.exp(2j * np.pi * ((shifted @ np.asarray(z)) % d) / d)
+    dims = (d,) * len(x)
+    digits = np.array(np.unravel_index(np.arange(d ** len(x)), dims))
+    shifted = (digits - np.array(x)[:, None]) % d
+    perm = np.ravel_multi_index(shifted, dims)
+    u = roots_of_unity(d)[2 * ((np.array(z) @ shifted) % d)]
     perm.setflags(write=False)
     u.setflags(write=False)
     return perm, u
@@ -117,7 +110,7 @@ class RootPhase:
 
     @property
     def value(self) -> complex:
-        return complex(np.exp(1j * np.pi * self.exp / self.d))
+        return complex(roots_of_unity(self.d)[self.exp])
 
     @property
     def is_one(self) -> bool:
@@ -325,14 +318,9 @@ class WeylOperator:
             raise CapacityError(
                 f"dense realisation of dimension {D} exceeds the cap {dense_limit()}"
             )
-        digits = _digit_table(self.d, self.n)
-        place = _place_values(self.d, self.n)
-        x = np.asarray(self.x)
-        z = np.asarray(self.z)
-        rows = ((digits + x) % self.d) @ place
-        vals = self.phase.value * np.exp(2j * np.pi * ((digits @ z) % self.d) / self.d)
+        perm, u = _shift_and_phases(self.d, self.x, self.z)
         M = np.zeros((D, D), dtype=complex)
-        M[rows, np.arange(D)] = vals
+        M[np.arange(D), perm] = self.phase.value * u
         return M
 
     def apply_to_vector(self, psi: np.ndarray) -> np.ndarray:
@@ -400,6 +388,15 @@ def iter_weyls(d: int, n: int):
             yield WeylOperator(d, x, z)
 
 
+def eigenprojector(W: WeylOperator, b: int = 0) -> np.ndarray:
+    """Projector onto the omega^b eigenspace of W, for W^d = 1: the mean of omega^(-jb) W^j."""
+    roots = roots_of_unity(W.d)
+    acc = np.zeros((W.dim, W.dim), dtype=complex)
+    for j in range(W.d):
+        acc += np.conj(roots[2 * (j * b % W.d)]) * (W**j).to_matrix()
+    return acc / W.d
+
+
 def weyl_from_matrix(M: np.ndarray, d: int, n: int, atol: float = 1e-10):
     """Recognise a dense matrix as a Weyl operator, or return None.
 
@@ -409,18 +406,16 @@ def weyl_from_matrix(M: np.ndarray, d: int, n: int, atol: float = 1e-10):
     D = d**n
     if M.shape != (D, D):
         return None
-    place = _place_values(d, n)
     col0 = M[:, 0]
     row = int(np.argmax(np.abs(col0)))
     phase = col0[row]
     if abs(abs(phase) - 1.0) > 1e-6:
         return None
-    digits = _digit_table(d, n)
-    x = tuple(int(v) for v in digits[row])
+    x = tuple(int(v) for v in np.unravel_index(row, (d,) * n))
     z = []
     for site in range(n):
-        col = int(place[site])  # basis state e_site
-        r = int(((digits[col] + np.asarray(x)) % d) @ place)
+        col = d ** (n - 1 - site)  # basis state e_site
+        r = int(np.argmax(np.abs(M[:, col])))
         ratio = M[r, col] / phase
         m = round(d * np.angle(ratio) / (2 * np.pi)) % d
         z.append(int(m))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,15 @@ from lrc.channels import (
     natural_rep,
     partial_trace,
 )
-from lrc.codes import StabilizerCode, builtin_code, logical_basis_state, syndrome_of, trivial_code
+from lrc.codes import (
+    StabilizerCode,
+    builtin_code,
+    enumerate_pure_errors,
+    logical_basis_state,
+    projector_for_syndrome,
+    syndrome_of,
+    trivial_code,
+)
 from lrc.circuits import (
     EMPTY_INSERTIONS,
     CompiledInstance,
@@ -169,6 +179,40 @@ def test_parse_reports_bad_weyl_path():
     data["gadgets"][0]["weyl"] = "garbage"
     with pytest.raises(SchemaError, match=r"gadgets\[0\].weyl"):
         circuit_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "code_data,message",
+    [({"d": 2}, "code definition lacks the field 'n'"), ([1], "a code definition must be a JSON object")],
+)
+def test_parse_reports_a_malformed_code_at_its_path(code_data, message):
+    import json
+
+    data = json.loads(serialize(LogicalCircuit(d=2, registers=(one_block(),), gadgets=(), classical_wires=())))
+    data["codes"]["bitflip3"] = code_data
+    with pytest.raises(SchemaError, match=rf"\$\.codes\.bitflip3: {re.escape(message)}"):
+        circuit_from_dict(data)
+
+
+def test_fourier_and_logical_measurement_keep_their_qubit_bits():
+    """At d = 2, fourier_matrix and the logical-measurement Kraus operators of
+    bitflip3 and phaseflip3 give the bits of the np.exp and matrix_power sums
+    that the root table and the Weyl eigenprojector replaced."""
+    j, k = np.meshgrid(np.arange(2), np.arange(2), indexing="ij")
+    old = np.exp(2j * np.pi * j * k / 2) / np.sqrt(2)
+    assert np.array_equal(fourier_matrix(2).view(np.float64), old.view(np.float64))
+    for code in (BITFLIP, builtin_code("phaseflip3")):
+        M = code.logical_z(0).to_matrix()
+        pis = [projector_for_syndrome(code, syndrome_of(code, T)) for T in enumerate_pure_errors(code)]
+        kraus = lrc.circuits._logical_measurement_kraus(code, code.logical_z(0))
+        for b in range(2):
+            acc = np.zeros((code.dim, code.dim), dtype=complex)
+            for j in range(2):
+                acc += np.exp(-2j * np.pi * j * b / 2) * np.linalg.matrix_power(M, j)
+            old = [K for K in (pi @ (acc / 2) for pi in pis) if np.max(np.abs(K)) >= 1e-14]
+            assert len(kraus[b]) == len(old) > 0
+            for K, K_old in zip(kraus[b], old):
+                assert np.array_equal(K.view(np.float64), K_old.view(np.float64))
 
 
 def test_ideal_channel_unitary_only_matches_natural_rep():

@@ -11,6 +11,7 @@ from lrc.circuits import Gadget, LogicalCircuit, Register, serialize
 from lrc.codes import builtin_code, trivial_code
 from lrc.compiler import RandomizationPolicy, instantiate, t_gate_matrix
 from lrc.verify import logical_s_gate
+from lrc.weyl import WeylOperator
 
 
 @pytest.fixture
@@ -327,6 +328,61 @@ def test_measurement_rc_on_a_qutrit_code_file(tmp_path, argv):
 def test_syndrome_unknown_code_file(tmp_path, capsys):
     assert main(["syndrome", "--code", str(tmp_path / "missing.json")]) == 2
     assert "unknown code" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,text,message",
+    [
+        (["syndrome"], '{"d": 2}', "code definition lacks the field 'n'"),
+        (["verify", "--check", "theorem1"], "[1]", "a code definition must be a JSON object, not [1]"),
+    ],
+    ids=["syndrome_missing_field", "verify_list"],
+)
+def test_malformed_code_file_is_reported_as_an_unknown_code(tmp_path, argv, text, message, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(argv + ["--code", str(path)]) == 2
+    assert capsys.readouterr().err == f"unknown code {str(path)!r}: {message}\n"
+
+
+def _two_gadget_circuit(form):
+    """Reset, then a logical X on L0 alone or, as a matrix or a Weyl, on L0 and the readout R0."""
+    code = builtin_code("bitflip3")
+    regs = (Register(name="L0", kind="logical", qudits=(0, 1, 2), code=code),)
+    xbar = code.logical_x()
+    if form == "one_register":
+        gate = Gadget.unitary("L0", weyl=xbar)
+    else:
+        regs += (Register(name="R0", kind="readout", qudits=(3,)),)
+        xbar = xbar.tensor(WeylOperator.identity(2, 1))
+        gate = Gadget.unitary(("L0", "R0"), **({"weyl": xbar} if form == "weyl" else {"matrix": xbar.to_matrix()}))
+    return LogicalCircuit(d=2, registers=regs, gadgets=(Gadget.reset("L0", (0,)), gate), classical_wires=())
+
+
+_ONE_REGISTER = "a nontrivial twirl group requires a unitary gadget on one logical register"
+
+
+@pytest.mark.parametrize(
+    "form,policy,message",
+    [
+        ("matrix", '{"twirl_groups": {"1": "logical_weyl"}}', _ONE_REGISTER),
+        ("weyl", '{"twirl_groups": {"1": "logical_weyl"}}', _ONE_REGISTER),
+        ("one_register", '{"twirl_groups": {"7": "logical_weyl"}}', "twirl_groups key 7 is not the index of a unitary gadget"),
+        ("one_register", '{"twirl_groups": {"0": "dihedral"}}', "twirl_groups key 0 is not the index of a unitary gadget"),
+        ("one_register", '{"stabilizer_registers": ["L9"]}', "stabilizer_registers names 'L9', not a logical register"),
+    ],
+    ids=["two_registers_matrix", "two_registers_weyl", "missing_gadget", "reset_gadget", "missing_register"],
+)
+def test_compile_rejects_a_policy_the_circuit_cannot_take(tmp_path, form, policy, message, capsys):
+    circuit_path = tmp_path / "c.json"
+    circuit_path.write_text(serialize(_two_gadget_circuit(form)))
+    policy_path = tmp_path / "p.json"
+    policy_path.write_text(policy)
+    argv = ["compile", "--circuit", str(circuit_path), "--policy", str(policy_path)]
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 2
+    assert capsys.readouterr().err == f"compilation failed: {message}\n"
+    policy_path.write_text('{"stabilizer_registers": []}')
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 0
 
 
 @pytest.mark.parametrize(

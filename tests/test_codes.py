@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from lrc.codes import (
     StabilizerCode,
     Syndrome,
     builtin_code,
+    code_from_dict,
     code_from_json,
     code_to_json,
     code_to_dict,
@@ -17,6 +20,7 @@ from lrc.codes import (
     enumerate_stabilizers,
     logical_basis_state,
     logical_weyls,
+    projector_for_syndrome,
     syndrome_of,
     trivial_code,
 )
@@ -175,6 +179,17 @@ def test_cospace_projector_rejects_non_pure_error():
         cospace_projector(code, WeylOperator.from_label("IIX"))
 
 
+@pytest.mark.parametrize("code", ALL_CODES, ids=BUILTIN_CODE_NAMES)
+def test_both_cospace_lookups_read_one_cached_conjugation(code):
+    codespace = np.asarray(codespace_projector(code))
+    for T in enumerate_pure_errors(code):
+        P = cospace_projector(code, T.with_phase_exp(1))
+        assert P is projector_for_syndrome(code, syndrome_of(code, T))
+        assert not P.flags.writeable
+        expect = WeylOperator(code.d, T.x, T.z).conjugate_matrix(codespace)
+        assert np.array_equal(P.view(np.float64), expect.view(np.float64))
+
+
 def test_syndrome_examples():
     code = builtin_code("bitflip3")
     for s in enumerate_stabilizers(code):
@@ -253,6 +268,32 @@ def test_encoding_isometry_carries_standard_action(code):
             np.testing.assert_allclose(got, expect, atol=1e-10)
 
 
+def old_encoding_isometry(code):
+    """encoding_isometry with the matrix_power sum that the Weyl eigenprojector replaced."""
+    proj = np.array(codespace_projector(code))
+    for i in range(code.k):
+        zbar = code.logical_z(i).to_matrix()
+        proj = proj @ (sum(np.linalg.matrix_power(zbar, j) for j in range(code.d)) / code.d)
+    v0 = proj[:, int(np.argmax(np.linalg.norm(proj, axis=0)))]
+    v0 = v0 / np.linalg.norm(v0)
+    lead = v0[np.argmax(np.abs(v0) > 1e-12)]
+    v0 = v0 * (abs(lead) / lead)
+    cols = []
+    for b in itertools.product(range(code.d), repeat=code.k):
+        v = v0
+        for i, bi in enumerate(b):
+            v = (code.logical_x(i) ** bi).apply_to_vector(v)
+        cols.append(v)
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("name", ["bitflip3", "phaseflip3", "five_one_three"])
+def test_encoding_isometry_keeps_its_qubit_bits(name):
+    code = builtin_code(name)
+    V = encoding_isometry(code)
+    assert np.array_equal(V.view(np.float64), old_encoding_isometry(code).view(np.float64))
+
+
 def test_bitflip_codewords():
     code = builtin_code("bitflip3")
     zero = logical_basis_state(code, (0,))
@@ -297,3 +338,21 @@ def test_equal_codes_built_apart_share_one_cache_entry():
         "logical_generators": ["0;1,1,1;0,0,0;2", "0;0,0,0;1,1,1;2"],
     }
     assert b != StabilizerCode(a.d, a.n, a.k, a.stab_gens, a.pure_error_gens, a.logical_gens[::-1])
+
+
+_NO_LOGICALS = {k: v for k, v in code_to_dict(builtin_code("bitflip3")).items() if k != "logical_generators"}
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        ({"d": 2}, "code definition lacks the field 'n'"),
+        (_NO_LOGICALS, "code definition lacks the field 'logical_generators'"),
+        ([1], "a code definition must be a JSON object, not [1]"),
+        ("bitflip3", "a code definition must be a JSON object, not 'bitflip3'"),
+    ],
+)
+def test_code_from_dict_names_what_is_malformed(data, message):
+    with pytest.raises(CodeValidationError) as info:
+        code_from_dict(data)
+    assert str(info.value) == message

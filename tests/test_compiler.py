@@ -604,3 +604,57 @@ def test_each_circuit_object_is_validated_once(monkeypatch):
     again = reset_measure_circuit()
     evaluate(again)
     assert calls == [c, again]
+
+
+# -- what a policy may name ------------------------------------------------------
+
+
+def two_register_circuit(form):
+    """Reset, then a logical X on bitflip3 and a readout qudit, as a matrix or a Weyl."""
+    xbar = BITFLIP.logical_x().tensor(WeylOperator.identity(2, 1))
+    gate = (
+        Gadget.unitary(("L0", "R0"), matrix=xbar.to_matrix())
+        if form == "matrix"
+        else Gadget.unitary(("L0", "R0"), weyl=xbar)
+    )
+    return LogicalCircuit(
+        d=2,
+        registers=(block(), Register(name="R0", kind="readout", qudits=(3,))),
+        gadgets=(Gadget.reset("L0", (0,)), gate),
+        classical_wires=(),
+    )
+
+
+@pytest.mark.parametrize("form", ["matrix", "weyl"])
+def test_nontrivial_twirl_needs_a_single_logical_register(form):
+    circuit = two_register_circuit(form)
+    assert len(list(instantiate(circuit, RandomizationPolicy()))) == 4**3  # stabilizers only
+    policy = RandomizationPolicy(twirl_groups={1: TwirlGroupSpec.logical_weyl()})
+    with pytest.raises(CompileError, match="a unitary gadget on one logical register"):
+        list(instantiate(circuit, policy))
+    readout_only = dataclasses.replace(circuit, gadgets=(Gadget.unitary("R0", weyl=WeylOperator.x_op(2, 1)),))
+    policy.twirl_groups = {0: TwirlGroupSpec.logical_weyl()}
+    with pytest.raises(CompileError, match="a unitary gadget on one logical register"):
+        list(instantiate(readout_only, policy))
+
+
+@pytest.mark.parametrize(
+    "policy,message",
+    [
+        ({"twirl_groups": {"7": "logical_weyl"}}, "twirl_groups key 7 is not the index of a unitary gadget"),
+        ({"twirl_groups": {"0": "dihedral"}}, "twirl_groups key 0 is not the index of a unitary gadget"),
+        ({"twirl_groups": {"0": "trivial"}}, "twirl_groups key 0 is not the index of a unitary gadget"),
+        ({"stabilizer_registers": ["L9"]}, "stabilizer_registers names 'L9', not a logical register"),
+        ({"stabilizer_registers": ["L0", "R0"]}, "stabilizer_registers names 'R0', not a logical register"),
+    ],
+    ids=["missing_gadget", "reset_gadget", "trivial_on_reset", "missing_register", "readout_register"],
+)
+def test_policy_names_must_exist_in_the_circuit(policy, message):
+    with pytest.raises(CompileError) as info:
+        list(instantiate(two_register_circuit("weyl"), RandomizationPolicy.from_dict(policy)))
+    assert str(info.value) == message
+
+
+def test_an_empty_stabilizer_register_list_is_valid():
+    (inst,) = instantiate(two_register_circuit("weyl"), RandomizationPolicy(stabilizer_registers=()))
+    assert all(not ins.before and not ins.after and not ins.draws for ins in inst.insertions)

@@ -14,7 +14,9 @@ from lrc.weyl import (
     _gather_tables,
     _shift_and_phases,
     chi,
+    eigenprojector,
     iter_weyls,
+    roots_of_unity,
     weyl_from_matrix,
 )
 
@@ -390,3 +392,88 @@ def test_weyl_from_matrix_round_trip():
 def test_weyl_from_matrix_rejects_non_weyl():
     H = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     assert weyl_from_matrix(H, 2, 1) is None
+
+
+# -- the root table ----------------------------------------------------------------
+
+
+def bits(values) -> np.ndarray:
+    """The float64 view of complex values, for bit-for-bit comparisons."""
+    return np.array(values, dtype=complex).reshape(-1).view(np.float64)
+
+
+def test_root_table_is_cached_read_only_and_holds_the_dth_roots_at_even_entries():
+    for d in (2, 3, 5):
+        roots = roots_of_unity(d)
+        assert roots.shape == (2 * d,) and not roots.flags.writeable
+        assert roots_of_unity(d) is roots
+        np.testing.assert_allclose(roots[0::2], np.exp(2j * np.pi * np.arange(d) / d), rtol=0, atol=1e-15)
+
+
+def test_weyl_phases_keep_their_qubit_bits():
+    """At d = 2, RootPhase.value, _shift_and_phases and to_matrix (over every
+    phase) give the bits of the np.exp formulas that the root table replaced."""
+    old_value = [complex(np.exp(1j * np.pi * e / 2)) for e in range(4)]
+    assert np.array_equal(bits([RootPhase(2, e).value for e in range(4)]), bits(old_value))
+    for n in (1, 2, 3):
+        D = 2**n
+        digits = np.array(list(itertools.product(range(2), repeat=n)), dtype=np.int64)
+        place = 2 ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        for w in iter_weyls(2, n):
+            x, z = np.asarray(w.x), np.asarray(w.z)
+            shifted = (digits - x) % 2
+            perm, u = _shift_and_phases(2, w.x, w.z)
+            assert np.array_equal(perm, shifted @ place)
+            assert np.array_equal(bits(u), bits(np.exp(2j * np.pi * ((shifted @ z) % 2) / 2)))
+            for e in range(4):
+                old = np.zeros((D, D), dtype=complex)
+                vals = old_value[e] * np.exp(2j * np.pi * ((digits @ z) % 2) / 2)
+                old[((digits + x) % 2) @ place, np.arange(D)] = vals
+                assert np.array_equal(bits(w.with_phase_exp(e).to_matrix()), bits(old))
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_dense_phase_sites_agree_beyond_qubits(d):
+    """RootPhase.value, the clock's diagonal and the Fourier matrix read one value per root."""
+    from lrc.circuits import fourier_matrix
+
+    values = np.array([RootPhase.from_dth_exponent(d, m).value for m in range(d)])
+    assert np.array_equal(bits(np.diag(WeylOperator.z_op(d, 1).to_matrix())), bits(values))
+    jk = np.multiply.outer(np.arange(d), np.arange(d)) % d
+    assert np.array_equal(bits(fourier_matrix(d)), bits(values[jk] / np.sqrt(d)))
+
+
+@st.composite
+def weyls_of_order_d(draw):
+    """A Weyl W with W^d = 1 on at most 125 dimensions, d in {2, 3, 5}."""
+    d = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, 2 if d == 5 else 3))
+    dits = st.lists(st.integers(0, d - 1), min_size=n, max_size=n)
+    w = WeylOperator(d, tuple(draw(dits)), tuple(draw(dits)), 2 * draw(st.integers(0, d - 1)))
+    if not (w**d).is_identity():  # (X^x Z^z)^d = -1 for some x, z at even d
+        w = w.with_phase_exp(w.phase_exp + 1)
+    assert (w**d).is_identity()
+    return w
+
+
+@settings(max_examples=60)
+@given(w=weyls_of_order_d())
+def test_weyl_eigenprojectors_resolve_the_identity(w):
+    d, W = w.d, w.to_matrix()
+    projectors = [eigenprojector(w, b) for b in range(d)]
+    for b, P in enumerate(projectors):
+        np.testing.assert_allclose(P, P.conj().T, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(P @ P, P, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(W @ P, np.exp(2j * np.pi * b / d) * P, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sum(projectors), np.eye(w.dim), rtol=0, atol=1e-12)
+
+
+@given(d=st.sampled_from((2, 3, 5)))
+def test_fourier_matrix_conjugates_the_clock_into_the_shift(d):
+    from lrc.circuits import fourier_matrix
+
+    F = fourier_matrix(d)
+    Z = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    X = np.roll(np.eye(d), 1, axis=0)  # |j> -> |j+1 mod d>
+    np.testing.assert_allclose(F.conj().T @ F, np.eye(d), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(F.conj().T @ Z @ F, X, rtol=0, atol=1e-12)
