@@ -7,13 +7,10 @@ the construction numerically at desk scale.
 """
 
 from .channels import (
-    DensityMatrix,
     Superoperator,
-    apply,
     average,
     coherent_rotation,
     compose,
-    factor_noise,
     identity_channel,
     natural_rep,
     stochastic_weyl,
@@ -26,7 +23,6 @@ from .circuits import (
     LogicalCircuit,
     Register,
     evaluate,
-    ideal_channel,
     parse,
     serialize,
     validate,
@@ -36,7 +32,6 @@ from .codes import (
     Syndrome,
     builtin_code,
     codespace_projector,
-    cospace_projector,
     enumerate_pure_errors,
     enumerate_stabilizers,
     logical_weyls,
@@ -46,7 +41,6 @@ from .codes import (
 from .compiler import (
     RandomizationPolicy,
     TwirlGroupSpec,
-    compile_gadget,
     compute_propagation_correction,
     instantiate,
 )
@@ -61,6 +55,6 @@ from .verify import (
     run_all,
     run_toffoli_example,
 )
-from .weyl import RootPhase, WeylOperator, braiding_phase, chi
+from .weyl import RootPhase, WeylOperator, braiding_phase
 
 __version__ = "0.1.0"

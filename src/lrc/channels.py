@@ -1,4 +1,4 @@
-"""Dense quantum channels in the natural representation, plus states.
+"""Dense quantum channels in the natural representation.
 
 A channel acting on a D-dimensional system is a D^2 x D^2 matrix applied to
 column-stacked density matrices, so the channel of a unitary M is
@@ -125,16 +125,18 @@ def compose(A: Superoperator, B: Superoperator) -> Superoperator:
 
 
 def average(channels) -> Superoperator:
-    channels = list(channels)
-    if not channels:
-        raise ValueError("cannot average zero channels")
-    dim = channels[0].dim
-    acc = np.zeros_like(np.asarray(channels[0].matrix))
+    """Mean of the channels, summed in iteration order as they are produced."""
+    acc, count = None, 0
     for c in channels:
-        if c.dim != dim:
+        if acc is None:
+            dim, acc = c.dim, np.zeros_like(np.asarray(c.matrix))
+        elif c.dim != dim:
             raise DimensionError("averaged channels act on different registers")
-        acc = acc + c.matrix
-    return Superoperator(dim, acc / len(channels))
+        acc += c.matrix
+        count += 1
+    if acc is None:
+        raise ValueError("cannot average zero channels")
+    return Superoperator(dim, acc / count)
 
 
 def twirl(L: Superoperator, group) -> Superoperator:
@@ -142,80 +144,9 @@ def twirl(L: Superoperator, group) -> Superoperator:
     elements = [_as_matrix(g) for g in group]
     if not elements:
         raise ValueError("empty twirling group")
-    terms = []
-    for g in elements:
-        if g.shape[0] != L.dim:
-            raise DimensionError("group element dimension does not match the channel")
-        terms.append(compose(natural_rep(g.conj().T), compose(L, natural_rep(g))))
-    return average(terms)
-
-
-def factor_noise(Gamma: Superoperator, U) -> Superoperator:
-    """The noise D with Gamma = compose(A(U), D), for unitary U."""
-    m = _as_matrix(U)
-    if np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))) > 1e-10:
-        raise ValueError("factoring requires a unitary ideal action")
-    return compose(natural_rep(m.conj().T), Gamma)
-
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    dim: int
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (self.dim, self.dim):
-            raise DimensionError(f"state has shape {m.shape}, expected ({self.dim},)*2")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def from_matrix(cls, m, check: bool = True) -> "DensityMatrix":
-        m = np.asarray(m, dtype=complex)
-        state = cls(m.shape[0], m)
-        if check:
-            state.validate()
-        return state
-
-    @classmethod
-    def from_vector(cls, psi) -> "DensityMatrix":
-        psi = np.asarray(psi, dtype=complex)
-        psi = psi / np.linalg.norm(psi)
-        return cls(psi.size, np.outer(psi, psi.conj()))
-
-    @classmethod
-    def basis_state(cls, d: int, n: int, dits) -> "DensityMatrix":
-        index = 0
-        for v in dits:
-            index = index * d + int(v)
-        psi = np.zeros(d**n)
-        psi[index] = 1.0
-        return cls.from_vector(psi)
-
-    def validate(self, atol_herm=1e-12, atol_trace=1e-12, eig_floor=-1e-10):
-        m = self.matrix
-        if np.max(np.abs(m - m.conj().T)) > atol_herm:
-            raise ValueError("state is not Hermitian")
-        if abs(np.trace(m) - 1.0) > atol_trace:
-            raise ValueError(f"state trace is {np.trace(m)}, expected 1")
-        if np.min(np.linalg.eigvalsh(np.asarray(m))) < eig_floor:
-            raise ValueError("state has a significantly negative eigenvalue")
-        return self
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.matrix))
-
-
-def apply(C: Superoperator, rho: DensityMatrix) -> DensityMatrix:
-    """Apply a channel to a state, restoring Hermiticity within tolerance."""
-    if C.dim != rho.dim:
-        raise DimensionError(f"dimensions differ: {C.dim} vs {rho.dim}")
-    out = C(rho.matrix)
-    drift = np.max(np.abs(out - out.conj().T))
-    if drift > HERMITICITY_TOL:
-        raise ValueError(f"channel output is non-Hermitian by {drift:.2e}")
-    return DensityMatrix(rho.dim, (out + out.conj().T) / 2)
+    if any(g.shape[0] != L.dim for g in elements):
+        raise DimensionError("group element dimension does not match the channel")
+    return average(compose(natural_rep(g.conj().T), compose(L, natural_rep(g))) for g in elements)
 
 
 # -- diagnostics --------------------------------------------------------------
@@ -224,17 +155,6 @@ def apply(C: Superoperator, rho: DensityMatrix) -> DensityMatrix:
 def is_trace_preserving(C: Superoperator, atol: float = 1e-10) -> bool:
     ident = vec(np.eye(C.dim))
     return bool(np.max(np.abs(ident.conj() @ C.matrix - ident.conj())) < atol)
-
-
-def choi_matrix(C: Superoperator) -> np.ndarray:
-    """sum_ij |i><j| (x) C(|i><j|); positive iff the channel is CP."""
-    D = C.dim
-    # Entry (i, a), (j, b) is C(|i><j|)[a, b], the matrix entry (a + D b, i + D j).
-    return C.matrix.reshape(D, D, D, D).transpose(3, 1, 2, 0).reshape(D * D, D * D)
-
-
-def min_choi_eigenvalue(C: Superoperator) -> float:
-    return float(np.min(np.linalg.eigvalsh(choi_matrix(C))))
 
 
 @functools.lru_cache(maxsize=None)

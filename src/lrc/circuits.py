@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import (
-    SUPEROP_DIM_LIMIT,
     Superoperator,
     apply_local_channel,
     apply_local_kraus,
@@ -54,13 +53,13 @@ from .channels import (
 from .codes import (
     _BUILTIN_FACTORIES,
     StabilizerCode,
+    _json_int,
+    _json_object,
     code_from_dict,
     code_to_dict,
-    enumerate_pure_errors,
+    cospace_table,
     is_logical_weyl,
     logical_basis_state,
-    projector_for_syndrome,
-    syndrome_of,
 )
 from .weyl import (
     _SMALL_DIM,
@@ -279,6 +278,9 @@ def validate(circuit: LogicalCircuit) -> list:
                 bad(i, "measurement-target", "logical measurement needs a logical register")
             elif g.weyl is not None and not is_logical_weyl(reg.code, g.weyl):
                 bad(i, "measurement-basis", f"{g.weyl} is not a logical Weyl of the code")
+            elif g.weyl is not None and not (g.weyl**circuit.d).is_identity():
+                # Its eigenprojectors are means of w^(-jb) W^j, projectors only when W^d = 1.
+                bad(i, "measurement-basis", f"{g.weyl} has W^{circuit.d} != 1, phase included")
             if g.wire is None:
                 bad(i, "wire", "measurement must name an output wire")
         elif g.kind == SYNDROME_EXTRACTION:
@@ -626,9 +628,7 @@ class CircuitResult:
 def _logical_measurement_kraus(code: StabilizerCode, measured: WeylOperator):
     """Per outcome b, the cospace-refined projectors onto eigenvalue w^b, on the code block."""
     spectral = [eigenprojector(measured, b) for b in range(code.d)]
-    syndromes = [syndrome_of(code, T) for T in enumerate_pure_errors(code)]
-    pis = [projector_for_syndrome(code, s) for s in syndromes]
-    by_outcome = ([pi_t @ S for pi_t in pis] for S in spectral)
+    by_outcome = ([pi_t @ S for _, pi_t in cospace_table(code).values()] for S in spectral)
     return tuple(tuple(K for K in kraus if np.max(np.abs(K)) >= 1e-14) for kraus in by_outcome)
 
 
@@ -771,26 +771,6 @@ def instance_channel(inst, ideal: bool = False) -> Superoperator:
     return acc
 
 
-def ideal_channel(circuit: LogicalCircuit):
-    """Reference semantics with all noise ignored.
-
-    Unitary-only circuits return a Superoperator (dimension permitting);
-    circuits containing resets or measurements return the ideal
-    CircuitResult from the branch evaluator.
-    """
-    unitary_only = all(g.kind in (UNITARY, IDLE) for g in circuit.gadgets)
-    if unitary_only:
-        D = circuit.dim
-        if D > SUPEROP_DIM_LIMIT:
-            raise CapacityError(
-                f"superoperator for dimension {D} exceeds the cap {SUPEROP_DIM_LIMIT}"
-            )
-        check_valid(circuit)
-        empty = (EMPTY_INSERTIONS,) * len(circuit.gadgets)
-        return instance_channel(CompiledInstance(circuit, empty), ideal=True)
-    return evaluate(circuit, ideal=True)
-
-
 # -- serialization -------------------------------------------------------------
 
 
@@ -812,7 +792,8 @@ def _superop_to_json(s: Superoperator) -> dict:
 def _superop_from_json(data, path: str) -> Superoperator:
     if not isinstance(data, dict) or "dim" not in data or "matrix" not in data:
         raise SchemaError(f"{path}: expected an object with dim and matrix")
-    return Superoperator(int(data["dim"]), _matrix_from_json(data["matrix"], path + ".matrix"))
+    dim = _int(data["dim"], path + ".dim")
+    return Superoperator(dim, _matrix_from_json(data["matrix"], path + ".matrix"))
 
 
 def _gadget_to_dict(g: Gadget) -> dict:
@@ -874,83 +855,97 @@ def serialize(circuit: LogicalCircuit) -> str:
     return json.dumps(circuit_to_dict(circuit), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _need(data: dict, key: str, path: str):
+def _need(data: dict, key: str, path: str, read=None):
+    """data[key], through ``read(value, its path)`` if given; a missing key raises SchemaError."""
     if key not in data:
         raise SchemaError(f"{path}: missing required field {key!r}")
-    return data[key]
+    return data[key] if read is None else read(data[key], f"{path}.{key}")
+
+
+def _optional(data: dict, key: str, path: str, read):
+    """``read(data[key], its path)``, or None when the field is absent."""
+    return read(data[key], f"{path}.{key}") if key in data else None
+
+
+def _str(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise SchemaError(f"{path} must be a string, not {value!r}")
+    return value
+
+
+def _json_list(value, path: str, item) -> tuple:
+    """value, if it is a JSON list, as the tuple of ``item(entry, its path)``."""
+    if not isinstance(value, list):
+        raise SchemaError(f"{path} must be a JSON list, not {value!r}")
+    return tuple(item(v, f"{path}[{j}]") for j, v in enumerate(value))
+
+
+_int = functools.partial(_json_int, error=SchemaError)
+_object = functools.partial(_json_object, error=SchemaError)
+_ints = functools.partial(_json_list, item=_int)
+_strs = functools.partial(_json_list, item=_str)
+_objects = functools.partial(_json_list, item=_object)
+
+
+def _weyl_from_json(text, path: str) -> WeylOperator:
+    try:
+        return WeylOperator.from_string(text)
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 def circuit_from_dict(data: dict) -> LogicalCircuit:
-    if not isinstance(data, dict):
-        raise SchemaError("$: expected a JSON object")
-    version = _need(data, "schema_version", "$")
+    """The circuit of a parsed JSON object; a value of the wrong JSON type raises
+    SchemaError naming its path, never coerced."""
+    _object(data, "$")
+    version = _need(data, "schema_version", "$", _int)
     if version != SCHEMA_VERSION:
         raise SchemaError(f"$.schema_version: unsupported version {version}")
-    d = int(_need(data, "d", "$"))
     codes = {}
-    for key, cdata in _need(data, "codes", "$").items():
+    for key, cdata in _need(data, "codes", "$", _object).items():
         try:
             codes[key] = code_from_dict(cdata)
         except (ValueError, TypeError) as exc:
             raise SchemaError(f"$.codes.{key}: {exc}") from None
     registers = []
-    for i, rdata in enumerate(_need(data, "registers", "$")):
+    for i, rdata in enumerate(_need(data, "registers", "$", _objects)):
         path = f"$.registers[{i}]"
-        kind = _need(rdata, "kind", path)
+        kind = _need(rdata, "kind", path, _str)
         code = None
         if kind == "logical":
-            ckey = _need(rdata, "code", path)
+            ckey = _need(rdata, "code", path, _str)
             if ckey not in codes:
                 raise SchemaError(f"{path}.code: unknown code key {ckey!r}")
             code = codes[ckey]
-        registers.append(
-            Register(
-                name=_need(rdata, "name", path),
-                kind=kind,
-                qudits=tuple(_need(rdata, "qudits", path)),
-                code=code,
-            )
-        )
+        name = _need(rdata, "name", path, _str)
+        registers.append(Register(name, kind, _need(rdata, "qudits", path, _ints), code))
     gadgets = []
-    for i, gdata in enumerate(_need(data, "gadgets", "$")):
+    for i, gdata in enumerate(_need(data, "gadgets", "$", _objects)):
         path = f"$.gadgets[{i}]"
         kind = _need(gdata, "kind", path)
         if kind not in GADGET_KINDS:
             raise SchemaError(f"{path}.kind: unknown gadget kind {kind!r}")
-        weyl = None
-        if "weyl" in gdata:
-            try:
-                weyl = WeylOperator.from_string(gdata["weyl"])
-            except (ValueError, TypeError) as exc:
-                raise SchemaError(f"{path}.weyl: {exc}") from None
-        matrix = _matrix_from_json(gdata["matrix"], path + ".matrix") if "matrix" in gdata else None
-        noise = _superop_from_json(gdata["noise"], path + ".noise") if "noise" in gdata else None
-        idle_noise = (
-            _superop_from_json(gdata["idle_noise"], path + ".idle_noise")
-            if "idle_noise" in gdata
-            else None
-        )
         gadgets.append(
             Gadget(
                 kind=kind,
-                registers=tuple(_need(gdata, "registers", path)),
-                state=tuple(gdata["state"]) if "state" in gdata else None,
-                weyl=weyl,
-                matrix=matrix,
-                label=gdata.get("label"),
-                generator=gdata.get("generator"),
-                readout=gdata.get("readout"),
-                wire=gdata.get("wire"),
-                ticks=int(gdata.get("ticks", 1)),
-                noise=noise,
-                idle_noise=idle_noise,
+                registers=_need(gdata, "registers", path, _strs),
+                state=_optional(gdata, "state", path, _ints),
+                weyl=_optional(gdata, "weyl", path, _weyl_from_json),
+                matrix=_optional(gdata, "matrix", path, _matrix_from_json),
+                label=_optional(gdata, "label", path, _str),
+                generator=_optional(gdata, "generator", path, _int),
+                readout=_optional(gdata, "readout", path, _str),
+                wire=_optional(gdata, "wire", path, _str),
+                ticks=_int(gdata.get("ticks", 1), path + ".ticks"),
+                noise=_optional(gdata, "noise", path, _superop_from_json),
+                idle_noise=_optional(gdata, "idle_noise", path, _superop_from_json),
             )
         )
     return LogicalCircuit(
-        d=d,
+        d=_need(data, "d", "$", _int),
         registers=tuple(registers),
         gadgets=tuple(gadgets),
-        classical_wires=tuple(_need(data, "classical_wires", "$")),
+        classical_wires=_need(data, "classical_wires", "$", _strs),
     )
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuits import SchemaError, parse
+from .circuits import parse
 from .codes import BUILTIN_CODE_NAMES, load_code
 from .compiler import DEFAULT_SEED, CompileError, RandomizationPolicy, instantiate
 from .verify import (
@@ -89,6 +89,16 @@ def _resolve_code(spec: str):
     return (spec if spec in BUILTIN_CODE_NAMES else Path(spec).stem), code
 
 
+def _load_circuit(path: str):
+    """The circuit in a JSON file; None after reporting a file that cannot be read or parsed."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (OSError, ValueError) as exc:
+        print(f"cannot load circuit {path!r}: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_verify(args) -> int:
     if not args.all and not args.check:
         print("verify needs --all or --check NAME", file=sys.stderr)
@@ -115,14 +125,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    try:
-        with open(args.circuit, "r", encoding="utf-8") as fh:
-            circuit = parse(fh.read())
-    except OSError as exc:
-        print(f"cannot read circuit: {exc}", file=sys.stderr)
-        return 2
-    except SchemaError as exc:
-        print(f"invalid circuit: {exc}", file=sys.stderr)
+    circuit = _load_circuit(args.circuit)
+    if circuit is None:
         return 2
     if args.policy:
         try:
@@ -201,11 +205,8 @@ def cmd_syndrome(args) -> int:
 def cmd_sample(args) -> int:
     circuit = None
     if args.circuit:
-        try:
-            with open(args.circuit, "r", encoding="utf-8") as fh:
-                circuit = parse(fh.read())
-        except (OSError, SchemaError) as exc:
-            print(f"cannot load circuit: {exc}", file=sys.stderr)
+        circuit = _load_circuit(args.circuit)
+        if circuit is None:
             return 2
     report = check_sampling_equivalence(circuit=circuit, shots=args.shots, seed=args.seed)
     _summarise([report])

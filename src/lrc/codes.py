@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,11 +212,6 @@ def syndrome_of(code: StabilizerCode, E: WeylOperator) -> Syndrome:
 
 
 @functools.lru_cache(maxsize=None)
-def pure_error_by_syndrome(code: StabilizerCode):
-    return {syndrome_of(code, t).dits: t for t in enumerate_pure_errors(code)}
-
-
-@functools.lru_cache(maxsize=None)
 def codespace_projector(code: StabilizerCode) -> np.ndarray:
     """Mean of all stabilizer matrices; Hermitian idempotent of rank d^k."""
     if code.dim > dense_limit():
@@ -228,27 +224,21 @@ def codespace_projector(code: StabilizerCode) -> np.ndarray:
     return out
 
 
-def cospace_projector(code: StabilizerCode, T: WeylOperator) -> np.ndarray:
-    """Projector onto the cospace reached by pure error T.
-
-    T must belong to the enumerated pure-error group (phase ignored).
-    """
-    syndrome = syndrome_of(code, T)
-    if not pure_error_by_syndrome(code)[syndrome.dits].same_xz(T):
-        raise ValueError(f"{T} is not a pure error of this code")
-    return projector_for_syndrome(code, syndrome)
+@functools.lru_cache(maxsize=None)
+def cospace_table(code: StabilizerCode) -> types.MappingProxyType:
+    """Read-only map from each syndrome to its pure error T and cospace projector
+    T P T^dagger, in pure-error order; the projectors are read-only too."""
+    codespace = np.asarray(codespace_projector(code))
+    table = {}
+    for t in enumerate_pure_errors(code):
+        projector = t.conjugate_matrix(codespace)
+        projector.setflags(write=False)
+        table[syndrome_of(code, t)] = (t, projector)
+    return types.MappingProxyType(table)
 
 
 def projector_for_syndrome(code: StabilizerCode, syndrome: Syndrome) -> np.ndarray:
-    return _syndrome_projector(code, syndrome.dits)
-
-
-@functools.lru_cache(maxsize=None)
-def _syndrome_projector(code, dits) -> np.ndarray:
-    t = pure_error_by_syndrome(code)[dits]
-    out = t.conjugate_matrix(np.asarray(codespace_projector(code)))
-    out.setflags(write=False)
-    return out
+    return cospace_table(code)[syndrome][1]
 
 
 @functools.lru_cache(maxsize=None)
@@ -436,16 +426,34 @@ def code_to_dict(code: StabilizerCode) -> dict:
     }
 
 
+def _json_object(value, what: str, error, keys=None) -> dict:
+    """value, if it is a JSON object whose keys are all among ``keys`` (any, if None);
+    otherwise raises ``error``."""
+    if not isinstance(value, dict):
+        raise error(f"{what} must be a JSON object, not {value!r}")
+    for key in value:
+        if keys is not None and key not in keys:
+            raise error(f"unknown key {key!r} in {what}; expected one of {', '.join(keys)}")
+    return value
+
+
+def _json_int(value, what: str, error) -> int:
+    """value, if it is a JSON integer (not a boolean); otherwise raises ``error``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise error(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 def code_from_dict(data: dict) -> StabilizerCode:
-    if not isinstance(data, dict):
-        raise CodeValidationError(f"a code definition must be a JSON object, not {data!r}")
+    _json_object(data, "a code definition", CodeValidationError)
     for key in _CODE_FIELDS:
         if key not in data:
             raise CodeValidationError(f"code definition lacks the field {key!r}")
+    d, n, k = (_json_int(data[key], f"code field {key!r}", CodeValidationError) for key in "dnk")
     return StabilizerCode(
-        d=int(data["d"]),
-        n=int(data["n"]),
-        k=int(data["k"]),
+        d=d,
+        n=n,
+        k=k,
         stab_gens=tuple(WeylOperator.from_string(s) for s in data["stabilizer_generators"]),
         pure_error_gens=tuple(
             WeylOperator.from_string(s) for s in data["pure_error_generators"]
@@ -454,17 +462,9 @@ def code_from_dict(data: dict) -> StabilizerCode:
     )
 
 
-def code_to_json(code: StabilizerCode) -> str:
-    return json.dumps(code_to_dict(code), sort_keys=True)
-
-
-def code_from_json(text: str) -> StabilizerCode:
-    return code_from_dict(json.loads(text))
-
-
 def load_code(spec: str) -> StabilizerCode:
     """Resolve a builtin name or a path to a code definition JSON file."""
     if spec in _BUILTIN_FACTORIES:
         return builtin_code(spec)
     with open(spec, "r", encoding="utf-8") as fh:
-        return code_from_json(fh.read())
+        return code_from_dict(json.load(fh))

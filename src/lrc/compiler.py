@@ -40,7 +40,7 @@ from .circuits import (
     LogicalCircuit,
     check_valid,
 )
-from .codes import StabilizerCode, enumerate_stabilizers, logical_weyls
+from .codes import StabilizerCode, _json_int, _json_object, enumerate_stabilizers, logical_weyls
 from .weyl import WeylOperator, braiding_exponent, braiding_phase, iter_weyls, weyl_from_matrix
 
 DEFAULT_SEED = 271828
@@ -135,15 +135,15 @@ class RandomizationPolicy:
         """The policy of a parsed JSON object with keys that ``to_dict`` writes; a value
         of the wrong JSON type or shape raises CompileError, never coerced or ignored."""
         known = cls().to_dict()
-        _json_object(data, "policy", known)
+        _json_object(data, "policy", CompileError, known)
         mode = data.get("mode", "exhaustive")
         if mode == "exhaustive":
             mode_name, samples = "exhaustive", 0
-        elif isinstance(mode, dict) and "sampled" in _json_object(mode, "mode", ("sampled",)):
-            mode_name, samples = "sampled", _json_int(mode["sampled"], "mode.sampled")
+        elif isinstance(mode, dict) and "sampled" in _json_object(mode, "mode", CompileError, ("sampled",)):
+            mode_name, samples = "sampled", _json_int(mode["sampled"], "mode.sampled", CompileError)
         else:
             raise CompileError(f"unknown mode {mode!r}")
-        toggles = _json_object(data.get("toggles", {}), "toggles", known["toggles"])
+        toggles = _json_object(data.get("toggles", {}), "toggles", CompileError, known["toggles"])
         for name, value in toggles.items():
             if not isinstance(value, bool):
                 raise CompileError(f"toggles.{name} must be true or false, not {value!r}")
@@ -152,19 +152,19 @@ class RandomizationPolicy:
             raise CompileError(
                 f"stabilizer_registers must be a list of register names or null, not {regs!r}"
             )
-        groups = _json_object(data.get("twirl_groups", {}), "twirl_groups")
+        groups = _json_object(data.get("twirl_groups", {}), "twirl_groups", CompileError)
         for k in groups:
             if not (isinstance(k, str) and k.isdecimal()):
                 raise CompileError(f"twirl_groups key {k!r} is not a gadget index")
         return cls(
-            seed=_json_int(data.get("seed", DEFAULT_SEED), "seed"),
+            seed=_json_int(data.get("seed", DEFAULT_SEED), "seed", CompileError),
             mode=mode_name,
             samples=samples,
             stabilizers=toggles.get("stabilizers", True),
             twirl=toggles.get("twirl", True),
             measurement_rc=toggles.get("measurement_rc", True),
             stabilizer_registers=tuple(regs) if regs is not None else None,
-            exhaustive_cap=_json_int(data.get("exhaustive_cap", 10**6), "exhaustive_cap"),
+            exhaustive_cap=_json_int(data.get("exhaustive_cap", 10**6), "exhaustive_cap", CompileError),
             twirl_groups={int(k): TwirlGroupSpec(v) for k, v in groups.items()},
             default_twirl_group=TwirlGroupSpec(data.get("default_twirl_group", "trivial")),
         )
@@ -172,22 +172,6 @@ class RandomizationPolicy:
     @classmethod
     def from_json(cls, text: str) -> "RandomizationPolicy":
         return cls.from_dict(json.loads(text))
-
-
-def _json_object(value, what: str, keys=None) -> dict:
-    """value, if it is a JSON object whose keys are all among ``keys`` (any, if None)."""
-    if not isinstance(value, dict):
-        raise CompileError(f"{what} must be a JSON object, not {value!r}")
-    for key in value:
-        if keys is not None and key not in keys:
-            raise CompileError(f"unknown key {key!r} in {what}; expected one of {', '.join(keys)}")
-    return value
-
-
-def _json_int(value, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise CompileError(f"{what} must be an integer, not {value!r}")
-    return value
 
 
 # -- group enumeration -----------------------------------------------------
@@ -471,23 +455,12 @@ def _before_twirl_layers(reg_names, G, s_before):
     return layers
 
 
-# -- single-gadget entry point -------------------------------------------------
+# -- instantiation -------------------------------------------------------------
 
 
 def _draw(components, rng) -> dict:
     """One uniform draw of every component, in component order."""
     return {c.name: c.values[int(rng.integers(len(c.values)))] for c in components}
-
-
-def compile_gadget(circuit, index, policy, rng=None) -> GadgetInsertions:
-    """Insertions for gadget ``index`` from one uniform draw of its components."""
-    if rng is None:
-        rng = np.random.default_rng(DEFAULT_SEED)
-    draws = _draw(gadget_components(circuit, index, policy), rng)
-    return realize_gadget(circuit, index, draws, policy)
-
-
-# -- instantiation -------------------------------------------------------------
 
 
 def draw_space_size(circuit: LogicalCircuit, policy: RandomizationPolicy) -> int:

@@ -28,7 +28,6 @@ import numpy as np
 
 from .channels import (
     SUPEROP_DIM_LIMIT,
-    DensityMatrix,
     Superoperator,
     average,
     compose,
@@ -58,12 +57,11 @@ from .codes import (
     StabilizerCode,
     Syndrome,
     builtin_code,
+    cospace_table,
     encoding_isometry,
     enumerate_pure_errors,
     enumerate_stabilizers,
     logical_weyls,
-    projector_for_syndrome,
-    syndrome_of,
     trivial_code,
 )
 from .compiler import (
@@ -149,24 +147,21 @@ def _structural_report(check: str, value: float, ms: float, seed: int, details=N
 # -- state diagnostics ---------------------------------------------------------
 
 
-def coherence_metrics(rho, code: StabilizerCode) -> CoherenceReport:
-    m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho)
+def coherence_metrics(rho: np.ndarray, code: StabilizerCode) -> CoherenceReport:
+    m = np.asarray(rho)
     if m.shape != (code.dim, code.dim):
         raise ValueError(f"state of shape {m.shape} does not match the code space")
-    errors = enumerate_pure_errors(code)
-    projs = [projector_for_syndrome(code, syndrome_of(code, t)) for t in errors]
+    table = cospace_table(code)
+    projs = [P for _, P in table.values()]
     inter = 0.0
     for i, Pi in enumerate(projs):
         for j, Pj in enumerate(projs):
             if i != j:
                 inter += float(np.linalg.norm(Pi @ m @ Pj))
-    populations = {
-        syndrome_of(code, t): float(np.real(np.trace(P @ m)))
-        for t, P in zip(errors, projs)
-    }
+    populations = {s: float(np.real(np.trace(P @ m))) for s, (_, P) in table.items()}
     V = encoding_isometry(code)
     intra = 0.0
-    for t in errors:
+    for t, _ in table.values():
         Vt = np.stack([t.apply_to_vector(V[:, c]) for c in range(V.shape[1])], axis=1)
         block = Vt.conj().T @ m @ Vt
         off = block - np.diag(np.diag(block))
@@ -178,13 +173,13 @@ def coherence_metrics(rho, code: StabilizerCode) -> CoherenceReport:
 
 
 def stabilizer_average_channel(code: StabilizerCode) -> Superoperator:
-    return average([natural_rep(s) for s in enumerate_stabilizers(code)])
+    return average(natural_rep(s) for s in enumerate_stabilizers(code))
 
 
 def cospace_projector_sum(code: StabilizerCode) -> Superoperator:
     acc = None
-    for t in enumerate_pure_errors(code):
-        term = natural_rep(projector_for_syndrome(code, syndrome_of(code, t)))
+    for _, P in cospace_table(code).values():
+        term = natural_rep(P)
         acc = term if acc is None else Superoperator(term.dim, acc.matrix + term.matrix)
     return acc
 
@@ -310,7 +305,7 @@ def averaged_compiled_unitary(
         code, lambda r: Gadget.unitary(r, weyl=weyl, matrix=matrix, noise=noise)
     )
     policy = RandomizationPolicy(stabilizers=False, twirl_groups={0: group})
-    return average([instance_channel(inst) for inst in instantiate(circuit, policy)])
+    return average(instance_channel(inst) for inst in instantiate(circuit, policy))
 
 
 def check_theorem2(
@@ -718,15 +713,16 @@ def check_measurement_rc(
 
         confusion = np.zeros((d, d))
         residual = 0.0
-        for t_idx, T in enumerate(enumerate_pure_errors(code)):
-            proj = natural_rep(projector_for_syndrome(code, syndrome_of(code, T)))
-            t = syndrome_of(code, T).dits[generator]
+        table = cospace_table(code)
+        for syndrome, (_, P) in table.items():
+            proj = natural_rep(P)
+            t = syndrome.dits[generator]
             base = compose(proj, total).matrix
             norm = float(np.real(np.vdot(base, base)))
             for b, chan in channels.items():
                 M = compose(proj, chan).matrix
                 coeff = float(np.real(np.vdot(base, M))) / norm
-                confusion[b, t] += coeff / (len(enumerate_pure_errors(code)) // d)
+                confusion[b, t] += coeff / (len(table) // d)
                 residual = max(residual, float(np.max(np.abs(M - coeff * base))))
         row_sums = np.abs(confusion.sum(axis=0) - 1.0).max()
         return weyl_residual, residual, row_sums, confusion, tp

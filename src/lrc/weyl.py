@@ -137,16 +137,6 @@ class RootPhase:
         return f"RootPhase(d={self.d}, exp={self.exp})"
 
 
-def chi(a, b, d: int) -> RootPhase:
-    """The bicharacter exp(2*pi*i*(a.b)/d) for vectors a, b over Z_d."""
-    a = tuple(int(v) for v in a)
-    b = tuple(int(v) for v in b)
-    if len(a) != len(b):
-        raise DimensionError(f"vector lengths differ: {len(a)} vs {len(b)}")
-    dot = sum(x * y for x, y in zip(a, b)) % d
-    return RootPhase.from_dth_exponent(d, dot)
-
-
 @dataclass(frozen=True)
 class WeylOperator:
     """phase * X^x * Z^z on n qudits of dimension d.

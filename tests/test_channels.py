@@ -7,21 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrc.channels import (
-    DensityMatrix,
     Superoperator,
-    apply,
     apply_local_channel,
     apply_local_kraus,
     average,
-    choi_matrix,
     coherent_rotation,
     compose,
     embed_operator,
-    factor_noise,
     identity_channel,
     is_trace_preserving,
     max_offdiagonal,
-    min_choi_eigenvalue,
     natural_rep,
     partial_trace,
     reset_sites,
@@ -31,13 +26,31 @@ from lrc.channels import (
     vec,
     weyl_transfer_matrix,
 )
-from lrc.codes import builtin_code, cospace_projector, enumerate_pure_errors, enumerate_stabilizers
+from lrc.codes import (
+    builtin_code,
+    enumerate_pure_errors,
+    enumerate_stabilizers,
+    logical_basis_state,
+    projector_for_syndrome,
+    syndrome_of,
+)
 from lrc.weyl import CapacityError, DimensionError, WeylOperator, iter_weyls
 
 X = WeylOperator.from_label("X")
 Y = WeylOperator.from_label("Y")
 Z = WeylOperator.from_label("Z")
 I1 = WeylOperator.identity(2, 1)
+
+
+def choi_matrix(C: Superoperator) -> np.ndarray:
+    """sum_ij |i><j| (x) C(|i><j|); positive iff the channel is completely positive."""
+    D = C.dim
+    # Entry (i, a), (j, b) is C(|i><j|)[a, b], the matrix entry (a + D b, i + D j).
+    return C.matrix.reshape(D, D, D, D).transpose(3, 1, 2, 0).reshape(D * D, D * D)
+
+
+def min_choi_eigenvalue(C: Superoperator) -> float:
+    return float(np.min(np.linalg.eigvalsh(choi_matrix(C))))
 
 
 def random_state(D, rng):
@@ -139,10 +152,9 @@ def test_compose_order():
     np.testing.assert_allclose(
         zx.matrix, natural_rep(Z.to_matrix() @ X.to_matrix()).matrix, atol=1e-13
     )
-    plus = DensityMatrix.from_vector(np.array([1.0, 1.0]))
-    got = apply(zx, plus)
+    plus = np.ones((2, 2)) / 2
     m = Z.to_matrix() @ X.to_matrix()
-    np.testing.assert_allclose(got.matrix, m @ plus.matrix @ m.conj().T, atol=1e-13)
+    np.testing.assert_allclose(zx(plus), m @ plus @ m.conj().T, atol=1e-13)
 
 
 def test_compose_trivial_cases():
@@ -155,7 +167,7 @@ def test_average_single_and_theorem1_form():
     code = builtin_code("bitflip3")
     lhs = average([natural_rep(s) for s in enumerate_stabilizers(code)])
     rhs = sum(
-        natural_rep(cospace_projector(code, t)).matrix
+        natural_rep(projector_for_syndrome(code, syndrome_of(code, t))).matrix
         for t in enumerate_pure_errors(code)
     )
     assert np.max(np.abs(lhs.matrix - rhs)) < 1e-12
@@ -170,6 +182,21 @@ def test_average_of_identity_and_z_dephases():
 def test_average_rejects_empty():
     with pytest.raises(ValueError):
         average([])
+    with pytest.raises(ValueError):
+        average(c for c in [])
+
+
+def test_average_sums_a_generator_in_order():
+    rng = np.random.default_rng(3)
+    unitaries = [np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0] for _ in range(5)]
+    chans = [natural_rep(U) for U in unitaries]
+    expect = np.zeros((9, 9), dtype=complex)
+    for c in chans:
+        expect = expect + c.matrix
+    got = average(c for c in chans)
+    assert np.array_equal(got.matrix.view(np.float64), (expect / 5).view(np.float64))
+    with pytest.raises(DimensionError):
+        average(c for c in (natural_rep(X), identity_channel(3)))
 
 
 def test_twirl_identity_is_identity():
@@ -221,51 +248,21 @@ def test_twirl_and_average_preserve_cptp():
     assert min_choi_eigenvalue(tw) > -1e-9
 
 
-def test_factor_noise_recovers_factor():
-    dep = stochastic_weyl({I1: 0.85, X: 0.05, Y: 0.05, Z: 0.05})
-    gamma = compose(natural_rep(X), dep)
-    delta = factor_noise(gamma, X.to_matrix())
-    np.testing.assert_allclose(delta.matrix, dep.matrix, atol=1e-12)
-    np.testing.assert_allclose(
-        compose(natural_rep(X), delta).matrix, gamma.matrix, atol=1e-12
-    )
-
-
-def test_factor_noise_of_pure_unitary_is_identity():
-    gamma = natural_rep(X)
-    np.testing.assert_allclose(factor_noise(gamma, X.to_matrix()).matrix, np.eye(4), atol=1e-13)
-
-
-def test_factor_noise_overrotation():
-    delta = 0.17
-    over = coherent_rotation(X, np.pi / 2 + delta)
-    fac = factor_noise(over, X.to_matrix())
-    np.testing.assert_allclose(fac.matrix, coherent_rotation(X, delta).matrix, atol=1e-12)
-
-
-def test_factor_noise_rejects_non_unitary():
-    with pytest.raises(ValueError):
-        factor_noise(identity_channel(2), np.diag([1.0, 0.5]))
-
-
 def test_apply_identity_and_x():
-    rho = DensityMatrix.basis_state(2, 1, (0,))
-    np.testing.assert_allclose(apply(identity_channel(2), rho).matrix, rho.matrix)
-    np.testing.assert_allclose(
-        apply(natural_rep(X), rho).matrix, np.diag([0.0, 1.0]), atol=1e-14
-    )
+    rho = np.diag([1.0, 0.0])
+    np.testing.assert_allclose(identity_channel(2)(rho), rho)
+    np.testing.assert_allclose(natural_rep(X)(rho), np.diag([0.0, 1.0]), atol=1e-14)
 
 
 def test_apply_coherent_rotation_populations():
     code = builtin_code("bitflip3")
-    from lrc.codes import logical_basis_state
-
     delta = 0.1
-    rho = DensityMatrix.from_vector(logical_basis_state(code, (0,)))
+    psi = logical_basis_state(code, (0,))
     xii = WeylOperator.from_label("XII")
-    out = apply(coherent_rotation(xii, delta), rho)
-    pop_code = float(np.real(np.trace(cospace_projector(code, code.identity()) @ out.matrix)))
-    pop_err = float(np.real(np.trace(cospace_projector(code, xii) @ out.matrix)))
+    out = coherent_rotation(xii, delta)(np.outer(psi, psi.conj()))
+    p_code, p_err = (projector_for_syndrome(code, syndrome_of(code, T)) for T in (code.identity(), xii))
+    pop_code = float(np.real(np.trace(p_code @ out)))
+    pop_err = float(np.real(np.trace(p_err @ out)))
     assert abs(pop_code - np.cos(delta) ** 2) < 1e-12
     assert abs(pop_err - np.sin(delta) ** 2) < 1e-12
 
@@ -432,11 +429,3 @@ def test_partial_trace_matches_dense(site, seed):
         for e in np.eye(d ** (n - len(keep)))
     )
     np.testing.assert_allclose(partial_trace(rho, keep, d, n), want, atol=1e-12)
-
-
-def test_density_matrix_validation():
-    with pytest.raises(ValueError):
-        DensityMatrix.from_matrix(np.array([[1.0, 0.5], [0.2, 0.0]]))
-    with pytest.raises(ValueError):
-        DensityMatrix.from_matrix(np.diag([0.7, 0.7]))
-    DensityMatrix.from_matrix(np.diag([0.5, 0.5]))

@@ -38,7 +38,6 @@ from lrc.circuits import (
     controlled_weyl,
     evaluate,
     fourier_matrix,
-    ideal_channel,
     instance_channel,
     parse,
     serialize,
@@ -194,6 +193,60 @@ def test_parse_reports_a_malformed_code_at_its_path(code_data, message):
         circuit_from_dict(data)
 
 
+def _strict_reader_circuit():
+    regs = block_plus_readout()
+    gadgets = (
+        Gadget.reset("L0", (0,)),
+        Gadget.reset("R0", (0,)),
+        Gadget.syndrome_extraction("L0", 0, "R0", "s"),
+        Gadget.idle("L0", ticks=2),
+    )
+    return LogicalCircuit(d=2, registers=regs, gadgets=gadgets, classical_wires=("s",))
+
+
+@pytest.mark.parametrize(
+    "keys,value,message",
+    [
+        (("registers", 0, "qudits"), "012", "$.registers[0].qudits must be a JSON list, not '012'"),
+        (("gadgets", 0, "state"), "0", "$.gadgets[0].state must be a JSON list, not '0'"),
+        (("d",), "2", "$.d must be an integer, not '2'"),
+        (("d",), 2.9, "$.d must be an integer, not 2.9"),
+        (("gadgets", 3, "ticks"), 2.7, "$.gadgets[3].ticks must be an integer, not 2.7"),
+        (("gadgets", 3, "ticks"), True, "$.gadgets[3].ticks must be an integer, not True"),
+        (("registers",), [5], "$.registers[0] must be a JSON object, not 5"),
+        (("codes",), [], "$.codes must be a JSON object, not []"),
+        (("gadgets", 2, "generator"), "0", "$.gadgets[2].generator must be an integer, not '0'"),
+        (("gadgets", 2, "wire"), ["s"], "$.gadgets[2].wire must be a string, not ['s']"),
+        (("registers", 0, "name"), ["L0"], "$.registers[0].name must be a string, not ['L0']"),
+        (("schema_version",), True, "$.schema_version must be an integer, not True"),
+    ],
+)
+def test_parse_rejects_a_value_of_the_wrong_json_type_at_its_path(keys, value, message):
+    import json
+
+    data = json.loads(serialize(_strict_reader_circuit()))
+    assert validate(circuit_from_dict(data)) == []  # unmodified, it reads and is well formed
+    target = data
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    with pytest.raises(SchemaError) as info:
+        circuit_from_dict(data)
+    assert str(info.value) == message
+
+
+def test_measurement_weyl_whose_dth_power_is_not_the_identity_is_rejected():
+    def reset_then_measure(weyl):
+        gadgets = (Gadget.reset("L0", (0,)), Gadget.measurement("L0", "m", weyl=weyl))
+        return LogicalCircuit(d=2, registers=(one_block(),), gadgets=gadgets, classical_wires=("m",))
+
+    assert evaluate(reset_then_measure(BITFLIP.logical_z(0))).distribution() == pytest.approx({(0,): 1.0})
+    bad = reset_then_measure(BITFLIP.logical_z(0).with_phase_exp(1))  # iZ: (iZ)^2 = -1
+    assert [diag.rule for diag in validate(bad)] == ["measurement-basis"]
+    with pytest.raises(EvaluationError, match="measurement-basis"):
+        evaluate(bad)
+
+
 def test_fourier_and_logical_measurement_keep_their_qubit_bits():
     """At d = 2, fourier_matrix and the logical-measurement Kraus operators of
     bitflip3 and phaseflip3 give the bits of the np.exp and matrix_power sums
@@ -225,7 +278,7 @@ def test_ideal_channel_unitary_only_matches_natural_rep():
         ),
         classical_wires=(),
     )
-    got = ideal_channel(c)
+    got = instance_channel(CompiledInstance(c, (EMPTY_INSERTIONS,) * 2), ideal=True)
     expect = natural_rep(
         WeylOperator.from_label("ZZI").to_matrix() @ WeylOperator.from_label("XXX").to_matrix()
     )
@@ -242,14 +295,14 @@ def test_ideal_logical_x_flips_codeword():
         ),
         classical_wires=(),
     )
-    result = ideal_channel(c)
+    result = evaluate(c, ideal=True)
     one = logical_basis_state(BITFLIP, (1,))
     fid = np.real(one.conj() @ result.final_state() @ one)
     assert fid == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ideal_toffoli_maps_111_to_110():
-    res = ideal_channel(toffoli_circuit(0.0))
+    res = evaluate(toffoli_circuit(0.0), ideal=True)
     psi = np.zeros(512)
     psi[int("111111000", 2)] = 1.0
     fid = np.real(psi.conj() @ res.final_state() @ psi)
@@ -340,10 +393,8 @@ def test_measurement_dephases_between_cospaces():
     )
     table = evaluate(c).branch_table()
     state = table[(0,)][1]
-    from lrc.codes import cospace_projector
-
-    p_i = cospace_projector(BITFLIP, BITFLIP.identity())
-    p_x = cospace_projector(BITFLIP, WeylOperator.from_label("XII"))
+    p_i = projector_for_syndrome(BITFLIP, syndrome_of(BITFLIP, BITFLIP.identity()))
+    p_x = projector_for_syndrome(BITFLIP, syndrome_of(BITFLIP, WeylOperator.from_label("XII")))
     cross = p_i @ state @ p_x
     assert np.max(np.abs(cross)) < 1e-12
 

@@ -185,6 +185,32 @@ def test_compile_missing_file(capsys):
     assert main(["compile", "--circuit", "/nonexistent/x.json"]) == 2
 
 
+@pytest.mark.parametrize("command", ["compile", "sample"])
+@pytest.mark.parametrize("text", [None, "{not json", '{"schema_version": 1, "codes": {}}'])
+def test_compile_and_sample_report_an_unloadable_circuit_alike(tmp_path, command, text, capsys):
+    path = tmp_path / "circuit.json"
+    if text is not None:
+        path.write_text(text)
+    assert main([command, "--circuit", str(path)]) == 2
+    assert f"cannot load circuit {str(path)!r}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["compile"], ["sample", "--shots", "100"]])
+def test_measurement_weyl_whose_dth_power_is_not_the_identity_exits_two(tmp_path, argv, capsys):
+    code = builtin_code("bitflip3")
+    iz = code.logical_z(0).with_phase_exp(1)  # (iZ)^2 = -1
+    circuit = LogicalCircuit(
+        d=2,
+        registers=(Register(name="L0", kind="logical", qudits=(0, 1, 2), code=code),),
+        gadgets=(Gadget.reset("L0", (0,)), Gadget.measurement("L0", "m", weyl=iz)),
+        classical_wires=("m",),
+    )
+    path = tmp_path / "iz.json"
+    path.write_text(serialize(circuit))
+    assert main(argv + ["--circuit", str(path)]) == 2
+    assert "measurement-basis" in capsys.readouterr().err
+
+
 def test_toffoli_populations(tmp_path):
     out = tmp_path / "toffoli.json"
     code = main(["toffoli", "--delta", "0.1", "--out", str(out)])
@@ -263,10 +289,10 @@ def test_sample_command(tmp_path):
 
 
 def test_verify_code_from_file(tmp_path):
-    from lrc.codes import code_to_json
+    from lrc.codes import code_to_dict
 
     path = tmp_path / "mycode.json"
-    path.write_text(code_to_json(builtin_code("bitflip3")))
+    path.write_text(json.dumps(code_to_dict(builtin_code("bitflip3"))))
     out = tmp_path / "rep.json"
     assert main(["verify", "--check", "theorem1", "--code", str(path), "--out", str(out)]) == 0
     report = json.loads(out.read_text())[0]

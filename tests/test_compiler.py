@@ -26,7 +26,7 @@ from lrc.compiler import (
     CompileError,
     RandomizationPolicy,
     TwirlGroupSpec,
-    compile_gadget,
+    _draw,
     compute_propagation_correction,
     dihedral_elements,
     draw_space_size,
@@ -38,6 +38,11 @@ from lrc.compiler import (
 from lrc.weyl import WeylOperator, braiding_exponent
 
 BITFLIP = builtin_code("bitflip3")
+
+
+def drawn_gadget(circuit, index, policy, rng):
+    """The insertions of one uniform draw of a gadget's components."""
+    return realize_gadget(circuit, index, _draw(gadget_components(circuit, index, policy), rng), policy)
 
 
 def block(code=BITFLIP, name="L0"):
@@ -74,7 +79,7 @@ def extraction_circuit(code=BITFLIP, generator=0):
 
 def test_reset_with_stabilizers_off_has_no_insertion():
     policy = RandomizationPolicy(stabilizers=False)
-    ins = compile_gadget(reset_circuit(), 0, policy)
+    ins = drawn_gadget(reset_circuit(), 0, policy, np.random.default_rng(0))
     assert ins.before == () and ins.after == ()
 
 
@@ -104,7 +109,7 @@ def test_unitary_trivial_group_sandwich_only():
         classical_wires=(),
     )
     policy = RandomizationPolicy(twirl_groups={0: TwirlGroupSpec.trivial()})
-    ins = compile_gadget(c, 0, policy, np.random.default_rng(0))
+    ins = drawn_gadget(c, 0, policy, np.random.default_rng(0))
     assert len(ins.before) == 1 and ins.before[0].weyl is not None
     assert len(ins.after) == 1 and ins.after[0].weyl is not None
     assert "G" not in ins.draws

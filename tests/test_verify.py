@@ -21,7 +21,7 @@ from lrc.circuits import (
 )
 from lrc.codes import (
     builtin_code,
-    code_from_json,
+    code_from_dict,
     enumerate_pure_errors,
     logical_basis_state,
     projector_for_syndrome,
@@ -447,9 +447,15 @@ def test_derive_seed_stable():
 
 
 def test_extraction_rejects_readout_noise_of_another_dimension():
-    qutrit_z = code_from_json(
-        '{"d":3,"n":1,"k":0,"stabilizer_generators":["0;0;1;3"],'
-        '"pure_error_generators":["0;1;0;3"],"logical_generators":[]}'
+    qutrit_z = code_from_dict(
+        {
+            "d": 3,
+            "n": 1,
+            "k": 0,
+            "stabilizer_generators": ["0;0;1;3"],
+            "pure_error_generators": ["0;1;0;3"],
+            "logical_generators": [],
+        }
     )
     qubit_flip = stochastic_weyl({WeylOperator.identity(2, 1): 0.9, WeylOperator.x_op(2, 1): 0.1})
     with pytest.raises(DimensionError):

@@ -13,7 +13,6 @@ from lrc.weyl import (
     braiding_phase,
     _gather_tables,
     _shift_and_phases,
-    chi,
     eigenprojector,
     iter_weyls,
     roots_of_unity,
@@ -30,24 +29,6 @@ def random_weyl(d, n, rng=RNG, phase=True):
         tuple(rng.integers(0, d, n)),
         int(rng.integers(0, 2 * d)) if phase else 0,
     )
-
-
-def test_chi_zero_vector_is_one():
-    assert chi((0, 0, 0), (1, 2, 0), 3).is_one
-
-
-def test_chi_qubit_sign():
-    assert chi((1,), (1,), 2).value == pytest.approx(-1)
-
-
-def test_chi_qutrit_example():
-    # exponent 1*2 + 2*2 = 6 = 0 mod 3
-    assert chi((1, 2), (2, 2), 3).is_one
-
-
-def test_chi_length_mismatch():
-    with pytest.raises(DimensionError):
-        chi((1,), (1, 0), 2)
 
 
 def test_phase_value_matches_exponent():
