@@ -29,7 +29,6 @@ from .circuits import (
 )
 from .codes import (
     StabilizerCode,
-    Syndrome,
     builtin_code,
     codespace_projector,
     enumerate_pure_errors,
@@ -55,6 +54,6 @@ from .verify import (
     run_all,
     run_toffoli_example,
 )
-from .weyl import RootPhase, WeylOperator, braiding_phase
+from .weyl import WeylOperator, braiding_exponent
 
 __version__ = "0.1.0"

@@ -55,6 +55,8 @@ from .codes import (
     StabilizerCode,
     _json_int,
     _json_object,
+    _json_strs,
+    _json_weyl,
     code_from_dict,
     code_to_dict,
     cospace_table,
@@ -276,6 +278,9 @@ def validate(circuit: LogicalCircuit) -> list:
             reg = regs[0]
             if reg.kind != "logical":
                 bad(i, "measurement-target", "logical measurement needs a logical register")
+            elif g.weyl is not None and (g.weyl.d != circuit.d or g.weyl.n != reg.code.n):
+                message = f"{g.weyl} does not act on {reg.code.n} qudits of dimension {circuit.d}"
+                bad(i, "measurement-basis", message)
             elif g.weyl is not None and not is_logical_weyl(reg.code, g.weyl):
                 bad(i, "measurement-basis", f"{g.weyl} is not a logical Weyl of the code")
             elif g.weyl is not None and not (g.weyl**circuit.d).is_identity():
@@ -883,15 +888,9 @@ def _json_list(value, path: str, item) -> tuple:
 _int = functools.partial(_json_int, error=SchemaError)
 _object = functools.partial(_json_object, error=SchemaError)
 _ints = functools.partial(_json_list, item=_int)
-_strs = functools.partial(_json_list, item=_str)
+_strs = functools.partial(_json_strs, error=SchemaError)
 _objects = functools.partial(_json_list, item=_object)
-
-
-def _weyl_from_json(text, path: str) -> WeylOperator:
-    try:
-        return WeylOperator.from_string(text)
-    except (ValueError, TypeError, AttributeError) as exc:
-        raise SchemaError(f"{path}: {exc}") from None
+_weyl_from_json = functools.partial(_json_weyl, error=SchemaError)
 
 
 def circuit_from_dict(data: dict) -> LogicalCircuit:

@@ -42,23 +42,6 @@ class CodeValidationError(ValueError):
 
 
 @dataclass(frozen=True)
-class Syndrome:
-    """Error syndrome: dit i is the braiding exponent against generator i."""
-
-    dits: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "dits", tuple(int(v) for v in self.dits))
-
-    def __str__(self):
-        return ",".join(str(v) for v in self.dits)
-
-    @property
-    def is_trivial(self) -> bool:
-        return not any(self.dits)
-
-
-@dataclass(frozen=True)
 class StabilizerCode:
     d: int
     n: int
@@ -155,16 +138,13 @@ def _validate(code: StabilizerCode):
         itertools.product(range(d), repeat=n - k),
         _enumerate_products(code.pure_error_gens, d, n),
     ):
-        syn = syndrome_of(code, t).dits
+        syn = syndrome_of(code, t)
         if syn in seen:
             raise CodeValidationError(
                 f"pure errors {seen[syn]} and {powers} share the syndrome {syn}"
             )
         seen[syn] = powers
 
-    expected_braid = braiding_exponent(
-        WeylOperator.x_op(d, 1), WeylOperator.z_op(d, 1)
-    )
     for i, l in enumerate(code.logical_gens):
         if l**d != WeylOperator.identity(d, n):
             raise CodeValidationError(
@@ -178,10 +158,8 @@ def _validate(code: StabilizerCode):
     for i in range(k):
         for j in range(k):
             m = braiding_exponent(code.logical_x(i), code.logical_z(j))
-            if m != (expected_braid if i == j else 0):
-                raise CodeValidationError(
-                    f"logical pair ({i},{j}) braids with exponent {m}"
-                )
+            if m != (1 if i == j else 0):  # single-qudit X and Z braid with exponent 1
+                raise CodeValidationError(f"logical pair ({i},{j}) braids with exponent {m}")
             if braiding_exponent(code.logical_x(i), code.logical_x(j)) != 0:
                 raise CodeValidationError(f"logical X {i} and {j} do not commute")
             if braiding_exponent(code.logical_z(i), code.logical_z(j)) != 0:
@@ -204,11 +182,11 @@ def enumerate_pure_errors(code: StabilizerCode):
     return _enumerate_products(code.pure_error_gens, code.d, code.n)
 
 
-def syndrome_of(code: StabilizerCode, E: WeylOperator) -> Syndrome:
-    """Braiding exponent of E against each stabilizer generator in order."""
+def syndrome_of(code: StabilizerCode, E: WeylOperator) -> tuple:
+    """The syndrome of E: its tuple of braiding exponents against the stabilizer generators."""
     if E.d != code.d or E.n != code.n:
         raise DimensionError(f"{E} does not act on the code register")
-    return Syndrome(tuple(braiding_exponent(E, g) for g in code.stab_gens))
+    return tuple(braiding_exponent(E, g) for g in code.stab_gens)
 
 
 @functools.lru_cache(maxsize=None)
@@ -237,7 +215,7 @@ def cospace_table(code: StabilizerCode) -> types.MappingProxyType:
     return types.MappingProxyType(table)
 
 
-def projector_for_syndrome(code: StabilizerCode, syndrome: Syndrome) -> np.ndarray:
+def projector_for_syndrome(code: StabilizerCode, syndrome: tuple) -> np.ndarray:
     return cospace_table(code)[syndrome][1]
 
 
@@ -444,6 +422,30 @@ def _json_int(value, what: str, error) -> int:
     return value
 
 
+def _json_strs(value, what: str, error) -> tuple:
+    """value, if it is a JSON list of strings, as a tuple; otherwise raises ``error``."""
+    if not isinstance(value, list):
+        raise error(f"{what} must be a JSON list, not {value!r}")
+    for j, item in enumerate(value):
+        if not isinstance(item, str):
+            raise error(f"{what}[{j}] must be a string, not {item!r}")
+    return tuple(value)
+
+
+def _json_weyl(value, what: str, error) -> WeylOperator:
+    """The operator whose text form is value; otherwise raises ``error``."""
+    try:
+        return WeylOperator.from_string(value)
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise error(f"{what}: {exc}") from None
+
+
+def _generators_from_json(data: dict, key: str) -> tuple:
+    what = f"code field {key!r}"
+    texts = _json_strs(data[key], what, CodeValidationError)
+    return tuple(_json_weyl(t, f"{what}[{j}]", CodeValidationError) for j, t in enumerate(texts))
+
+
 def code_from_dict(data: dict) -> StabilizerCode:
     _json_object(data, "a code definition", CodeValidationError)
     for key in _CODE_FIELDS:
@@ -454,11 +456,9 @@ def code_from_dict(data: dict) -> StabilizerCode:
         d=d,
         n=n,
         k=k,
-        stab_gens=tuple(WeylOperator.from_string(s) for s in data["stabilizer_generators"]),
-        pure_error_gens=tuple(
-            WeylOperator.from_string(s) for s in data["pure_error_generators"]
-        ),
-        logical_gens=tuple(WeylOperator.from_string(s) for s in data["logical_generators"]),
+        stab_gens=_generators_from_json(data, "stabilizer_generators"),
+        pure_error_gens=_generators_from_json(data, "pure_error_generators"),
+        logical_gens=_generators_from_json(data, "logical_generators"),
     )
 
 

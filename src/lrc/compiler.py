@@ -41,7 +41,7 @@ from .circuits import (
     check_valid,
 )
 from .codes import StabilizerCode, _json_int, _json_object, enumerate_stabilizers, logical_weyls
-from .weyl import WeylOperator, braiding_exponent, braiding_phase, iter_weyls, weyl_from_matrix
+from .weyl import WeylOperator, braiding_exponent, iter_weyls, weyl_from_matrix
 
 DEFAULT_SEED = 271828
 
@@ -429,10 +429,9 @@ def _unitary_correction_layers(circuit, g, G, s_after: dict):
         return _stabilizer_layers(reg_names, s_after)
 
     if isinstance(G, WeylOperator) and g.weyl is not None:
-        # U G^dagger U^dagger = conj(braid(U, G^dagger)) * G^dagger, exactly.
+        # U G^dagger U^dagger = conj(omega^m) G^dagger with m = braiding_exponent(U, G^dagger).
         gd = G.dagger()
-        phase = braiding_phase(g.weyl, gd)
-        corr = WeylOperator(d, gd.x, gd.z, gd.phase_exp - phase.exp)
+        corr = WeylOperator(d, gd.x, gd.z, gd.phase_exp - 2 * braiding_exponent(g.weyl, gd))
     else:
         U = g.weyl.to_matrix() if g.weyl is not None else np.asarray(g.matrix)
         corr = U @ element_matrix(G).conj().T @ U.conj().T

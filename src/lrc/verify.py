@@ -55,7 +55,6 @@ from .circuits import (
 )
 from .codes import (
     StabilizerCode,
-    Syndrome,
     builtin_code,
     cospace_table,
     encoding_isometry,
@@ -73,7 +72,7 @@ from .compiler import (
     instantiate,
     t_gate_matrix,
 )
-from .weyl import CapacityError, DimensionError, WeylOperator, braiding_exponent, braiding_phase, iter_weyls
+from .weyl import CapacityError, DimensionError, WeylOperator, braiding_exponent, iter_weyls, roots_of_unity
 
 STRUCTURAL_TOL = 1e-10
 
@@ -100,7 +99,7 @@ class CoherenceReport:
     populations: dict
 
     def populations_by_string(self) -> dict:
-        return {str(k): v for k, v in sorted(self.populations.items(), key=lambda kv: kv[0].dits)}
+        return {",".join(map(str, k)): v for k, v in sorted(self.populations.items())}
 
 
 @dataclass
@@ -214,11 +213,12 @@ def weyl_error_probabilities(R: np.ndarray, d: int, n: int) -> dict:
     """Invert the diagonal of a stochastic-Weyl transfer matrix to weights."""
     basis = list(iter_weyls(d, n))
     diag = np.diag(R)
+    roots = roots_of_unity(d)
     out = {}
     for P in basis:
         acc = 0.0 + 0.0j
         for q, Q in enumerate(basis):
-            acc += braiding_phase(P, Q).value * diag[q]
+            acc += roots[2 * braiding_exponent(P, Q)] * diag[q]
         out[P] = float(np.real(acc)) / len(basis)
     return out
 
@@ -521,8 +521,8 @@ def run_toffoli_example(delta: float, blocks: str = "all", seed: int = 0) -> Ver
         passed = value <= tolerance
     else:
         expected = {
-            Syndrome((0, 0)): float(np.cos(delta) ** 2),
-            Syndrome((1, 0)): float(np.sin(delta) ** 2),
+            (0, 0): float(np.cos(delta) ** 2),
+            (1, 0): float(np.sin(delta) ** 2),
         }
         pop_dev = max(
             abs(post.populations.get(k, 0.0) - v) for k, v in expected.items()
@@ -716,7 +716,7 @@ def check_measurement_rc(
         table = cospace_table(code)
         for syndrome, (_, P) in table.items():
             proj = natural_rep(P)
-            t = syndrome.dits[generator]
+            t = syndrome[generator]
             base = compose(proj, total).matrix
             norm = float(np.real(np.vdot(base, base)))
             for b, chan in channels.items():

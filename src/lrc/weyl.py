@@ -6,7 +6,10 @@ the clock ``|j> -> exp(2*pi*i*j/d)|j>``, and x, z are exponent vectors over
 Z_d.  Global phases live in the group of 2d-th roots of unity (the smallest
 phase group closed under qubit products such as Y = iZX for every d), so
 products, inverses and commutation phases are exact integer arithmetic.
-Dense matrices are materialised only on demand.
+A phase is its integer exponent e in [0, 2d), whose dense value is
+``roots_of_unity(d)[e]``; a commutation phase omega^m = exp(2*pi*i*m/d) is
+its integer m in [0, d), the ``braiding_exponent``.  Dense matrices are
+materialised only on demand.
 
 Canonical (normal-ordered) form puts every X factor left of every Z factor.
 Basis states are indexed with site 0 as the most significant digit, matching
@@ -85,56 +88,6 @@ def _gather_tables(d: int, x: tuple, z: tuple):
     idx.setflags(write=False)
     outer.setflags(write=False)
     return idx, outer
-
-
-@dataclass(frozen=True)
-class RootPhase:
-    """A 2d-th root of unity exp(i*pi*exp/d) with exact exponent arithmetic."""
-
-    d: int
-    exp: int
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"dimension must be >= 2, got {self.d}")
-        object.__setattr__(self, "exp", self.exp % (2 * self.d))
-
-    @classmethod
-    def one(cls, d: int) -> "RootPhase":
-        return cls(d, 0)
-
-    @classmethod
-    def from_dth_exponent(cls, d: int, m: int) -> "RootPhase":
-        """The d-th root of unity exp(2*pi*i*m/d)."""
-        return cls(d, 2 * (m % d))
-
-    @property
-    def value(self) -> complex:
-        return complex(roots_of_unity(self.d)[self.exp])
-
-    @property
-    def is_one(self) -> bool:
-        return self.exp == 0
-
-    def dth_exponent(self) -> int:
-        """Exponent m with self == exp(2*pi*i*m/d); requires an even exp."""
-        if self.exp % 2:
-            raise ValueError(f"{self} is not a d-th root of unity")
-        return (self.exp // 2) % self.d
-
-    def conjugate(self) -> "RootPhase":
-        return RootPhase(self.d, -self.exp)
-
-    def __mul__(self, other: "RootPhase") -> "RootPhase":
-        if self.d != other.d:
-            raise DimensionError("phase dimensions differ")
-        return RootPhase(self.d, self.exp + other.exp)
-
-    def __pow__(self, k: int) -> "RootPhase":
-        return RootPhase(self.d, self.exp * k)
-
-    def __repr__(self):
-        return f"RootPhase(d={self.d}, exp={self.exp})"
 
 
 @dataclass(frozen=True)
@@ -221,10 +174,6 @@ class WeylOperator:
     def dim(self) -> int:
         return self.d ** self.n
 
-    @property
-    def phase(self) -> RootPhase:
-        return RootPhase(self.d, self.phase_exp)
-
     def weight(self) -> int:
         """Number of sites with a non-identity factor."""
         return sum(1 for xi, zi in zip(self.x, self.z) if xi or zi)
@@ -310,7 +259,7 @@ class WeylOperator:
             )
         perm, u = _shift_and_phases(self.d, self.x, self.z)
         M = np.zeros((D, D), dtype=complex)
-        M[np.arange(D), perm] = self.phase.value * u
+        M[np.arange(D), perm] = roots_of_unity(self.d)[self.phase_exp] * u
         return M
 
     def apply_to_vector(self, psi: np.ndarray) -> np.ndarray:
@@ -319,7 +268,7 @@ class WeylOperator:
         if psi.shape != (D,):
             raise DimensionError(f"state has dimension {psi.shape}, expected ({D},)")
         perm, u = _shift_and_phases(self.d, self.x, self.z)
-        return (self.phase.value * u) * psi[perm]
+        return (roots_of_unity(self.d)[self.phase_exp] * u) * psi[perm]
 
     def conjugate_matrix(self, M: np.ndarray) -> np.ndarray:
         """W M W^dagger as one flat gather plus phases, O(dim^2)."""
@@ -352,23 +301,16 @@ class WeylOperator:
         return f"WeylOperator({self.to_string()!r})"
 
 
-def braiding_phase(P: WeylOperator, Q: WeylOperator) -> RootPhase:
-    """The phase c with P Q P^dagger = conj(c) Q as matrices.
+def braiding_exponent(P: WeylOperator, Q: WeylOperator) -> int:
+    """The m in [0, d) with P Q P^dagger = conj(omega^m) Q as matrices, omega = exp(2*pi*i/d).
 
-    Exponent x(P).z(Q) - x(Q).z(P); unity exactly when the operators
-    commute.  The same convention makes the two cospace-projector forms
-    T Pi T^dagger and E_S conj(c_T(S)) S agree entrywise.
+    m = x(P).z(Q) - x(Q).z(P) mod d; zero exactly when the operators commute.
+    The same convention makes the two cospace-projector forms T Pi T^dagger
+    and E_S conj(omega^m(T, S)) S agree entrywise.
     """
     P._check_compatible(Q)
-    m = sum(xp * zq for xp, zq in zip(P.x, Q.z)) - sum(
-        xq * zp for xq, zp in zip(Q.x, P.z)
-    )
-    return RootPhase.from_dth_exponent(P.d, m)
-
-
-def braiding_exponent(P: WeylOperator, Q: WeylOperator) -> int:
-    """Integer m with braiding_phase(P, Q) = exp(2*pi*i*m/d)."""
-    return braiding_phase(P, Q).dth_exponent()
+    m = sum(xp * zq for xp, zq in zip(P.x, Q.z)) - sum(xq * zp for xq, zp in zip(Q.x, P.z))
+    return m % P.d
 
 
 def iter_weyls(d: int, n: int):

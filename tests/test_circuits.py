@@ -247,6 +247,25 @@ def test_measurement_weyl_whose_dth_power_is_not_the_identity_is_rejected():
         evaluate(bad)
 
 
+@pytest.mark.parametrize(
+    "code_name,text",
+    [
+        ("bitflip3", "0;0,0,0;0,0,0;3"),  # the qutrit identity, whose x and z match a logical
+        ("bitflip3", "0;1,1;0,0;2"),
+        ("qutrit_rep3", "0;1,1,1;0,0,0;2"),  # a qubit XXX on the qutrit block
+    ],
+)
+def test_measurement_weyl_off_the_block_is_rejected(code_name, text):
+    code = builtin_code(code_name)
+    gadgets = (Gadget.reset("L0", (0,)), Gadget.measurement("L0", "m", weyl=WeylOperator.from_string(text)))
+    c = LogicalCircuit(d=code.d, registers=(one_block(code),), gadgets=gadgets, classical_wires=("m",))
+    diags = validate(c)
+    assert [diag.rule for diag in diags] == ["measurement-basis"]
+    assert diags[0].message.endswith(f"does not act on 3 qudits of dimension {code.d}")
+    with pytest.raises(EvaluationError, match="measurement-basis"):
+        evaluate(c)
+
+
 def test_fourier_and_logical_measurement_keep_their_qubit_bits():
     """At d = 2, fourier_matrix and the logical-measurement Kraus operators of
     bitflip3 and phaseflip3 give the bits of the np.exp and matrix_power sums
@@ -334,7 +353,7 @@ def test_ideal_extraction_reports_syndrome_of_injected_error():
         c = LogicalCircuit(d=2, registers=regs, gadgets=gadgets, classical_wires=("s0", "s1"))
         dist = evaluate(c).distribution()
         syn = syndrome_of(BITFLIP, WeylOperator.from_label(err))
-        assert dist == pytest.approx({tuple(syn.dits): 1.0})
+        assert dist == pytest.approx({syn: 1.0})
 
 
 def test_qutrit_extraction_round():
@@ -352,7 +371,7 @@ def test_qutrit_extraction_round():
     )
     c = LogicalCircuit(d=3, registers=regs, gadgets=gadgets, classical_wires=("s0",))
     dist = evaluate(c).distribution()
-    assert dist == pytest.approx({(syndrome_of(code, err).dits[0],): 1.0})
+    assert dist == pytest.approx({syndrome_of(code, err)[:1]: 1.0})
 
 
 def test_logical_measurement_of_codewords():

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -208,6 +211,21 @@ def test_measurement_weyl_whose_dth_power_is_not_the_identity_exits_two(tmp_path
     path = tmp_path / "iz.json"
     path.write_text(serialize(circuit))
     assert main(argv + ["--circuit", str(path)]) == 2
+    assert "measurement-basis" in capsys.readouterr().err
+
+
+def test_measurement_weyl_of_another_dimension_exits_two(tmp_path, capsys):
+    code = builtin_code("bitflip3")
+    qutrit_identity = WeylOperator.identity(3, 3)
+    circuit = LogicalCircuit(
+        d=2,
+        registers=(Register(name="L0", kind="logical", qudits=(0, 1, 2), code=code),),
+        gadgets=(Gadget.reset("L0", (0,)), Gadget.measurement("L0", "m", weyl=qutrit_identity)),
+        classical_wires=("m",),
+    )
+    path = tmp_path / "qutrit_identity.json"
+    path.write_text(serialize(circuit))
+    assert main(["compile", "--circuit", str(path)]) == 2
     assert "measurement-basis" in capsys.readouterr().err
 
 
@@ -527,3 +545,20 @@ def test_sample_byte_identical(tmp_path):
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_registry_report_is_pinned_under_one_and_two_blas_threads():
+    """`lrc verify --all --seed 7` prints the recorded reference report byte for
+    byte, whether numpy's BLAS runs one thread or two."""
+    root = Path(__file__).resolve().parents[1]
+    reference = (root / "benchmarks" / "reference" / "registry_seed7.json").read_bytes()
+    pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    for threads in ("1", "2"):
+        run = subprocess.run(
+            [sys.executable, "-m", "lrc.cli", "verify", "--all", "--seed", "7"],
+            env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True,
+            timeout=600,
+        )
+        assert run.returncode == 0, run.stderr.decode()
+        assert run.stdout == reference, f"the report differs with OPENBLAS_NUM_THREADS={threads}"

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from lrc.weyl import (
     CapacityError,
     DimensionError,
-    RootPhase,
     WeylOperator,
-    braiding_phase,
+    braiding_exponent,
     _gather_tables,
     _shift_and_phases,
     eigenprojector,
@@ -32,18 +31,25 @@ def random_weyl(d, n, rng=RNG, phase=True):
 
 
 def test_phase_value_matches_exponent():
+    """A phase exponent e in [0, 2d) has the value exp(i*pi*e/d)."""
     for d in (2, 3, 5):
         for e in range(2 * d):
-            ph = RootPhase(d, e)
-            assert abs(ph.value - np.exp(1j * np.pi * e / d)) < 1e-14
+            assert abs(roots_of_unity(d)[e] - np.exp(1j * np.pi * e / d)) < 1e-14
 
 
 def test_phase_multiplication_matches_complex():
+    """Adding phase exponents mod 2d multiplies their values."""
     for d in (2, 3):
+        roots = roots_of_unity(d)
         for a in range(2 * d):
             for b in range(2 * d):
-                lhs = (RootPhase(d, a) * RootPhase(d, b)).value
-                assert abs(lhs - RootPhase(d, a).value * RootPhase(d, b).value) < 1e-14
+                assert abs(roots[(a + b) % (2 * d)] - roots[a] * roots[b]) < 1e-14
+
+
+def weyls_on(d, n):
+    """Weyl operators on n qudits of dimension d, any phase."""
+    dits = st.lists(st.integers(0, d - 1), min_size=n, max_size=n).map(tuple)
+    return st.builds(lambda x, z, e: WeylOperator(d, x, z, e), dits, dits, st.integers(0, 2 * d - 1))
 
 
 def test_identity_times_anything():
@@ -103,34 +109,42 @@ def test_dagger_trivial_cases():
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])
-def test_braiding_soundness(d):
-    rng = np.random.default_rng(100 + d)
-    n = 2
-    for _ in range(1000 if d in (2, 3) else 300):
-        p = random_weyl(d, n, rng)
-        q = random_weyl(d, n, rng)
-        lhs = p.to_matrix() @ q.to_matrix() @ p.dagger().to_matrix()
-        rhs = braiding_phase(p, q).conjugate().value * q.to_matrix()
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
+@settings(max_examples=100)
+@given(data=st.data())
+def test_braiding_soundness(d, data):
+    """Dense oracle: P Q P^dagger = conj(omega^m) Q with m = braiding_exponent(P, Q)."""
+    n = data.draw(st.integers(1, 2))
+    p, q = data.draw(weyls_on(d, n)), data.draw(weyls_on(d, n))
+    m = braiding_exponent(p, q)
+    assert isinstance(m, int) and 0 <= m < d
+    lhs = p.to_matrix() @ q.to_matrix() @ p.dagger().to_matrix()
+    rhs = np.exp(-2j * np.pi * m / d) * q.to_matrix()
+    assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 def test_braiding_trivial_and_qubit_values():
     X = WeylOperator.from_label("X")
     Z = WeylOperator.from_label("Z")
-    assert braiding_phase(X, X).is_one
-    assert braiding_phase(X, Z).value == pytest.approx(-1)
+    assert braiding_exponent(X, X) == 0
+    assert braiding_exponent(X, Z) == 1
+    assert braiding_exponent(Z, X) == 1  # -1 mod 2
 
 
-def test_braiding_bicharacter_law_exact():
-    rng = np.random.default_rng(55)
-    for d in (2, 3):
-        for _ in range(200):
-            p = random_weyl(d, 2, rng)
-            q = random_weyl(d, 2, rng)
-            r = random_weyl(d, 2, rng)
-            lhs = braiding_phase(p, q.mul(r))
-            rhs = braiding_phase(p, q) * braiding_phase(p, r)
-            assert lhs == rhs
+@given(d=st.sampled_from((2, 3, 5)), data=st.data())
+def test_braiding_antisymmetry(d, data):
+    n = data.draw(st.integers(1, 3))
+    p, q = data.draw(weyls_on(d, n)), data.draw(weyls_on(d, n))
+    assert braiding_exponent(q, p) == (-braiding_exponent(p, q)) % d
+    assert braiding_exponent(p, p) == 0
+
+
+@settings(max_examples=200)
+@given(d=st.sampled_from((2, 3, 5)), data=st.data())
+def test_braiding_bicharacter_law_exact(d, data):
+    """Additivity: braid(P, QR) = braid(P, Q) + braid(P, R) mod d, phases ignored."""
+    n = data.draw(st.integers(1, 3))
+    p, q, r = (data.draw(weyls_on(d, n)) for _ in range(3))
+    assert braiding_exponent(p, q.mul(r)) == (braiding_exponent(p, q) + braiding_exponent(p, r)) % d
 
 
 def test_to_matrix_identity_and_x():
@@ -275,7 +289,7 @@ def test_index_maps_equal_the_gather_formula_bit_for_bit(w, seed):
         expect = (u[:, None] * u.conj()[None, :]) * M[np.ix_(perm, perm)]
         assert np.array_equal(w.conjugate_matrix(M).view(np.float64), expect.view(np.float64))
     psi = big[0, ::2]
-    expect = (w.phase.value * u) * psi[perm]
+    expect = (roots_of_unity(w.d)[w.phase_exp] * u) * psi[perm]
     assert np.array_equal(w.apply_to_vector(psi).view(np.float64), expect.view(np.float64))
 
 
@@ -392,10 +406,10 @@ def test_root_table_is_cached_read_only_and_holds_the_dth_roots_at_even_entries(
 
 
 def test_weyl_phases_keep_their_qubit_bits():
-    """At d = 2, RootPhase.value, _shift_and_phases and to_matrix (over every
+    """At d = 2, roots_of_unity, _shift_and_phases and to_matrix (over every
     phase) give the bits of the np.exp formulas that the root table replaced."""
     old_value = [complex(np.exp(1j * np.pi * e / 2)) for e in range(4)]
-    assert np.array_equal(bits([RootPhase(2, e).value for e in range(4)]), bits(old_value))
+    assert np.array_equal(bits(roots_of_unity(2)), bits(old_value))
     for n in (1, 2, 3):
         D = 2**n
         digits = np.array(list(itertools.product(range(2), repeat=n)), dtype=np.int64)
@@ -415,10 +429,10 @@ def test_weyl_phases_keep_their_qubit_bits():
 
 @pytest.mark.parametrize("d", [3, 5])
 def test_dense_phase_sites_agree_beyond_qubits(d):
-    """RootPhase.value, the clock's diagonal and the Fourier matrix read one value per root."""
+    """The root table, the clock's diagonal and the Fourier matrix read one value per root."""
     from lrc.circuits import fourier_matrix
 
-    values = np.array([RootPhase.from_dth_exponent(d, m).value for m in range(d)])
+    values = roots_of_unity(d)[0::2]
     assert np.array_equal(bits(np.diag(WeylOperator.z_op(d, 1).to_matrix())), bits(values))
     jk = np.multiply.outer(np.arange(d), np.arange(d)) % d
     assert np.array_equal(bits(fourier_matrix(d)), bits(values[jk] / np.sqrt(d)))
