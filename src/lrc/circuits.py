@@ -629,7 +629,9 @@ class CircuitResult:
         return {k: (p, states[k] / p) for k, p in probs.items()}
 
 
-@functools.lru_cache(maxsize=None)
+# An entry holds d*|pure errors| code-sized arrays (31 MB for repetition3(5));
+# the registry reads 3 keys.
+@functools.lru_cache(maxsize=8)
 def _logical_measurement_kraus(code: StabilizerCode, measured: WeylOperator):
     """Per outcome b, the cospace-refined projectors onto eigenvalue w^b, on the code block."""
     spectral = [eigenprojector(measured, b) for b in range(code.d)]
@@ -693,6 +695,8 @@ def evaluate(
             kind = step[0]
             if kind == "weyl":
                 op = step[1]
+                if op.is_identity(ignore_phase=True):
+                    continue  # its conjugation multiplies every entry by exactly 1+0j
                 for br in branches:
                     br.state = op.conjugate_matrix(br.state)
             elif kind == "gate":
@@ -748,12 +752,12 @@ def _branch_measure(branches, outcome_states, wire, branch_limit, rng, exact):
             ps = np.array([p for _, p, _ in rows])
             pick = rng.choice(len(rows), p=ps / ps.sum())
             m, p, sub = rows[pick]
-            new.append(Branch(br.probability, sub / p, {**br.record, wire: m}))
+            new.append(Branch(br.probability, np.divide(sub, p, out=sub), {**br.record, wire: m}))
         return new, False
     new = []
     for br, rows in zip(branches, outcomes):
         for m, p, sub in rows:
-            new.append(Branch(br.probability * p, sub / p, {**br.record, wire: m}))
+            new.append(Branch(br.probability * p, np.divide(sub, p, out=sub), {**br.record, wire: m}))
     return new, exact
 
 

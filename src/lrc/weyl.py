@@ -34,8 +34,11 @@ DEFAULT_DENSE_LIMIT = 4096
 #: Environment variable overriding the dense-dimension cap.
 DENSE_LIMIT_ENV = "LRC_DENSE_LIMIT"
 
-#: Largest register dimension whose work is kept for reuse: the cached conjugation
-#: tables (256 of them hold at most about 25 MB) and the evaluator's gadget prefix.
+#: Largest register dimension whose work is kept for reuse: the cached flat D^2
+#: conjugation tables (256 of them hold at most about 25 MB) and the evaluator's
+#: gadget prefix.  Above it, conjugation keeps only the length-D tables of
+#: _shift_and_phases: it gathers with two axis takes, and its phase products are
+#: d^|S| x D per call, S the sites where z != 0, instead of D^2 index and phase tables.
 _SMALL_DIM = 64
 
 
@@ -271,14 +274,30 @@ class WeylOperator:
         return (roots_of_unity(self.d)[self.phase_exp] * u) * psi[perm]
 
     def conjugate_matrix(self, M: np.ndarray) -> np.ndarray:
-        """W M W^dagger as one flat gather plus phases, O(dim^2)."""
+        """W M W^dagger as a gather plus phases, O(dim^2); C-contiguous.
+
+        Entry (i, j) is u[i] * conj(u[j]) times M[perm[i], perm[j]], one product
+        of the same values on both sides of _SMALL_DIM.
+        """
         D = self.dim
         if M.shape != (D, D):
             raise DimensionError(f"matrix has shape {M.shape}, expected ({D},{D})")
-        tables = _gather_tables if D <= _SMALL_DIM else _gather_tables.__wrapped__
-        idx, outer = tables(self.d, self.x, self.z)
-        g = np.ravel(M).take(idx)
-        return np.multiply(outer, g, out=g)
+        d, x, z = self.d, self.x, self.z
+        if D <= _SMALL_DIM:
+            idx, outer = _gather_tables(d, x, z)
+            g = np.ravel(M).take(idx)
+            return np.multiply(outer, g, out=g)
+        perm, u = _shift_and_phases(d, x, z)
+        g = M.take(perm, 0).take(perm, 1) if any(x) else None
+        # u[i] reads only the digits of i where z != 0: those d^|S| values broadcast
+        # over the (d,)*n row digits, conj(u) runs along the D columns.
+        rows = u.reshape((d,) * self.n)[tuple(slice(None if zk else 1) for zk in z)]
+        outer = rows[..., None] * u.conj()
+        shape = (d,) * self.n + (D,)
+        if g is None:
+            return np.multiply(outer, M.reshape(shape), order="C").reshape(D, D)
+        np.multiply(outer, g.reshape(shape), out=g.reshape(shape))  # g is fresh and C-ordered
+        return g
 
     # -- text form ----------------------------------------------------------
 

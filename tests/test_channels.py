@@ -10,10 +10,12 @@ from lrc.channels import (
     Superoperator,
     apply_local_channel,
     apply_local_kraus,
+    apply_local_measurement,
     average,
     coherent_rotation,
     compose,
     embed_operator,
+    from_sites,
     identity_channel,
     is_trace_preserving,
     max_offdiagonal,
@@ -21,6 +23,7 @@ from lrc.channels import (
     partial_trace,
     reset_sites,
     stochastic_weyl,
+    to_sites,
     twirl,
     unvec,
     vec,
@@ -413,6 +416,40 @@ def test_apply_local_channel_matches_dense(site, seed):
         for A, B in pairs
     )
     np.testing.assert_allclose(apply_local_channel(rho, C, positions, d, n), want, atol=1e-12)
+
+
+def channel_through_the_site_layout(rho, C, positions, d, n):
+    """The four-copy route: into the site layout, (footprint columns, footprint
+    rows, other rows, other columns) for the product, and back."""
+    t = to_sites(rho, positions, d, n)
+    Dk, R = t.shape[0], t.shape[1]
+    out = C.matrix @ t.transpose(3, 0, 1, 2).reshape(Dk * Dk, R * R)
+    return from_sites(out.reshape(Dk, Dk, R, R).transpose(1, 2, 3, 0), positions, d, n)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@settings(max_examples=25)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_apply_local_channel_equals_the_site_layout_route_bit_for_bit(d, data, seed):
+    n = data.draw(st.integers(2, {2: 6, 3: 4, 5: 3}[d]))
+    positions = tuple(data.draw(st.permutations(range(n)))[: data.draw(st.integers(1, 2))])
+    rng = np.random.default_rng(seed)
+    rho = random_matrix(rng, d**n)
+    Dk = d ** len(positions)
+    C = Superoperator(Dk, random_matrix(rng, Dk * Dk))
+    got = np.ascontiguousarray(apply_local_channel(rho, C, positions, d, n))
+    want = np.ascontiguousarray(channel_through_the_site_layout(rho, C, positions, d, n))
+    assert got.shape == (d**n, d**n)
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
+def test_an_outcome_without_operators_yields_the_zero_state():
+    rng = np.random.default_rng(16)
+    rho = random_matrix(rng, 27)
+    K = random_matrix(rng, 3)
+    kept, empty = apply_local_measurement(rho, ((K,), ()), (2,), 3, 3)
+    assert empty.shape == (27, 27) and not np.any(empty)
+    assert np.array_equal(kept, apply_local_kraus(rho, (K,), (2,), 3, 3))
 
 
 @settings(max_examples=40)

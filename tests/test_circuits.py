@@ -1,4 +1,7 @@
+import importlib.util
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -744,3 +747,28 @@ def test_registers_over_64_dimensions_store_nothing(reset_calls):
         assert evaluate(c).distribution() == pytest.approx({(1,): 1.0})
     assert c not in lrc.circuits._PREFIXES
     assert len(reset_calls) == 4
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
+
+
+def test_wide_register_pass_matches_the_recorded_averages(tmp_path, monkeypatch):
+    """One pass of the D = 81, 128 and 256 extraction workload of the benchmark,
+    seed 7: every instance is exact and sums to 1, and each circuit's averaged
+    distribution is within 1e-10 of the one recorded in benchmarks/reference."""
+    spec = importlib.util.spec_from_file_location("lrc_benchmark_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    work = workloads.build("wide_register", 7, tmp_path)
+    assert sorted(c.dim for _, c, _ in work.circuits) == [81, 128, 256]
+    result = work.run_pass()
+    assert result.failures == []
+    assert result.instances == sum(work.sizes)
+    # one attempt per instance and one per circuit compared with the reference
+    assert result.attempted == result.instances + len(work.circuits)
+
+
+def test_caches_of_measurement_operators_and_weyl_bases_are_bounded():
+    for cached in (lrc.circuits._logical_measurement_kraus, lrc.channels._weyl_basis_matrices):
+        assert isinstance(cached.cache_parameters()["maxsize"], int)

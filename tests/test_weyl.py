@@ -304,12 +304,24 @@ def test_shift_and_phase_cache_is_bounded_and_read_only():
         assert _shift_and_phases(d, w.x, w.z)[0] is perm  # cached, not rebuilt
 
 
+WEYL_KINDS = ("any", "x-free", "z-free", "phase-only")
+
+
+@st.composite
+def weyls_of(draw, d, n, kind):
+    """A Weyl on n qudits of dimension d; X-free, Z-free and phase-only ones on purpose."""
+    dits = st.lists(st.integers(0, d - 1), min_size=n, max_size=n)
+    x = (0,) * n if kind in ("x-free", "phase-only") else tuple(draw(dits))
+    z = (0,) * n if kind in ("z-free", "phase-only") else tuple(draw(dits))
+    return WeylOperator(d, x, z, draw(st.integers(0, 2 * d - 1)))
+
+
 @st.composite
 def weyls_beside_the_table_cap(draw):
-    """A Weyl on 64 dimensions, where its tables are cached, or on 81 or 128, where they are not."""
-    d, n = draw(st.sampled_from(((2, 6), (2, 7), (3, 4))))
-    dits = st.lists(st.integers(0, d - 1), min_size=n, max_size=n)
-    return WeylOperator(d, tuple(draw(dits)), tuple(draw(dits)), draw(st.integers(0, 2 * d - 1)))
+    """A Weyl on 64 dimensions, where its tables are cached, or on 81, 125, 128 or
+    256, where they are not."""
+    d, n = draw(st.sampled_from(((2, 6), (2, 7), (3, 4), (2, 8), (5, 3))))
+    return draw(weyls_of(d, n, draw(st.sampled_from(WEYL_KINDS))))
 
 
 @settings(max_examples=30)
@@ -343,6 +355,36 @@ def test_gather_table_cache_is_bounded_read_only_and_small_registers_only():
         assert not idx.flags.writeable and not outer.flags.writeable
         assert _gather_tables(w.d, w.x, w.z)[0] is idx  # cached, not rebuilt
     assert _gather_tables.cache_info().currsize == len(small)
+
+
+def gather_formula(w, M):
+    """(u_i conj(u_j)) M[perm_i, perm_j], the D^2 index-and-phase form of W M W^dagger."""
+    d, n = w.d, w.n
+    digits = np.array(list(itertools.product(range(d), repeat=n)), dtype=np.int64)
+    shifted = (digits - np.asarray(w.x)) % d
+    perm = shifted @ (d ** np.arange(n - 1, -1, -1, dtype=np.int64))
+    u = np.exp(2j * np.pi * ((shifted @ np.asarray(w.z)) % d) / d)
+    return (u[:, None] * u.conj()[None, :]) * M[np.ix_(perm, perm)]
+
+
+@pytest.mark.parametrize("kind", WEYL_KINDS)
+@pytest.mark.parametrize("d,n", [(2, 7), (2, 8), (3, 4), (5, 3)])
+@settings(max_examples=4)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_wide_conjugation_is_the_formula_contiguous_and_keeps_no_square_table(d, n, kind, data, seed):
+    """Above the table cap: the bits of the formula on C-ordered, F-ordered and
+    strided operands, a C-contiguous result, and only length-D tables cached."""
+    w = data.draw(weyls_of(d, n, kind))
+    D = w.dim
+    rng = np.random.default_rng(seed)
+    big = rng.normal(size=(2 * D, 2 * D)) + 1j * rng.normal(size=(2 * D, 2 * D))
+    _gather_tables.cache_clear()
+    for M in (np.ascontiguousarray(big[:D, :D]), big[:D, :D].T, big[::2, 1::2]):
+        got = w.conjugate_matrix(M)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got.view(np.float64), gather_formula(w, M).view(np.float64))
+    assert _gather_tables.cache_info().currsize == 0
+    assert all(table.size == D for table in _shift_and_phases(w.d, w.x, w.z))
 
 
 @st.composite
