@@ -12,12 +12,15 @@ footprint; noise conventions are
   * measurements: noise applied just before the ideal projection,
   * syndrome extraction: ``noise`` acts on the readout qudit before its
     measurement, ``idle_noise`` acts on the encoded register during the
-    readout window.
+    readout window,
+  * idle: noise applied once per tick.
 
+Every noise channel must be trace-preserving (diagnostic ``noise-trace``).
 The evaluator tracks the exact distribution over measurement outcomes by
 branch enumeration, with a configurable branch limit and a sampling
-fallback.  Compiled randomization draws enter as insertion layers around
-and inside gadgets; the same evaluator runs bare and compiled circuits.
+fallback.  Compiled randomization draws enter as inserted layers, which are
+noise-free unitary gadgets before and after a gadget, and as settings inside
+it; the same evaluator runs bare and compiled circuits.
 ``expand_gadget`` lowers gadgets to five step kinds: ("weyl", op),
 ("gate", sites, U), ("channel", sites, C), ("reset", sites, state) and
 ("measure", sites, kraus_by_outcome, wire), one step for site readouts
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import json
+import types
 import weakref
 from dataclasses import dataclass, field
 
@@ -46,6 +50,7 @@ from .channels import (
     compose,
     embed_operator,
     identity_channel,
+    is_trace_preserving,
     lift_local_superop,
     natural_rep,
     reset_sites,
@@ -253,6 +258,9 @@ def validate(circuit: LogicalCircuit) -> list:
                 bad(i, "idle-noise", "idle_noise is only defined for syndrome extraction")
             elif g.idle_noise.dim != fdim:
                 bad(i, "noise-dim", f"idle noise dimension {g.idle_noise.dim}, expected {fdim}")
+        for chan in (g.noise, g.idle_noise):
+            if chan is not None and not is_trace_preserving(chan):
+                bad(i, "noise-trace", f"noise of dimension {chan.dim} is not trace-preserving")
 
         if g.kind == RESET:
             reg = regs[0]
@@ -350,31 +358,25 @@ def check_valid(circuit: LogicalCircuit, error=EvaluationError) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class Layer:
-    """A compiled insertion: a Weyl or a raw unitary on named registers."""
-
-    registers: tuple
-    weyl: WeylOperator | None = None
-    matrix: np.ndarray | None = None
-    label: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "registers", tuple(self.registers))
-        if (self.weyl is None) == (self.matrix is None):
-            raise ValueError("layer needs exactly one of weyl or matrix")
-
-
-@dataclass(frozen=True, eq=False)
 class GadgetInsertions:
-    """One gadget's draw: its layers, internal settings, output corrections and
-    the raw drawn values by component name.  Immutable, because the instances
-    of a stream with equal draws share one record; compared by identity."""
+    """One gadget's draw: the noise-free unitary gadgets inserted before and after
+    it, internal settings, output corrections and the raw drawn values by name.
+    Immutable and shared by the instances of a stream with equal draws, which
+    read one cached expansion of it; compared by identity."""
 
     before: tuple = ()
     after: tuple = ()
-    internal: dict = field(default_factory=dict)
-    classical_add: dict = field(default_factory=dict)
-    draws: dict = field(default_factory=dict)
+    internal: types.MappingProxyType = field(default_factory=dict)
+    classical_add: types.MappingProxyType = field(default_factory=dict)
+    draws: types.MappingProxyType = field(default_factory=dict)
+
+    def __post_init__(self):
+        for g in (*self.before, *self.after):
+            noise_free = isinstance(g, Gadget) and g.noise is None and g.idle_noise is None
+            if not (noise_free and g.kind == UNITARY and (g.weyl is None) != (g.matrix is None)):
+                raise ValueError("an inserted layer is a noise-free unitary gadget with one weyl or matrix")
+        for name in ("internal", "classical_add", "draws"):  # read-only copies
+            object.__setattr__(self, name, types.MappingProxyType(dict(getattr(self, name))))
 
 
 EMPTY_INSERTIONS = GadgetInsertions()
@@ -448,17 +450,7 @@ def _step_weyl(op: WeylOperator, positions, n_total: int):
 
 
 def _layer_steps(circuit: LogicalCircuit, layers) -> list:
-    steps = []
-    n = circuit.n_qudits
-    for layer in layers:
-        positions = []
-        for name in layer.registers:
-            positions.extend(circuit.register(name).qudits)
-        if layer.weyl is not None:
-            steps.append(_step_weyl(layer.weyl, positions, n))
-        else:
-            steps.append(("gate", tuple(positions), layer.matrix))
-    return steps
+    return [step for g in layers for step in expand_gadget(circuit, g, EMPTY_INSERTIONS)]
 
 
 def _readout_steps(d: int, n: int, site: int, wire: str, ins: GadgetInsertions, noise: list) -> list:
@@ -478,6 +470,11 @@ def _readout_steps(d: int, n: int, site: int, wire: str, ins: GadgetInsertions, 
         if not w_post.is_identity():
             steps.append(_step_weyl(w_post, (site,), n))
     return steps
+
+
+def measured_weyl(g: Gadget, code: StabilizerCode) -> WeylOperator:
+    """The Weyl a logical measurement measures: its own, else the code's first logical Z."""
+    return g.weyl if g.weyl is not None else code.logical_z(0)
 
 
 def expand_gadget(circuit: LogicalCircuit, g: Gadget, ins: GadgetInsertions) -> list:
@@ -509,8 +506,7 @@ def expand_gadget(circuit: LogicalCircuit, g: Gadget, ins: GadgetInsertions) -> 
 
     elif g.kind == MEASUREMENT:
         steps += noise
-        measured = g.weyl if g.weyl is not None else reg.code.logical_z(0)
-        kraus = _logical_measurement_kraus(reg.code, measured)
+        kraus = _logical_measurement_kraus(reg.code, measured_weyl(g, reg.code))
         steps.append(("measure", tuple(reg.qudits), kraus, g.wire))
         restore = ins.internal.get("restore")
         if restore is not None and not restore.is_identity(ignore_phase=True):
@@ -547,7 +543,7 @@ def expand_gadget(circuit: LogicalCircuit, g: Gadget, ins: GadgetInsertions) -> 
             steps.append(_step_weyl(ia, reg.qudits, n))
 
     elif g.kind == IDLE:
-        steps += noise
+        steps += noise * g.ticks
 
     elif g.kind == READOUT_MEASUREMENT:
         steps += _readout_steps(d, n, positions[0], g.wire, ins, noise)
@@ -805,31 +801,6 @@ def _superop_from_json(data, path: str) -> Superoperator:
     return Superoperator(dim, _matrix_from_json(data["matrix"], path + ".matrix"))
 
 
-def _gadget_to_dict(g: Gadget) -> dict:
-    out: dict = {"kind": g.kind, "registers": list(g.registers)}
-    if g.state is not None:
-        out["state"] = list(g.state)
-    if g.weyl is not None:
-        out["weyl"] = g.weyl.to_string()
-    if g.matrix is not None:
-        out["matrix"] = _matrix_to_json(g.matrix)
-    if g.label is not None:
-        out["label"] = g.label
-    if g.generator is not None:
-        out["generator"] = g.generator
-    if g.readout is not None:
-        out["readout"] = g.readout
-    if g.wire is not None:
-        out["wire"] = g.wire
-    if g.kind == IDLE:
-        out["ticks"] = g.ticks
-    if g.noise is not None:
-        out["noise"] = _superop_to_json(g.noise)
-    if g.idle_noise is not None:
-        out["idle_noise"] = _superop_to_json(g.idle_noise)
-    return out
-
-
 def circuit_to_dict(circuit: LogicalCircuit) -> dict:
     codes = {}
     code_keys = {}
@@ -855,7 +826,7 @@ def circuit_to_dict(circuit: LogicalCircuit) -> dict:
             }
             for r in circuit.registers
         ],
-        "gadgets": [_gadget_to_dict(g) for g in circuit.gadgets],
+        "gadgets": [{"kind": g.kind, **_gadget_fields(g)} for g in circuit.gadgets],
         "classical_wires": list(circuit.classical_wires),
     }
 
@@ -869,11 +840,6 @@ def _need(data: dict, key: str, path: str, read=None):
     if key not in data:
         raise SchemaError(f"{path}: missing required field {key!r}")
     return data[key] if read is None else read(data[key], f"{path}.{key}")
-
-
-def _optional(data: dict, key: str, path: str, read):
-    """``read(data[key], its path)``, or None when the field is absent."""
-    return read(data[key], f"{path}.{key}") if key in data else None
 
 
 def _str(value, path: str) -> str:
@@ -895,6 +861,31 @@ _ints = functools.partial(_json_list, item=_int)
 _strs = functools.partial(_json_strs, error=SchemaError)
 _objects = functools.partial(_json_list, item=_object)
 _weyl_from_json = functools.partial(_json_weyl, error=SchemaError)
+
+#: Each optional gadget field's JSON reader and writer.  A field is written when
+#: it is set, except ``ticks``, which only an idle writes.
+_GADGET_FIELDS = {
+    "state": (_ints, list),
+    "weyl": (_weyl_from_json, WeylOperator.to_string),
+    "matrix": (_matrix_from_json, _matrix_to_json),
+    "label": (_str, str),
+    "generator": (_int, int),
+    "readout": (_str, str),
+    "wire": (_str, str),
+    "ticks": (_int, int),
+    "noise": (_superop_from_json, _superop_to_json),
+    "idle_noise": (_superop_from_json, _superop_to_json),
+}
+
+
+def _gadget_fields(g: Gadget) -> dict:
+    """JSON form of a gadget without its kind, which is how an inserted layer exports."""
+    out: dict = {"registers": list(g.registers)}
+    for name, (_, write) in _GADGET_FIELDS.items():
+        value = getattr(g, name)
+        if value is not None and (name != "ticks" or g.kind == IDLE):
+            out[name] = write(value)
+    return out
 
 
 def circuit_from_dict(data: dict) -> LogicalCircuit:
@@ -928,22 +919,9 @@ def circuit_from_dict(data: dict) -> LogicalCircuit:
         kind = _need(gdata, "kind", path)
         if kind not in GADGET_KINDS:
             raise SchemaError(f"{path}.kind: unknown gadget kind {kind!r}")
-        gadgets.append(
-            Gadget(
-                kind=kind,
-                registers=_need(gdata, "registers", path, _strs),
-                state=_optional(gdata, "state", path, _ints),
-                weyl=_optional(gdata, "weyl", path, _weyl_from_json),
-                matrix=_optional(gdata, "matrix", path, _matrix_from_json),
-                label=_optional(gdata, "label", path, _str),
-                generator=_optional(gdata, "generator", path, _int),
-                readout=_optional(gdata, "readout", path, _str),
-                wire=_optional(gdata, "wire", path, _str),
-                ticks=_int(gdata.get("ticks", 1), path + ".ticks"),
-                noise=_optional(gdata, "noise", path, _superop_from_json),
-                idle_noise=_optional(gdata, "idle_noise", path, _superop_from_json),
-            )
-        )
+        names = _need(gdata, "registers", path, _strs)
+        fields = {k: read(gdata[k], f"{path}.{k}") for k, (read, _) in _GADGET_FIELDS.items() if k in gdata}
+        gadgets.append(Gadget(kind, names, **fields))
     return LogicalCircuit(
         d=_need(data, "d", "$", _int),
         registers=tuple(registers),
@@ -960,17 +938,6 @@ def parse(text: str) -> LogicalCircuit:
     return circuit_from_dict(data)
 
 
-def _layer_to_dict(layer: Layer) -> dict:
-    out: dict = {"registers": list(layer.registers)}
-    if layer.weyl is not None:
-        out["weyl"] = layer.weyl.to_string()
-    else:
-        out["matrix"] = _matrix_to_json(layer.matrix)
-    if layer.label:
-        out["label"] = layer.label
-    return out
-
-
 def _audit(value):
     """JSON form of a drawn or internal value: Weyls as strings, tuples as lists."""
     if isinstance(value, WeylOperator):
@@ -982,8 +949,8 @@ def _audit(value):
 
 def _insertions_to_dict(ins: GadgetInsertions) -> dict:
     return {
-        "before": [_layer_to_dict(l) for l in ins.before],
-        "after": [_layer_to_dict(l) for l in ins.after],
+        "before": [_gadget_fields(g) for g in ins.before],
+        "after": [_gadget_fields(g) for g in ins.after],
         "internal": {k: _audit(v) for k, v in sorted(ins.internal.items())},
         "classical_add": {k: int(v) for k, v in sorted(ins.classical_add.items())},
         "draws": {k: _audit(v) for k, v in sorted(ins.draws.items())},

@@ -7,7 +7,9 @@ logical Z_k).  Validation runs eagerly at construction: the stabilizer
 generators must commute, generate d^(n-k) distinct elements containing no
 nontrivial phase multiple of the identity, the pure errors must enumerate
 every syndrome exactly once, and the logical generators must commute with
-the stabilizers while braiding pairwise like single-qudit X and Z.
+the stabilizers while braiding pairwise like single-qudit X and Z.  A code
+whose stabilizer group order d^(n-k) exceeds ``MAX_GROUP_ORDER`` is refused
+before anything is enumerated.
 
 Pure-error generators are stored with phase exponent zero; cospace
 projectors do not depend on that choice.  Logical generators keep whatever
@@ -35,6 +37,10 @@ from .weyl import (
 )
 
 BUILTIN_CODE_NAMES = ("bitflip3", "phaseflip3", "five_one_three", "qutrit_rep3")
+
+#: Largest stabilizer group order d^(n-k) a code may have: validation and the
+#: syndrome tables enumerate the group and its pure errors element by element.
+MAX_GROUP_ORDER = 4096
 
 
 class CodeValidationError(ValueError):
@@ -114,6 +120,10 @@ def _validate(code: StabilizerCode):
     for op in code.stab_gens + code.pure_error_gens + code.logical_gens:
         if op.d != d or op.n != n:
             raise CodeValidationError(f"{op} does not act on {n} qudits of dimension {d}")
+    if d ** (n - k) > MAX_GROUP_ORDER:
+        raise CodeValidationError(
+            f"stabilizer group order {d ** (n - k)} exceeds the enumeration bound {MAX_GROUP_ORDER}"
+        )
 
     for i, g in enumerate(code.stab_gens):
         if g**d != WeylOperator.identity(d, n):

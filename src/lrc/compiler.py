@@ -13,9 +13,9 @@ sampling, with per-gadget toggles for the three randomizations:
     classical output corrected by -x and the post-measurement restore
     Z^z' X^-x.
 
-Adjacent inserted Weyls acting on the same register are merged into a
-single layer; non-Weyl corrections (the rotation factors of the dihedral
-path) stay separate.
+An inserted layer is a noise-free unitary gadget.  Adjacent inserted Weyls
+acting on the same register are merged into a single layer; non-Weyl
+corrections (the rotation factors of the dihedral path) stay separate.
 """
 
 from __future__ import annotations
@@ -35,10 +35,11 @@ from .circuits import (
     SYNDROME_EXTRACTION,
     UNITARY,
     CompiledInstance,
+    Gadget,
     GadgetInsertions,
-    Layer,
     LogicalCircuit,
     check_valid,
+    measured_weyl,
 )
 from .codes import StabilizerCode, _json_int, _json_object, enumerate_stabilizers, logical_weyls
 from .weyl import WeylOperator, braiding_exponent, iter_weyls, weyl_from_matrix
@@ -306,8 +307,7 @@ def _randomize(circuit: LogicalCircuit, index: int, policy: RandomizationPolicy,
                     shift = shift.mul(code.logical_x(i) ** xi)
                 for i, zi in enumerate(z):
                     shift = shift.mul(code.logical_z(i) ** zi)
-                measured = g.weyl if g.weyl is not None else code.logical_z(0)
-                add = (-braiding_exponent(shift, measured)) % d
+                add = (-braiding_exponent(shift, measured_weyl(g, code))) % d
         before = _merge_weyl_layers(regs, [s, shift])
         # Undo the inserted Weyl after the projection so the instance is
         # channel-equivalent to the bare gadget, not just classically.
@@ -398,7 +398,7 @@ def _merge_weyl_layers(reg_names, ops):
     acc = _product(ops)
     if acc is None or acc.is_identity(ignore_phase=True):
         return ()
-    return (Layer(reg_names, weyl=acc),)
+    return (Gadget.unitary(reg_names, weyl=acc),)
 
 
 def element_matrix(G) -> np.ndarray:
@@ -437,7 +437,7 @@ def _unitary_correction_layers(circuit, g, G, s_after: dict):
         corr = U @ element_matrix(G).conj().T @ U.conj().T
         rec = weyl_from_matrix(corr, d, len(circuit.footprint(g)))
         if rec is None:
-            layer = Layer(reg_names, matrix=corr, label="twirl-correction")
+            layer = Gadget.unitary(reg_names, matrix=corr, label="twirl-correction")
             return (layer,) + _stabilizer_layers(reg_names, s_after)
         corr = rec
     return _merge_weyl_layers(reg_names, [s_after[reg_names[0]], corr])
@@ -450,7 +450,7 @@ def _before_twirl_layers(reg_names, G, s_before):
     r, L = G if isinstance(G, tuple) else (0, G)  # dihedral (r, L) or Weyl L: operator R * L * S
     layers = _merge_weyl_layers(reg_names, [L, s_before[reg_names[0]]])
     if r % 4:
-        layers = layers + (Layer(reg_names, matrix=_rotation_power(r), label=f"T2^{r}"),)
+        layers = layers + (Gadget.unitary(reg_names, matrix=_rotation_power(r), label=f"T2^{r}"),)
     return layers
 
 

@@ -222,10 +222,11 @@ class WeylOperator:
     def __pow__(self, k: int) -> "WeylOperator":
         if k < 0:
             return self.dagger() ** (-k)
-        out = WeylOperator.identity(self.d, self.n)
-        for _ in range(k):
-            out = out.mul(self)
-        return out
+        # Each of the k(k-1)/2 reorderings of a Z^z past an X^x adds omega^(x.z).
+        xz = sum(a * b for a, b in zip(self.x, self.z))
+        x = tuple(k * v for v in self.x)
+        z = tuple(k * v for v in self.z)
+        return WeylOperator(self.d, x, z, k * self.phase_exp + xz * k * (k - 1))
 
     def tensor(self, other: "WeylOperator") -> "WeylOperator":
         if self.d != other.d:

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 import lrc.channels
 import lrc.circuits
 from lrc.channels import (
+    Superoperator,
+    apply_local_channel,
     apply_local_measurement,
     coherent_rotation,
     embed_operator,
@@ -33,7 +35,6 @@ from lrc.circuits import (
     EvaluationError,
     Gadget,
     GadgetInsertions,
-    Layer,
     LogicalCircuit,
     Register,
     SchemaError,
@@ -451,13 +452,73 @@ def test_insertions_weyl_layers_and_classical_post():
     ins = [
         GadgetInsertions(),
         GadgetInsertions(
-            before=(Layer(("L0",), weyl=WeylOperator.from_label("XXX")),),
+            before=(Gadget.unitary("L0", weyl=WeylOperator.from_label("XXX")),),
             classical_add={"m": 1},
         ),
     ]
     # X-bar flips the raw outcome to 1, the classical correction restores 0.
     res = evaluate(c, insertions=ins)
     assert res.distribution() == pytest.approx({(0,): 1.0})
+
+
+XXX = WeylOperator.from_label("XXX")
+
+
+@pytest.mark.parametrize(
+    "layer",
+    [
+        Gadget.unitary("L0", weyl=XXX, noise=identity_channel(8)),
+        Gadget.unitary("L0"),
+        Gadget.unitary("L0", weyl=XXX, matrix=np.eye(8)),
+        Gadget.idle("L0"),
+        XXX,
+    ],
+)
+def test_inserted_layers_are_noise_free_unitary_gadgets(layer):
+    for side in ("before", "after"):
+        with pytest.raises(ValueError, match="noise-free unitary gadget"):
+            GadgetInsertions(**{side: (layer,)})
+
+
+def test_insertion_mappings_are_read_only_copies():
+    """A shared record mutated after an evaluation used to leave its cached expansion stale."""
+    internal = {"rc": (1, 0)}
+    ins = GadgetInsertions(internal=internal, classical_add={"r": 1}, draws={"x": 1})
+    internal["rc"] = (0, 0)
+    assert ins.internal == {"rc": (1, 0)}
+    for mapping in (ins.internal, ins.classical_add, ins.draws):
+        with pytest.raises(TypeError):
+            mapping["rc"] = (0, 0)
+        with pytest.raises(TypeError):
+            del mapping[next(iter(mapping))]
+
+
+def test_idle_noise_acts_once_per_tick():
+    noise = coherent_rotation(WeylOperator.from_label("XII"), 0.3)
+    reset = Gadget.reset("L0", (0,))
+    rho = evaluate(LogicalCircuit(2, (one_block(),), (reset,), ())).final_state()
+    for _ in range(3):
+        rho = apply_local_channel(rho, noise, (0, 1, 2), 2, 3)
+    idle = LogicalCircuit(2, (one_block(),), (reset, Gadget.idle("L0", ticks=3, noise=noise)), ())
+    assert np.array_equal(evaluate(idle).final_state(), rho)
+
+
+def test_noise_must_be_trace_preserving():
+    """Half the identity used to pass validation, and evaluate then summed to 0.5."""
+    lossy = Superoperator(8, 0.5 * np.eye(64))
+    gadgets = [
+        (Gadget.reset("L0", (0,), noise=lossy), Gadget.measurement("L0", "m")),
+        (
+            Gadget.reset("L0", (0,)),
+            Gadget.reset("R0", (0,)),
+            Gadget.syndrome_extraction("L0", 0, "R0", "m", idle_noise=lossy),
+        ),
+    ]
+    for gs in gadgets:
+        c = LogicalCircuit(d=2, registers=block_plus_readout(), gadgets=gs, classical_wires=("m",))
+        assert [d.rule for d in validate(c)] == ["noise-trace"]
+        with pytest.raises(EvaluationError, match="noise-trace"):
+            evaluate(c)
 
 
 @pytest.mark.parametrize("count", [1, 3])

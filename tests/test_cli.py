@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from lrc.cli import main
+from lrc.channels import Superoperator
 from lrc.circuits import Gadget, LogicalCircuit, Register, serialize
 from lrc.codes import builtin_code, trivial_code
 from lrc.compiler import RandomizationPolicy, instantiate, t_gate_matrix
@@ -304,6 +305,48 @@ def test_sample_command(tmp_path):
     assert main(["sample", "--shots", "20000", "--seed", "5", "--out", str(out)]) == 0
     report = json.loads(out.read_text())[0]
     assert report["value"] <= report["tolerance"]
+
+
+def test_sample_refuses_noise_that_is_not_trace_preserving(tmp_path, capsys):
+    """Half the identity as reset noise used to end in a numpy broadcast error."""
+    circuit = LogicalCircuit(
+        d=2,
+        registers=(Register(name="L0", kind="logical", qudits=(0, 1, 2), code=builtin_code("bitflip3")),),
+        gadgets=(
+            Gadget.reset("L0", (0,), noise=Superoperator(8, 0.5 * np.eye(64))),
+            Gadget.measurement("L0", "m"),
+        ),
+        classical_wires=("m",),
+    )
+    path = tmp_path / "lossy.json"
+    path.write_text(serialize(circuit))
+    assert main(["sample", "--circuit", str(path), "--shots", "100"]) == 2
+    assert "noise-trace" in capsys.readouterr().err
+
+
+def test_syndrome_refuses_a_code_above_the_enumeration_bound(tmp_path):
+    """d = 10^7 with n - k = 1 used to hang in W^d and then in the d^(n-k) enumeration."""
+    d = 10**7
+    path = tmp_path / "huge.json"
+    code = {
+        "d": d,
+        "n": 1,
+        "k": 0,
+        "stabilizer_generators": [f"0;0;1;{d}"],
+        "pure_error_generators": [f"0;1;0;{d}"],
+        "logical_generators": [],
+    }
+    path.write_text(json.dumps(code))
+    root = Path(__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "lrc.cli", "syndrome", "--code", str(path)],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        timeout=30,
+    )
+    assert run.returncode == 2
+    assert "stabilizer group order 10000000 exceeds the enumeration bound" in run.stderr.decode()
 
 
 def test_verify_code_from_file(tmp_path):

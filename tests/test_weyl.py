@@ -514,3 +514,24 @@ def test_fourier_matrix_conjugates_the_clock_into_the_shift(d):
     X = np.roll(np.eye(d), 1, axis=0)  # |j> -> |j+1 mod d>
     np.testing.assert_allclose(F.conj().T @ F, np.eye(d), rtol=0, atol=1e-12)
     np.testing.assert_allclose(F.conj().T @ Z @ F, X, rtol=0, atol=1e-12)
+
+
+@st.composite
+def powers(draw):
+    d = draw(st.sampled_from((2, 3, 5, 7)))
+    n = draw(st.integers(1, 3))
+    dits = st.lists(st.integers(0, d - 1), min_size=n, max_size=n)
+    w = WeylOperator(d, tuple(draw(dits)), tuple(draw(dits)), draw(st.integers(0, 2 * d - 1)))
+    return w, draw(st.integers(-(3 * d + 1), 3 * d + 1))
+
+
+@settings(max_examples=200)
+@given(case=powers())
+def test_power_equals_the_product_of_its_factors(case):
+    """The closed form of W^k against k-fold multiplication, of W^dagger when k < 0."""
+    w, k = case
+    factor = w if k >= 0 else w.dagger()
+    expect = WeylOperator.identity(w.d, w.n)
+    for _ in range(abs(k)):
+        expect = expect.mul(factor)
+    assert w**k == expect
