@@ -128,7 +128,7 @@ class Gadget:
         if self.state is not None:
             object.__setattr__(self, "state", tuple(int(v) for v in self.state))
         if self.matrix is not None:
-            m = np.asarray(self.matrix, dtype=complex)
+            m = np.array(self.matrix, dtype=complex)  # a copy: the caller's array stays writable
             m.setflags(write=False)
             object.__setattr__(self, "matrix", m)
 

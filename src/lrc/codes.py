@@ -8,8 +8,8 @@ generators must commute, generate d^(n-k) distinct elements containing no
 nontrivial phase multiple of the identity, the pure errors must enumerate
 every syndrome exactly once, and the logical generators must commute with
 the stabilizers while braiding pairwise like single-qudit X and Z.  A code
-whose stabilizer group order d^(n-k) exceeds ``MAX_GROUP_ORDER`` is refused
-before anything is enumerated.
+whose stabilizer group order d^(n-k) or logical group order d^(2k) (up to
+phases) exceeds ``MAX_GROUP_ORDER`` is refused before anything is enumerated.
 
 Pure-error generators are stored with phase exponent zero; cospace
 projectors do not depend on that choice.  Logical generators keep whatever
@@ -38,8 +38,9 @@ from .weyl import (
 
 BUILTIN_CODE_NAMES = ("bitflip3", "phaseflip3", "five_one_three", "qutrit_rep3")
 
-#: Largest stabilizer group order d^(n-k) a code may have: validation and the
-#: syndrome tables enumerate the group and its pure errors element by element.
+#: Largest stabilizer group order d^(n-k), and logical group order d^(2k), a
+#: code may have: validation and the syndrome tables enumerate the group and its
+#: pure errors element by element, and logical twirls the logical Weyls.
 MAX_GROUP_ORDER = 4096
 
 
@@ -123,6 +124,10 @@ def _validate(code: StabilizerCode):
     if d ** (n - k) > MAX_GROUP_ORDER:
         raise CodeValidationError(
             f"stabilizer group order {d ** (n - k)} exceeds the enumeration bound {MAX_GROUP_ORDER}"
+        )
+    if d ** (2 * k) > MAX_GROUP_ORDER:
+        raise CodeValidationError(
+            f"logical group order {d ** (2 * k)} exceeds the enumeration bound {MAX_GROUP_ORDER}"
         )
 
     for i, g in enumerate(code.stab_gens):

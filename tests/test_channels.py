@@ -29,6 +29,7 @@ from lrc.channels import (
     vec,
     weyl_transfer_matrix,
 )
+from lrc.circuits import _superop_from_json, _superop_to_json
 from lrc.codes import (
     builtin_code,
     enumerate_pure_errors,
@@ -441,6 +442,107 @@ def test_apply_local_channel_equals_the_site_layout_route_bit_for_bit(d, data, s
     want = np.ascontiguousarray(channel_through_the_site_layout(rho, C, positions, d, n))
     assert got.shape == (d**n, d**n)
     assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
+def random_unitary(rng, D):
+    return np.linalg.qr(rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D)))[0]
+
+
+@st.composite
+def unitary_footprints(draw):
+    """(d, n, positions) with Dk <= 32 on either side of the Kraus route's bound
+    Dk >= 8: the whole register in order, or any sites in any order."""
+    d = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, {2: 6, 3: 4, 5: 3}[d]))
+    k_max = {2: 5, 3: 3, 5: 2}[d]
+    if n <= k_max and draw(st.booleans()):
+        return d, n, tuple(range(n))
+    k = draw(st.integers(1, min(k_max, n)))
+    return d, n, tuple(draw(st.permutations(range(n)))[:k])
+
+
+@settings(max_examples=60)
+@given(site=unitary_footprints(), seed=st.integers(0, 2**32 - 1))
+def test_unitary_channels_match_the_matrix_route(site, seed):
+    d, n, positions = site
+    rng = np.random.default_rng(seed)
+    rho = random_matrix(rng, d**n)
+    U = random_unitary(rng, d ** len(positions))
+    C = natural_rep(U)
+    got = apply_local_channel(rho, C, positions, d, n)
+    want = channel_through_the_site_layout(rho, C, positions, d, n)
+    assert got.shape == (d**n, d**n)
+    if len(C.kraus) * 8 <= C.dim:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    else:
+        assert np.array_equal(got, want)
+
+
+def test_unitary_route_covers_both_sides_of_its_bound():
+    """Below Dk = 8 the matrix route keeps its bits; from Dk = 8 on, the bits are
+    those of apply_local_kraus, the whole register in order included."""
+    rng = np.random.default_rng(17)
+    for d, n, positions, kraus_route in [
+        (2, 3, (2, 0), False),
+        (5, 2, (1,), False),
+        (2, 3, (0, 1, 2), True),
+        (2, 4, (3, 0, 2), True),
+        (3, 3, (2, 0), True),
+    ]:
+        rho = random_matrix(rng, d**n)
+        U = random_unitary(rng, d ** len(positions))
+        got = apply_local_channel(rho, natural_rep(U), positions, d, n)
+        if kraus_route:
+            want = apply_local_kraus(rho, (U,), positions, d, n)
+        else:
+            want = channel_through_the_site_layout(rho, natural_rep(U), positions, d, n)
+        assert np.array_equal(got, want)
+        full = dense_on_sites(U, positions, d, n)
+        np.testing.assert_allclose(got, full @ rho @ full.conj().T, atol=1e-12)
+
+
+def channels_without_a_kraus_form():
+    rng = np.random.default_rng(18)
+    U, V = random_unitary(rng, 4), random_unitary(rng, 4)
+    xx = WeylOperator.from_label("XX")
+    zi = WeylOperator.from_label("ZI")
+    return {
+        "compose": compose(natural_rep(U), natural_rep(V)),
+        "average": average([natural_rep(U), natural_rep(V)]),
+        "twirl": twirl(natural_rep(U), [WeylOperator.identity(2, 2), xx, zi]),
+        "stochastic_weyl": stochastic_weyl({WeylOperator.identity(2, 2): 0.75, xx: 0.25}),
+        "json": _superop_from_json(_superop_to_json(natural_rep(U)), "$"),
+        "constructor": Superoperator(4, natural_rep(U).matrix),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(channels_without_a_kraus_form()))
+@pytest.mark.parametrize("d_n_positions", [(2, 2, (0, 1)), (2, 3, (2, 0)), (2, 4, (1, 3))])
+def test_channels_without_a_kraus_form_keep_the_matrix_route_bit_for_bit(name, d_n_positions):
+    d, n, positions = d_n_positions
+    C = channels_without_a_kraus_form()[name]
+    assert C.kraus is None
+    rho = random_matrix(np.random.default_rng(19), d**n)
+    got = apply_local_channel(rho, C, positions, d, n)
+    assert np.array_equal(got, channel_through_the_site_layout(rho, C, positions, d, n))
+
+
+def test_natural_rep_keeps_a_read_only_copy_of_its_matrix():
+    m = np.array([[0, 1], [1j, 0]], dtype=complex)
+    C = natural_rep(m)
+    (K,) = C.kraus
+    assert np.array_equal(K, m) and not np.shares_memory(K, m)
+    assert not K.flags.writeable
+    assert m.flags.writeable
+    m[0, 0] = 5.0
+    assert K[0, 0] == 0
+
+
+def test_superoperator_checks_its_kraus_shapes():
+    with pytest.raises(DimensionError, match="Kraus operator has shape"):
+        Superoperator(2, np.eye(4), kraus=(np.eye(3),))
+    kraus = Superoperator(2, np.eye(4), kraus=[np.eye(2)]).kraus
+    assert isinstance(kraus, tuple) and kraus[0].dtype == complex
 
 
 def test_an_outcome_without_operators_yields_the_zero_state():

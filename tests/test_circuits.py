@@ -98,6 +98,17 @@ def toffoli_circuit(delta=0.0):
     return LogicalCircuit(d=2, registers=regs, gadgets=gadgets, classical_wires=())
 
 
+def test_a_gadget_freezes_a_copy_of_the_caller_s_matrix():
+    m = np.eye(2, dtype=complex)
+    g = Gadget.unitary("L0", matrix=m)
+    assert m.flags.writeable and not g.matrix.flags.writeable
+    m[0, 1] = 1.0
+    assert g.matrix[0, 1] == 0
+    u = np.array([[0, 1], [1, 0]], dtype=complex)
+    Gadget.reset("L0", (0,), noise=natural_rep(u))
+    assert u.flags.writeable
+
+
 def test_validate_empty_circuit():
     c = LogicalCircuit(d=2, registers=(one_block(),), gadgets=(), classical_wires=())
     assert validate(c) == []

@@ -349,6 +349,44 @@ def test_syndrome_refuses_a_code_above_the_enumeration_bound(tmp_path):
     assert "stabilizer group order 10000000 exceeds the enumeration bound" in run.stderr.decode()
 
 
+
+def test_compile_refuses_a_logical_group_above_the_enumeration_bound(tmp_path):
+    """A logical_weyl twirl on d = 10^7, n = k = 1 used to list all 10^14 logical Weyls."""
+    d = 10**7
+    code = {
+        "d": d,
+        "n": 1,
+        "k": 1,
+        "stabilizer_generators": [],
+        "pure_error_generators": [],
+        "logical_generators": [f"0;1;0;{d}", f"0;0;1;{d}"],
+    }
+    circuit = {
+        "schema_version": 1,
+        "d": d,
+        "codes": {"big": code},
+        "registers": [{"name": "L0", "kind": "logical", "qudits": [0], "code": "big"}],
+        "gadgets": [
+            {"kind": "reset", "registers": ["L0"], "state": [0]},
+            {"kind": "unitary", "registers": ["L0"], "weyl": f"0;1;0;{d}"},
+        ],
+        "classical_wires": [],
+    }
+    policy = {"default_twirl_group": "logical_weyl", "mode": {"sampled": 1}}
+    (tmp_path / "circuit.json").write_text(json.dumps(circuit))
+    (tmp_path / "policy.json").write_text(json.dumps(policy))
+    root = Path(__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "lrc.cli", "compile", "--circuit", str(tmp_path / "circuit.json"),
+         "--policy", str(tmp_path / "policy.json"), "--out", str(tmp_path / "out.json")],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        timeout=30,
+    )
+    assert run.returncode == 2
+    assert f"logical group order {d**2} exceeds the enumeration bound" in run.stderr.decode()
+
 def test_verify_code_from_file(tmp_path):
     from lrc.codes import code_to_dict
 

@@ -363,3 +363,26 @@ def test_code_from_dict_names_what_is_malformed(data, message):
         code_from_dict(data)
     assert str(info.value) == message
 
+
+def unencoded_code(d: int, k: int) -> dict:
+    """k bare qudits of dimension d as a code: no stabilizers, X_i and Z_i logical."""
+    def unit(i):
+        return ",".join("1" if j == i else "0" for j in range(k))
+
+    zero = ",".join(["0"] * k)
+    logicals = [text for i in range(k) for text in (f"0;{unit(i)};{zero};{d}", f"0;{zero};{unit(i)};{d}")]
+    return {"d": d, "n": k, "k": k, "stabilizer_generators": [], "pure_error_generators": [], "logical_generators": logicals}
+
+
+@pytest.mark.parametrize("d,k", [(10**7, 1), (65, 1), (5, 3)])
+def test_a_logical_group_above_the_enumeration_bound_is_refused(d, k):
+    """A logical twirl lists all d^(2k) logical Weyls, so no code may have more
+    than MAX_GROUP_ORDER of them."""
+    with pytest.raises(CodeValidationError, match=f"logical group order {d ** (2 * k)} exceeds"):
+        code_from_dict(unencoded_code(d, k))
+
+
+def test_a_logical_group_at_the_enumeration_bound_is_accepted():
+    assert code_from_dict(unencoded_code(64, 1)).k == 1
+    assert code_from_dict(unencoded_code(2, 6)).k == 6
+    assert max(code.d ** (2 * code.k) for code in ALL_CODES) == 9
