@@ -318,19 +318,25 @@ def apply_local_measurement(rho: np.ndarray, kraus_by_outcome, positions, d: int
             yield out.reshape(d**n, d**n)
         return
     t = to_sites(rho, positions, d, n)
-    Dk = t.shape[0]
-    rows = t.reshape(Dk, -1)
+    rows = t.reshape(len(t), -1)
     for kraus in kraus_by_outcome:
-        terms = ((K @ rows).reshape(-1, Dk) @ K.conj().T for K in kraus)
-        out = next(terms, None)
-        if out is None:
-            yield np.zeros((d**n, d**n), dtype=complex)
-            continue
-        for term in terms:
-            out += term
-        yield from_sites(out, positions, d, n)
+        yield _kraus_sum(rows, kraus, positions, d, n)
 
 
 def apply_local_kraus(rho: np.ndarray, kraus, positions, d: int, n: int) -> np.ndarray:
     """sum_K K rho K^dagger for operators K on the given sites."""
-    return next(apply_local_measurement(rho, (kraus,), positions, d, n))
+    t = to_sites(rho, positions, d, n)
+    return _kraus_sum(t.reshape(len(t), -1), kraus, positions, d, n)
+
+
+def _kraus_sum(rows: np.ndarray, kraus, positions, d: int, n: int) -> np.ndarray:
+    """sum_K K rho K^dagger from the (Dk, R R Dk) rows of rho's site layout, summed
+    from the first term; no operators give the zero state."""
+    Dk = len(rows)
+    terms = ((K @ rows).reshape(-1, Dk) @ K.conj().T for K in kraus)
+    out = next(terms, None)
+    if out is None:
+        return np.zeros((d**n, d**n), dtype=complex)
+    for term in terms:
+        out += term
+    return from_sites(out, positions, d, n)

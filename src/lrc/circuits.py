@@ -18,9 +18,14 @@ footprint; noise conventions are
 Every noise channel must be trace-preserving (diagnostic ``noise-trace``).
 The evaluator tracks the exact distribution over measurement outcomes by
 branch enumeration, with a configurable branch limit and a sampling
-fallback.  Compiled randomization draws enter as inserted layers, which are
-noise-free unitary gadgets before and after a gadget, and as settings inside
-it; the same evaluator runs bare and compiled circuits.
+fallback.  A branch holds a density matrix; above 64 dimensions, in a run
+whose noise channels all have Kraus forms, it holds a pure state psi instead
+(the pure route): resets, measurements and Kraus forms of several operators
+split it into pure branches, which the branch limit counts, and a result
+builds rho = sum p |psi><psi| only when asked.  Compiled randomization draws
+enter as inserted layers, which are noise-free unitary gadgets before and
+after a gadget, and as settings inside it; the same evaluator runs bare and
+compiled circuits.
 ``expand_gadget`` lowers gadgets to five step kinds: ("weyl", op),
 ("gate", sites, U), ("channel", sites, C), ("reset", sites, state) and
 ("measure", sites, kraus_by_outcome, wire), one step for site readouts
@@ -44,6 +49,7 @@ import numpy as np
 
 from .channels import (
     Superoperator,
+    _site_axes,
     apply_local_channel,
     apply_local_kraus,
     apply_local_measurement,
@@ -70,6 +76,7 @@ from .codes import (
 )
 from .weyl import (
     _SMALL_DIM,
+    DENSE_LIMIT_ENV,
     CapacityError,
     WeylOperator,
     dense_limit,
@@ -183,11 +190,11 @@ class LogicalCircuit:
         object.__setattr__(self, "gadgets", tuple(self.gadgets))
         object.__setattr__(self, "classical_wires", tuple(self.classical_wires))
 
-    @property
+    @functools.cached_property
     def n_qudits(self) -> int:
         return sum(len(r.qudits) for r in self.registers)
 
-    @property
+    @functools.cached_property
     def dim(self) -> int:
         return self.d**self.n_qudits
 
@@ -423,7 +430,9 @@ class CompiledInstance:
 # -- gadget expansion ----------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+# `lrc verify --all` reads 1 Fourier and 4 controlled-Weyl keys, the three benchmark
+# workloads together 2 and 5; a controlled-Weyl entry holds (d^(n+1))^2 entries.
+@functools.lru_cache(maxsize=8)
 def fourier_matrix(d: int) -> np.ndarray:
     jk = np.multiply.outer(np.arange(d), np.arange(d)) % d
     out = roots_of_unity(d)[2 * jk] / np.sqrt(d)
@@ -431,7 +440,7 @@ def fourier_matrix(d: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8)
 def controlled_weyl(A: WeylOperator) -> np.ndarray:
     """sum_s A^s (x) |s><s| with the control qudit as the last factor."""
     d = A.d
@@ -587,7 +596,7 @@ def _instance_steps(circuit: LogicalCircuit, insertions, ideal: bool, first: int
 @dataclass
 class Branch:
     probability: float
-    state: np.ndarray
+    state: np.ndarray  # the D x D density matrix, or on the pure route a length-D vector psi
     record: dict
 
 
@@ -606,22 +615,28 @@ class CircuitResult:
             out[key] = out.get(key, 0.0) + br.probability
         return out
 
+    def _densities(self):
+        """Each branch's density matrix; |psi><psi| is built here for a pure branch."""
+        if self.circuit.dim > dense_limit():
+            raise CapacityError(f"density matrices of dimension {self.circuit.dim} exceed the dense cap")
+        return (s if s.ndim == 2 else np.outer(s, s.conj()) for s in (br.state for br in self.branches))
+
     def final_state(self) -> np.ndarray:
-        D = self.circuit.dim
-        acc = np.zeros((D, D), dtype=complex)
-        for br in self.branches:
-            acc += br.probability * br.state
+        rhos = self._densities()
+        acc = np.zeros((self.circuit.dim,) * 2, dtype=complex)
+        for br, rho in zip(self.branches, rhos):
+            acc += br.probability * rho
         return acc
 
     def branch_table(self) -> dict:
-        """record tuple -> (probability, normalized conditional state)."""
+        """record tuple -> (probability, normalized conditional density matrix)."""
         wires = self.circuit.classical_wires
         probs: dict = {}
         states: dict = {}
-        for br in self.branches:
+        for br, rho in zip(self.branches, self._densities()):
             key = tuple(br.record.get(w) for w in wires)
             probs[key] = probs.get(key, 0.0) + br.probability
-            states[key] = states.get(key, 0.0) + br.probability * br.state
+            states[key] = states.get(key, 0.0) + br.probability * rho
         return {k: (p, states[k] / p) for k, p in probs.items()}
 
 
@@ -653,18 +668,34 @@ def evaluate(
     With ``ideal=True`` every noise channel is skipped.  If the branch count
     would exceed ``branch_limit`` and an rng is supplied, measurements fall
     back to sampling one outcome per branch (the result is then a stochastic
-    estimate and ``exact`` is False); without an rng the limit raises.  Up to
+    estimate and ``exact`` is False); without an rng the limit raises.
+    Above _SMALL_DIM dimensions, a run whose noise channels all have Kraus
+    forms takes the pure route (``_run_pure``), where ``branch_limit`` counts
+    pure branches; every other run is dense, up to ``dense_limit()``.  Up to
     _SMALL_DIM dimensions, a run whose first G-1 insertion records are those of
     the circuit's last exact run resumes from its branches after them.
     """
     check_valid(circuit)
+    if insertions is None:
+        insertions = [EMPTY_INSERTIONS] * len(circuit.gadgets)
+    pure = circuit.dim > _SMALL_DIM and (ideal or all(
+        c.kraus is not None for g in circuit.gadgets for c in (g.noise, g.idle_noise) if c is not None))
+    branches, exact = (_run_pure if pure else _run_dense)(circuit, insertions, ideal, branch_limit, rng)
+    for ins in insertions:
+        for wire, add in ins.classical_add.items():
+            for br in branches:
+                if wire in br.record:
+                    br.record[wire] = (br.record[wire] + add) % circuit.d
+    return CircuitResult(circuit, branches, exact=exact)
+
+
+def _run_dense(circuit, insertions, ideal, branch_limit, rng):
+    """Branches of density matrices, and whether they are exact."""
     d = circuit.d
     n = circuit.n_qudits
     D = circuit.dim
     if D > dense_limit():
         raise CapacityError(f"circuit dimension {D} exceeds the dense cap")
-    if insertions is None:
-        insertions = [EMPTY_INSERTIONS] * len(circuit.gadgets)
     last = len(circuit.gadgets) - 1
     memo = _PREFIXES.setdefault(circuit, {}) if D <= _SMALL_DIM and last >= 1 else None
     key = (ideal, branch_limit)
@@ -709,52 +740,125 @@ def evaluate(
                     br.state = reset_sites(br.state, positions, state, d, n)
             elif kind == "measure":
                 _, sites, kraus, wire = step
-                outcomes = (apply_local_measurement(br.state, kraus, sites, d, n) for br in branches)
+                outcomes = (
+                    [(m, float(np.real(np.trace(sub))), sub) for m, sub in enumerate(subs)]
+                    for subs in (apply_local_measurement(br.state, kraus, sites, d, n) for br in branches)
+                )
                 branches, exact = _branch_measure(branches, outcomes, wire, branch_limit, rng, exact)
             else:
                 raise EvaluationError(f"unknown step {kind!r}")
+    return branches, exact
 
-    for ins in insertions:
-        for wire, add in ins.classical_add.items():
+
+def _run_pure(circuit, insertions, ideal, branch_limit, rng):
+    """Branches of pure states psi, and whether they are exact.  Resets, measurements
+    and Kraus forms of several operators split a branch into pure branches (a reset
+    into the unrecorded |s><m| psi of each nonzero m); pure branches times D may not
+    exceed dense_limit()^2.  Each psi is a (d,)*n tensor until the end, then a vector."""
+    D, shape = circuit.dim, (circuit.d,) * circuit.n_qudits
+    _check_pure_memory(1, D)
+    psi = np.zeros(shape, dtype=complex)
+    psi.flat[0] = 1.0
+    branches = [Branch(1.0, psi, {})]
+    exact = True
+    for step in (step for steps in _instance_steps(circuit, insertions, ideal) for step in steps):
+        kind = step[0]
+        if kind == "weyl":
+            op = step[1]
+            if op.is_identity(ignore_phase=True):
+                continue  # a global phase
             for br in branches:
-                if wire in br.record:
-                    br.record[wire] = (br.record[wire] + add) % d
-    return CircuitResult(circuit, branches, exact=exact)
+                br.state = op.apply_to_vector(br.state.reshape(D)).reshape(shape)
+        elif kind == "gate" or kind == "channel" and len(step[2].kraus) == 1:
+            _, positions, op = step
+            K = op if kind == "gate" else op.kraus[0]
+            for br in branches:
+                br.state = _on_footprint(K, br.state, positions)
+        else:  # "channel" (several operators), "reset" or "measure"
+            wire = step[3] if kind == "measure" else None
+            rows = (((m, float(np.vdot(v, v).real), v) for m, v in _unravel(step, br.state)) for br in branches)
+            branches, exact = _branch_measure(branches, rows, wire, branch_limit, rng, exact, D)
+    for br in branches:
+        br.state = br.state.reshape(D)
+    return branches, exact
 
 
-def _branch_measure(branches, outcome_states, wire, branch_limit, rng, exact):
-    """Split every branch on one measurement.
+def _check_pure_memory(count: int, D: int):
+    """Refuse pure branches holding more entries than a density matrix at the dense cap."""
+    if count * D > dense_limit() ** 2:
+        raise CapacityError(f"{count} pure states of dimension {D} need {16 * count * D} bytes, over "
+                            f"those of a density matrix at the dense cap ({DENSE_LIMIT_ENV})")
 
-    outcome_states yields, for each branch in order, an iterable of the
-    unnormalised post-measurement states of outcomes 0, 1, ...; outcomes of
-    probability at most 1e-14 are dropped.
+
+def _footprint_rows(psi: np.ndarray, positions: tuple) -> np.ndarray:
+    """A (d,)*n state tensor as footprint digits by the others: the rows of the site layout."""
+    n = psi.ndim
+    return psi.transpose(_site_axes(positions, n)[0][:n]).reshape(psi.shape[0] ** len(positions), -1)
+
+
+def _from_footprint_rows(rows: np.ndarray, positions: tuple, shape: tuple) -> np.ndarray:
+    return rows.reshape(shape).transpose(_site_axes(positions, len(shape))[1][: len(shape)])
+
+
+def _on_footprint(K: np.ndarray, psi: np.ndarray, positions: tuple) -> np.ndarray:
+    """K psi for an operator K on the given sites."""
+    return _from_footprint_rows(K @ _footprint_rows(psi, positions), positions, psi.shape)
+
+
+def _unravel(step, psi: np.ndarray):
+    """(outcome, unnormalised pure state) of each branch a splitting step makes of psi;
+    the outcome is None for an unrecorded split (a reset, or a Kraus form)."""
+    kind, positions, ops = step[:3]
+    if kind == "channel":
+        for K in ops.kraus:
+            yield None, _on_footprint(K, psi, positions)
+    elif kind == "reset":  # |s><m| for each m, ops the state s
+        for row in _footprint_rows(psi, positions):
+            if row.any():
+                yield None, _from_footprint_rows(np.multiply.outer(ops, row), positions, psi.shape)
+    elif ops is None:  # a site readout keeps the entries whose digit there is m
+        (site,) = positions
+        digit = np.arange(psi.shape[site]).reshape((-1,) + (1,) * (psi.ndim - site - 1))
+        for m in range(psi.shape[site]):
+            yield m, np.where(digit == m, psi, 0)
+    else:
+        for b, kraus in enumerate(ops):
+            for K in kraus:
+                yield b, _on_footprint(K, psi, positions)
+
+
+def _branch_measure(branches, outcome_rows, wire, branch_limit, rng, exact, pure_dim=0):
+    """Split every branch on one measurement, or with wire None on an unrecorded split.
+
+    outcome_rows yields, for each branch in order, its (outcome, probability,
+    unnormalised state) rows; rows of probability at most 1e-14 are dropped.
+    Once the rows kept exceed branch_limit, each branch keeps one row, drawn by
+    probability.  A density matrix is normalised by its probability; pure
+    states, of dimension pure_dim, by its root, and they may hold no more
+    entries than a density matrix at the dense cap.
     """
-    outcomes = []
-    for states in outcome_states:
-        rows = []
-        for m, sub in enumerate(states):
-            p = float(np.real(np.trace(sub)))
-            if p > 1e-14:
-                rows.append((m, p, sub))
-        outcomes.append(rows)
-    total = sum(len(rows) for rows in outcomes)
-    if total > branch_limit:
-        if rng is None:
-            raise EvaluationError(
-                f"branch limit {branch_limit} exceeded; pass an rng for the sampling fallback"
-            )
-        new = []
-        for br, rows in zip(branches, outcomes):
-            ps = np.array([p for _, p, _ in rows])
-            pick = rng.choice(len(rows), p=ps / ps.sum())
-            m, p, sub = rows[pick]
-            new.append(Branch(br.probability, np.divide(sub, p, out=sub), {**br.record, wire: m}))
-        return new, False
+    kept, total, drawn = [], 0, 0
+    for rows in outcome_rows:
+        kept.append([row for row in rows if row[1] > 1e-14])
+        total += len(kept[-1])
+        if total > branch_limit:
+            if rng is None:
+                raise EvaluationError(
+                    f"branch limit {branch_limit} exceeded; pass an rng for the sampling fallback"
+                )
+            for j in range(drawn, len(kept)):
+                ps = np.array([p for _, p, _ in kept[j]])
+                kept[j] = [kept[j][rng.choice(len(ps), p=ps / ps.sum())]]
+            drawn = len(kept)
+        if pure_dim:
+            _check_pure_memory(drawn or total, pure_dim)
     new = []
-    for br, rows in zip(branches, outcomes):
+    for br, rows in zip(branches, kept):
         for m, p, sub in rows:
-            new.append(Branch(br.probability * p, np.divide(sub, p, out=sub), {**br.record, wire: m}))
-    return new, exact
+            state = np.divide(sub, np.sqrt(p) if pure_dim else p, out=sub)
+            record = dict(br.record) if wire is None else {**br.record, wire: m}
+            new.append(Branch(br.probability if drawn else br.probability * p, state, record))
+    return new, exact and not drawn
 
 
 def instance_channel(inst, ideal: bool = False) -> Superoperator:

@@ -545,6 +545,34 @@ def test_superoperator_checks_its_kraus_shapes():
     assert isinstance(kraus, tuple) and kraus[0].dtype == complex
 
 
+def kraus_through_the_site_layout(rho, kraus, positions, d, n):
+    """sum_K K rho K^dagger written out: into the site layout, two products per
+    operator, summed from the first term, and back."""
+    t = to_sites(rho, positions, d, n)
+    Dk = t.shape[0]
+    terms = [(K @ t.reshape(Dk, -1)).reshape(-1, Dk) @ K.conj().T for K in kraus]
+    out = terms[0]
+    for term in terms[1:]:
+        out += term
+    return from_sites(out, positions, d, n)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@settings(max_examples=25)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1), count=st.integers(1, 3))
+def test_apply_local_kraus_keeps_the_bits_of_the_measurement_kernel(d, data, seed, count):
+    n = data.draw(st.integers(2, {2: 6, 3: 4}[d]))
+    positions = tuple(data.draw(st.permutations(range(n)))[: data.draw(st.integers(2, min(3, n)))])
+    if list(positions) == sorted(positions):
+        positions = positions[::-1]
+    rng = np.random.default_rng(seed)
+    rho = random_matrix(rng, d**n)
+    kraus = tuple(random_matrix(rng, d ** len(positions)) for _ in range(count))
+    got = apply_local_kraus(rho, kraus, positions, d, n)
+    assert np.array_equal(got, next(apply_local_measurement(rho, (kraus,), positions, d, n)))
+    assert np.array_equal(got, kraus_through_the_site_layout(rho, kraus, positions, d, n))
+
+
 def test_an_outcome_without_operators_yields_the_zero_state():
     rng = np.random.default_rng(16)
     rho = random_matrix(rng, 27)

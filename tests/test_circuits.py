@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lrc.channels
+import lrc.cli
 import lrc.circuits
 from lrc.channels import (
     Superoperator,
@@ -19,6 +20,7 @@ from lrc.channels import (
     identity_channel,
     natural_rep,
     partial_trace,
+    stochastic_weyl,
 )
 from lrc.codes import (
     StabilizerCode,
@@ -31,6 +33,7 @@ from lrc.codes import (
 )
 from lrc.circuits import (
     EMPTY_INSERTIONS,
+    CircuitResult,
     CompiledInstance,
     EvaluationError,
     Gadget,
@@ -49,7 +52,7 @@ from lrc.circuits import (
 )
 from lrc.compiler import RandomizationPolicy, TwirlGroupSpec, instantiate
 from lrc.verify import readout_flip, readout_rotation
-from lrc.weyl import WeylOperator
+from lrc.weyl import CapacityError, WeylOperator, dense_limit
 
 BITFLIP = builtin_code("bitflip3")
 
@@ -807,11 +810,13 @@ def test_empty_last_gadget_returns_read_only_states(reset_calls):
 
 
 def test_registers_over_64_dimensions_store_nothing(reset_calls):
+    """The dense route above 64 dimensions: its noise has no Kraus form."""
     two = (one_block(), Register(name="L1", kind="logical", qudits=(3, 4, 5), code=BITFLIP))
+    flip = stochastic_weyl({WeylOperator.from_label("III"): 0.5, WeylOperator.from_label("XII"): 0.5})
     c = LogicalCircuit(
         d=2,
         registers=two + (Register(name="R0", kind="readout", qudits=(6,)),),
-        gadgets=(Gadget.reset("L0", (0,)), Gadget.reset("L1", (1,)), Gadget.measurement("L1", "m")),
+        gadgets=(Gadget.reset("L0", (0,), noise=flip), Gadget.reset("L1", (1,)), Gadget.measurement("L1", "m")),
         classical_wires=("m",),
     )
     assert c.dim == 128
@@ -844,3 +849,245 @@ def test_wide_register_pass_matches_the_recorded_averages(tmp_path, monkeypatch)
 def test_caches_of_measurement_operators_and_weyl_bases_are_bounded():
     for cached in (lrc.circuits._logical_measurement_kraus, lrc.channels._weyl_basis_matrices):
         assert isinstance(cached.cache_parameters()["maxsize"], int)
+
+
+# -- the pure route above 64 dimensions ----------------------------------------
+
+
+def random_unitary(rng, D):
+    return np.linalg.qr(rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D)))[0]
+
+
+def dense_run(circuit, ideal=False):
+    """The dense route's result for a circuit without insertions."""
+    insertions = [EMPTY_INSERTIONS] * len(circuit.gadgets)
+    return CircuitResult(circuit, *lrc.circuits._run_dense(circuit, insertions, ideal, 4096, None))
+
+
+#: d -> codes of its blocks, trivial codes standing in where no small code exists
+WIDE_CODES = {
+    2: ("bitflip3", "phaseflip3", 2),
+    3: ("qutrit_rep3", 2),
+    5: (1, 2),
+}
+
+
+@st.composite
+def wide_circuits(draw):
+    """A valid circuit over d in {2, 3, 5} of 65 to 1024 dimensions: code blocks and
+    readout qudits reset, then a random run that entangles a block with a readout
+    first: resets of entangled registers, logical and readout measurements,
+    extractions, Weyl and two-register matrix gadgets, each with unitary noise or none."""
+    d = draw(st.sampled_from((2, 3, 5)))
+    name = draw(st.sampled_from(WIDE_CODES[d]))
+    code = builtin_code(name) if isinstance(name, str) else trivial_code(d, name)
+    sizes = [(b, r) for b in (1, 2, 3) for r in (1, 2) if 65 <= d ** (b * code.n + r) <= 1024]
+    n_blocks, n_readouts = draw(st.sampled_from(sizes))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = [f"L{b}" for b in range(n_blocks)]
+    readouts = [f"R{r}" for r in range(n_readouts)]
+    registers = [
+        Register(name=b, kind="logical", qudits=tuple(range(i * code.n, (i + 1) * code.n)), code=code)
+        for i, b in enumerate(blocks)
+    ]
+    registers += [
+        Register(name=r, kind="readout", qudits=(n_blocks * code.n + i,)) for i, r in enumerate(readouts)
+    ]
+
+    def noise(dim):  # superoperators stop at 64 dimensions
+        return natural_rep(random_unitary(rng, dim)) if dim <= 64 and draw(st.booleans()) else None
+
+    dit = st.integers(0, d - 1)
+    block_dim, ready, D = d**code.n, set(readouts), d ** (n_blocks * code.n + n_readouts)
+    # the most pure branches each gadget kind makes of one, a readout reset included
+    fanout = dict(entangle=1, weyl=1, reset=block_dim, extract=d * d, readout=d * d)
+    fanout["measure"] = d ** (code.n - code.k + 1)
+    pure_bound = 1
+    gadgets = [Gadget.reset(b, draw(st.lists(dit, min_size=code.k, max_size=code.k))) for b in blocks]
+    gadgets += [Gadget.reset(r, (draw(dit),)) for r in readouts]
+    wires = []
+    for i in range(draw(st.integers(3, 7))):
+        wire, block, readout = f"w{i}", draw(st.sampled_from(blocks)), draw(st.sampled_from(readouts))
+        kind = draw(st.sampled_from(("entangle", "weyl", "reset", "measure", "extract", "readout"))) if i else "entangle"
+        if kind == "extract" and not code.n_generators:
+            kind = "entangle"
+        # At most 512 pure branches, and 2^22 entries of density matrices on the dense route.
+        measuring = kind in ("measure", "extract", "readout")
+        if pure_bound * fanout[kind] > 512 or measuring and d ** (len(wires) + 1) * D * D > 2**22:
+            kind, measuring = "weyl", False
+        pure_bound *= fanout[kind]
+        if kind in ("extract", "readout") and readout not in ready:
+            gadgets.append(Gadget.reset(readout, (draw(dit),), noise=noise(d)))
+        if kind == "entangle":
+            matrix = random_unitary(rng, block_dim * d)
+            gadgets.append(Gadget.unitary((block, readout), matrix=matrix, noise=noise(block_dim * d)))
+        elif kind == "weyl":
+            dits = st.lists(dit, min_size=code.n, max_size=code.n)
+            weyl = WeylOperator(d, draw(dits), draw(dits), draw(st.integers(0, 2 * d - 1)))
+            gadgets.append(Gadget.unitary(block, weyl=weyl, noise=noise(block_dim)))
+        elif kind == "reset" and draw(st.booleans()):
+            gadgets.append(Gadget.reset(readout, (draw(dit),), noise=noise(d)))
+            ready.add(readout)
+        elif kind == "reset":
+            state = draw(st.lists(dit, min_size=code.k, max_size=code.k))
+            gadgets.append(Gadget.reset(block, state, noise=noise(block_dim)))
+        elif kind == "measure":
+            gadgets.append(Gadget.measurement(block, wire, noise=noise(block_dim)))
+        elif kind == "extract":
+            generator = draw(st.integers(0, code.n_generators - 1))
+            idle = noise(block_dim)
+            gadgets.append(Gadget.syndrome_extraction(block, generator, readout, wire, noise(d), idle))
+        else:
+            gadgets.append(Gadget.readout_measurement(readout, wire, noise=noise(d)))
+        if measuring:
+            wires.append(wire)
+        if kind in ("extract", "readout"):
+            ready.discard(readout)
+    return LogicalCircuit(d=d, registers=tuple(registers), gadgets=tuple(gadgets), classical_wires=tuple(wires))
+
+
+def assert_routes_agree(got, want):
+    circuit = got.circuit
+    assert got.exact and want.exact
+    assert all(br.state.shape == (circuit.dim,) for br in got.branches)
+    assert len({id(br.record) for br in got.branches}) == len(got.branches)  # classical_add edits them
+    dist, ref = got.distribution(), want.distribution()
+    assert max(abs(dist.get(k, 0.0) - ref.get(k, 0.0)) for k in set(dist) | set(ref)) <= 1e-12
+    table, ref_table = got.branch_table(), want.branch_table()
+    for key in set(table) | set(ref_table):
+        p, rho = table.get(key, (0.0, 0.0))
+        q, sigma = ref_table.get(key, (0.0, 0.0))
+        assert np.max(np.abs(p * rho - q * sigma)) <= 1e-12
+    assert np.max(np.abs(got.final_state() - want.final_state())) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(circuit=wide_circuits(), ideal=st.booleans())
+def test_pure_route_equals_the_dense_route(circuit, ideal):
+    assert validate(circuit) == []
+    assert_routes_agree(evaluate(circuit, ideal=ideal), dense_run(circuit, ideal))
+
+
+def test_a_kraus_form_of_several_operators_splits_into_unrecorded_branches():
+    kraus = (np.sqrt(0.7) * np.eye(8), np.sqrt(0.3) * WeylOperator.from_label("XII").to_matrix())
+    flip = Superoperator(8, sum(np.kron(K.conj(), K) for K in kraus), kraus=kraus)
+    idle = natural_rep(random_unitary(np.random.default_rng(6), 8))
+    c = LogicalCircuit(
+        d=2,
+        registers=(one_block(), Register(name="L1", kind="logical", qudits=(3, 4, 5), code=BITFLIP))
+        + (Register(name="R0", kind="readout", qudits=(6,)),),
+        gadgets=(
+            Gadget.reset("L0", (1,), noise=flip),
+            Gadget.reset("R0", (0,)),
+            Gadget.syndrome_extraction("L0", 0, "R0", "s", idle_noise=idle),
+            Gadget.measurement("L0", "m"),
+        ),
+        classical_wires=("s", "m"),
+    )
+    got, want = evaluate(c), dense_run(c)
+    assert len(got.branches) > len(want.branches)
+    assert_routes_agree(got, want)
+
+
+def test_noise_without_a_kraus_form_keeps_the_dense_route_and_its_bits(monkeypatch):
+    flip = readout_flip(2, 0.2)
+    assert flip.kraus is None
+    c = LogicalCircuit(
+        d=2,
+        registers=(one_block(), Register(name="L1", kind="logical", qudits=(3, 4, 5), code=BITFLIP))
+        + (Register(name="R0", kind="readout", qudits=(6,)),),
+        gadgets=(
+            Gadget.reset("L0", (1,), noise=coherent_rotation(WeylOperator.from_label("XII"), 0.3)),
+            Gadget.reset("L1", (0,)),
+            Gadget.reset("R0", (0,)),
+            Gadget.syndrome_extraction("L0", 0, "R0", "s", noise=flip),
+            Gadget.measurement("L0", "m"),
+        ),
+        classical_wires=("s", "m"),
+    )
+    want = dense_run(fresh_copy(c))
+    monkeypatch.setattr(lrc.circuits, "_run_pure", None)
+    got = evaluate(c)
+    assert all(br.state.shape == (128, 128) for br in got.branches)
+    assert_same_result(got, want)
+
+
+@pytest.mark.parametrize("ideal", [False, True])
+def test_registers_up_to_64_dimensions_never_take_the_pure_route(monkeypatch, ideal):
+    monkeypatch.setattr(lrc.circuits, "_run_pure", None)
+    two = (one_block(), Register(name="L1", kind="logical", qudits=(3, 4, 5), code=BITFLIP))
+    noise = coherent_rotation(WeylOperator.from_label("XII"), 0.3)
+    c = LogicalCircuit(
+        d=2,
+        registers=two,
+        gadgets=(Gadget.reset("L0", (0,), noise=noise), Gadget.reset("L1", (1,)), Gadget.measurement("L0", "m")),
+        classical_wires=("m",),
+    )
+    assert c.dim == 64
+    res = evaluate(c, ideal=ideal)
+    assert all(br.state.shape == (64, 64) for br in res.branches)
+    assert res.distribution().get((1,), 0.0) == pytest.approx(0.0 if ideal else np.sin(0.3) ** 2, abs=1e-12)
+
+
+def extraction_circuit(code, blocks, readouts, seed):
+    """Blocks reset, then one extraction per block with unitary readout and idle noise."""
+    rng = np.random.default_rng(seed)
+    d, n = code.d, code.n
+    regs = [Register(f"L{b}", "logical", tuple(range(b * n, (b + 1) * n)), code) for b in range(blocks)]
+    regs += [Register(f"R{r}", "readout", (blocks * n + r,)) for r in range(readouts)]
+    gadgets = [Gadget.reset(f"L{b}", (b % d,)) for b in range(blocks)]
+    for b in range(blocks):
+        ro = f"R{b % readouts}"
+        gadgets.append(Gadget.reset(ro, (0,)))
+        unitary = [natural_rep(random_unitary(rng, dim)) for dim in (d, d**n)]
+        gadgets.append(Gadget.syndrome_extraction(f"L{b}", b % code.n_generators, ro, f"s{b}", *unitary))
+    wires = tuple(f"s{b}" for b in range(blocks))
+    return LogicalCircuit(d=d, registers=tuple(regs), gadgets=tuple(gadgets), classical_wires=wires)
+
+
+def test_sixteen_thousand_dimensions_past_the_dense_cap():
+    """Four bitflip3 blocks and two readouts, D = 2^14: only the pure route runs it."""
+    c = extraction_circuit(BITFLIP, 4, 2, seed=3)
+    assert c.dim == 16384 > dense_limit()
+    res = evaluate(c)
+    assert res.exact
+    assert abs(sum(res.distribution().values()) - 1.0) <= 1e-12
+    assert all(br.state.shape == (16384,) for br in res.branches)
+    with pytest.raises(CapacityError, match="dense cap"):
+        res.final_state()
+    with pytest.raises(CapacityError, match="dense cap"):
+        res.branch_table()
+
+
+def test_pure_route_branch_limit_raises_then_samples():
+    c = extraction_circuit(BITFLIP, 2, 1, seed=5)
+    assert c.dim == 128 and len(evaluate(c).branches) > 2
+    with pytest.raises(EvaluationError, match="branch limit 2 exceeded"):
+        evaluate(c, branch_limit=2)
+    res = evaluate(c, branch_limit=2, rng=np.random.default_rng(1))
+    assert not res.exact
+    assert len(res.branches) <= 2 and sum(br.probability for br in res.branches) == pytest.approx(1.0)
+    for br in res.branches:
+        assert np.linalg.norm(br.state) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_pure_branches_are_bounded_by_the_largest_density_matrix(monkeypatch):
+    c = extraction_circuit(BITFLIP, 2, 2, seed=4)
+    assert c.dim == 256 and len(evaluate(c).branches) > 1
+    monkeypatch.setenv("LRC_DENSE_LIMIT", "16")  # 256 entries: one branch of D = 256
+    with pytest.raises(CapacityError, match=r"[2-9] pure states of dimension 256 need \d+ bytes"):
+        evaluate(c)
+    monkeypatch.setenv("LRC_DENSE_LIMIT", "15")
+    with pytest.raises(CapacityError, match="1 pure states of dimension 256 need 4096 bytes"):
+        evaluate(c)
+
+
+def test_the_registry_reads_the_gadget_matrix_caches_without_evicting(tmp_path):
+    """Every key `lrc verify --all` reads of fourier_matrix and controlled_weyl stays
+    cached: with more keys than the bound, some key would miss twice."""
+    for cached in (fourier_matrix, controlled_weyl):
+        cached.cache_clear()
+    assert lrc.cli.main(["verify", "--all", "--seed", "7", "--out", str(tmp_path / "r.json")]) == 0
+    for cached in (fourier_matrix, controlled_weyl):
+        info = cached.cache_info()
+        assert 0 < info.misses <= info.maxsize < 64 and info.hits > info.misses
