@@ -57,6 +57,11 @@ def _as_matrix(op) -> np.ndarray:
     return np.asarray(op, dtype=complex)
 
 
+def _check_superop_dim(dim: int):
+    if dim > SUPEROP_DIM_LIMIT:
+        raise CapacityError(f"superoperator dimension {dim} exceeds the cap {SUPEROP_DIM_LIMIT}")
+
+
 @dataclass(frozen=True)
 class Superoperator:
     dim: int
@@ -65,10 +70,7 @@ class Superoperator:
     kraus: tuple | None = None
 
     def __post_init__(self):
-        if self.dim > SUPEROP_DIM_LIMIT:
-            raise CapacityError(
-                f"superoperator dimension {self.dim} exceeds the cap {SUPEROP_DIM_LIMIT}"
-            )
+        _check_superop_dim(self.dim)
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (self.dim**2, self.dim**2):
             raise DimensionError(
@@ -102,6 +104,7 @@ def natural_rep(M) -> Superoperator:
     m = _as_matrix(M)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    _check_superop_dim(m.shape[0])  # before the Dk^2 x Dk^2 product, not after
     return Superoperator(m.shape[0], np.kron(m.conj(), m), kraus=(m,))
 
 
@@ -238,6 +241,21 @@ def from_sites(t: np.ndarray, positions, d: int, n: int) -> np.ndarray:
     """The d^n x d^n matrix of a tensor in the site layout (inverse of to_sites)."""
     inv = _site_axes(tuple(positions), n)[1]
     return t.reshape((d,) * (2 * n)).transpose(inv).reshape(d**n, d**n)
+
+
+def _footprint_rows(psi: np.ndarray, positions: tuple) -> np.ndarray:
+    """A (d,)*n state tensor as footprint digits by the others: the rows of the site layout."""
+    n = psi.ndim
+    return psi.transpose(_site_axes(positions, n)[0][:n]).reshape(psi.shape[0] ** len(positions), -1)
+
+
+def _from_footprint_rows(rows: np.ndarray, positions: tuple, shape: tuple) -> np.ndarray:
+    return rows.reshape(shape).transpose(_site_axes(positions, len(shape))[1][: len(shape)])
+
+
+def _on_footprint(K: np.ndarray, psi: np.ndarray, positions: tuple) -> np.ndarray:
+    """K psi for an operator K on the given sites of a (d,)*n state tensor."""
+    return _from_footprint_rows(K @ _footprint_rows(psi, positions), positions, psi.shape)
 
 
 def embed_operator(M: np.ndarray, positions, d: int, n_total: int) -> np.ndarray:

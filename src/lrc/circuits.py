@@ -18,14 +18,14 @@ footprint; noise conventions are
 Every noise channel must be trace-preserving (diagnostic ``noise-trace``).
 The evaluator tracks the exact distribution over measurement outcomes by
 branch enumeration, with a configurable branch limit and a sampling
-fallback.  A branch holds a density matrix; above 64 dimensions, in a run
-whose noise channels all have Kraus forms, it holds a pure state psi instead
-(the pure route): resets, measurements and Kraus forms of several operators
-split it into pure branches, which the branch limit counts, and a result
-builds rho = sum p |psi><psi| only when asked.  Compiled randomization draws
-enter as inserted layers, which are noise-free unitary gadgets before and
-after a gadget, and as settings inside it; the same evaluator runs bare and
-compiled circuits.
+fallback.  One loop walks the steps for two kinds of branch state: a density
+matrix, or above 64 dimensions, in a run whose noise channels all have Kraus
+forms, a pure state psi (the pure route), which resets, measurements and Kraus
+forms of several operators split into pure branches that the branch limit
+counts; a result builds rho = sum p |psi><psi| only when asked.  Compiled
+randomization draws enter as inserted layers, which are noise-free unitary
+gadgets before and after a gadget, and as settings inside it; the same
+evaluator runs bare and compiled circuits.
 ``expand_gadget`` lowers gadgets to five step kinds: ("weyl", op),
 ("gate", sites, U), ("channel", sites, C), ("reset", sites, state) and
 ("measure", sites, kraus_by_outcome, wire), one step for site readouts
@@ -49,7 +49,9 @@ import numpy as np
 
 from .channels import (
     Superoperator,
-    _site_axes,
+    _footprint_rows,
+    _from_footprint_rows,
+    _on_footprint,
     apply_local_channel,
     apply_local_kraus,
     apply_local_measurement,
@@ -669,18 +671,18 @@ def evaluate(
     would exceed ``branch_limit`` and an rng is supplied, measurements fall
     back to sampling one outcome per branch (the result is then a stochastic
     estimate and ``exact`` is False); without an rng the limit raises.
-    Above _SMALL_DIM dimensions, a run whose noise channels all have Kraus
-    forms takes the pure route (``_run_pure``), where ``branch_limit`` counts
-    pure branches; every other run is dense, up to ``dense_limit()``.  Up to
-    _SMALL_DIM dimensions, a run whose first G-1 insertion records are those of
-    the circuit's last exact run resumes from its branches after them.
+    One loop runs two routes: above _SMALL_DIM dimensions, a run whose noise
+    channels all have Kraus forms takes the pure route, where ``branch_limit``
+    counts pure branches; every other run is dense, up to ``dense_limit()``.
+    Up to _SMALL_DIM dimensions, a run whose first G-1 insertion records are
+    those of the circuit's last exact run resumes from its branches after them.
     """
     check_valid(circuit)
     if insertions is None:
         insertions = [EMPTY_INSERTIONS] * len(circuit.gadgets)
     pure = circuit.dim > _SMALL_DIM and (ideal or all(
         c.kraus is not None for g in circuit.gadgets for c in (g.noise, g.idle_noise) if c is not None))
-    branches, exact = (_run_pure if pure else _run_dense)(circuit, insertions, ideal, branch_limit, rng)
+    branches, exact = _run(circuit, insertions, ideal, branch_limit, rng, pure)
     for ins in insertions:
         for wire, add in ins.classical_add.items():
             for br in branches:
@@ -689,12 +691,15 @@ def evaluate(
     return CircuitResult(circuit, branches, exact=exact)
 
 
-def _run_dense(circuit, insertions, ideal, branch_limit, rng):
-    """Branches of density matrices, and whether they are exact."""
-    d = circuit.d
-    n = circuit.n_qudits
-    D = circuit.dim
-    if D > dense_limit():
+def _run(circuit, insertions, ideal, branch_limit, rng, pure):
+    """Branches and whether they are exact: density matrices, or with ``pure`` pure
+    states psi, each a (d,)*n tensor until the end, then a vector.  A measurement splits
+    every branch; on the pure route so do a reset (into the unrecorded |s><m| psi of each
+    nonzero m) and a Kraus form of several operators (pure branches x D <= dense_limit()^2)."""
+    d, n, D = circuit.d, circuit.n_qudits, circuit.dim
+    if pure:
+        _check_pure_memory(1, D)
+    elif D > dense_limit():
         raise CapacityError(f"circuit dimension {D} exceeds the dense cap")
     last = len(circuit.gadgets) - 1
     memo = _PREFIXES.setdefault(circuit, {}) if D <= _SMALL_DIM and last >= 1 else None
@@ -705,10 +710,10 @@ def _run_dense(circuit, insertions, ideal, branch_limit, rng):
         branches = [Branch(p, state, dict(record)) for p, state, record in saved[1]]
     else:
         first = 0
-        rho0 = np.zeros((D, D), dtype=complex)
-        rho0[0, 0] = 1.0
-        branches = [Branch(1.0, rho0, {})]
-    exact = True
+        state = np.zeros((d,) * n if pure else (D, D), dtype=complex)
+        state.flat[0] = 1.0
+        branches = [Branch(1.0, state, {})]
+    exact, act = True, _act_pure if pure else _act_dense
 
     for i, steps in enumerate(_instance_steps(circuit, insertions, ideal, first), first):
         if i == last and first == 0 and memo is not None and exact:
@@ -720,67 +725,41 @@ def _run_dense(circuit, insertions, ideal, branch_limit, rng):
             )
         for step in steps:
             kind = step[0]
-            if kind == "weyl":
-                op = step[1]
-                if op.is_identity(ignore_phase=True):
-                    continue  # its conjugation multiplies every entry by exactly 1+0j
-                for br in branches:
-                    br.state = op.conjugate_matrix(br.state)
-            elif kind == "gate":
-                _, positions, matrix = step
-                for br in branches:
-                    br.state = apply_local_kraus(br.state, (matrix,), positions, d, n)
-            elif kind == "channel":
-                _, positions, chan = step
-                for br in branches:
-                    br.state = apply_local_channel(br.state, chan, positions, d, n)
-            elif kind == "reset":
-                _, positions, state = step
-                for br in branches:
-                    br.state = reset_sites(br.state, positions, state, d, n)
-            elif kind == "measure":
-                _, sites, kraus, wire = step
-                outcomes = (
-                    [(m, float(np.real(np.trace(sub))), sub) for m, sub in enumerate(subs)]
-                    for subs in (apply_local_measurement(br.state, kraus, sites, d, n) for br in branches)
-                )
-                branches, exact = _branch_measure(branches, outcomes, wire, branch_limit, rng, exact)
+            if kind == "weyl" and step[1].is_identity(ignore_phase=True):
+                continue  # a global phase; its conjugation multiplies every entry by exactly 1+0j
+            if kind == "measure" or pure and (kind == "reset" or kind == "channel" and len(step[2].kraus) > 1):
+                rows = (_unravel(step, br.state) if pure
+                        else enumerate(apply_local_measurement(br.state, step[2], step[1], d, n)) for br in branches)
+                wire = step[3] if kind == "measure" else None
+                branches, exact = _branch_measure(branches, rows, wire, branch_limit, rng, exact, D if pure else 0)
             else:
-                raise EvaluationError(f"unknown step {kind!r}")
+                for br in branches:
+                    br.state = act(step, br.state, d, n)
+    if pure:
+        for br in branches:
+            br.state = br.state.reshape(D)
     return branches, exact
 
 
-def _run_pure(circuit, insertions, ideal, branch_limit, rng):
-    """Branches of pure states psi, and whether they are exact.  Resets, measurements
-    and Kraus forms of several operators split a branch into pure branches (a reset
-    into the unrecorded |s><m| psi of each nonzero m); pure branches times D may not
-    exceed dense_limit()^2.  Each psi is a (d,)*n tensor until the end, then a vector."""
-    D, shape = circuit.dim, (circuit.d,) * circuit.n_qudits
-    _check_pure_memory(1, D)
-    psi = np.zeros(shape, dtype=complex)
-    psi.flat[0] = 1.0
-    branches = [Branch(1.0, psi, {})]
-    exact = True
-    for step in (step for steps in _instance_steps(circuit, insertions, ideal) for step in steps):
-        kind = step[0]
-        if kind == "weyl":
-            op = step[1]
-            if op.is_identity(ignore_phase=True):
-                continue  # a global phase
-            for br in branches:
-                br.state = op.apply_to_vector(br.state.reshape(D)).reshape(shape)
-        elif kind == "gate" or kind == "channel" and len(step[2].kraus) == 1:
-            _, positions, op = step
-            K = op if kind == "gate" else op.kraus[0]
-            for br in branches:
-                br.state = _on_footprint(K, br.state, positions)
-        else:  # "channel" (several operators), "reset" or "measure"
-            wire = step[3] if kind == "measure" else None
-            rows = (((m, float(np.vdot(v, v).real), v) for m, v in _unravel(step, br.state)) for br in branches)
-            branches, exact = _branch_measure(branches, rows, wire, branch_limit, rng, exact, D)
-    for br in branches:
-        br.state = br.state.reshape(D)
-    return branches, exact
+def _act_dense(step, rho, d, n):
+    kind = step[0]
+    if kind == "weyl":
+        return step[1].conjugate_matrix(rho)
+    if kind == "gate":
+        return apply_local_kraus(rho, (step[2],), step[1], d, n)
+    if kind == "channel":
+        return apply_local_channel(rho, step[2], step[1], d, n)
+    if kind == "reset":
+        return reset_sites(rho, step[1], step[2], d, n)
+    raise EvaluationError(f"unknown step {kind!r}")
+
+
+def _act_pure(step, psi, d, n):
+    """A Weyl, a gate or a Kraus form of one operator on a (d,)*n state tensor."""
+    if step[0] == "weyl":
+        return step[1].apply_to_vector(psi.reshape(-1)).reshape(psi.shape)
+    _, positions, op = step
+    return _on_footprint(op if step[0] == "gate" else op.kraus[0], psi, positions)
 
 
 def _check_pure_memory(count: int, D: int):
@@ -790,29 +769,11 @@ def _check_pure_memory(count: int, D: int):
                             f"those of a density matrix at the dense cap ({DENSE_LIMIT_ENV})")
 
 
-def _footprint_rows(psi: np.ndarray, positions: tuple) -> np.ndarray:
-    """A (d,)*n state tensor as footprint digits by the others: the rows of the site layout."""
-    n = psi.ndim
-    return psi.transpose(_site_axes(positions, n)[0][:n]).reshape(psi.shape[0] ** len(positions), -1)
-
-
-def _from_footprint_rows(rows: np.ndarray, positions: tuple, shape: tuple) -> np.ndarray:
-    return rows.reshape(shape).transpose(_site_axes(positions, len(shape))[1][: len(shape)])
-
-
-def _on_footprint(K: np.ndarray, psi: np.ndarray, positions: tuple) -> np.ndarray:
-    """K psi for an operator K on the given sites."""
-    return _from_footprint_rows(K @ _footprint_rows(psi, positions), positions, psi.shape)
-
-
 def _unravel(step, psi: np.ndarray):
     """(outcome, unnormalised pure state) of each branch a splitting step makes of psi;
     the outcome is None for an unrecorded split (a reset, or a Kraus form)."""
     kind, positions, ops = step[:3]
-    if kind == "channel":
-        for K in ops.kraus:
-            yield None, _on_footprint(K, psi, positions)
-    elif kind == "reset":  # |s><m| for each m, ops the state s
+    if kind == "reset":  # |s><m| for each m, ops the state s
         for row in _footprint_rows(psi, positions):
             if row.any():
                 yield None, _from_footprint_rows(np.multiply.outer(ops, row), positions, psi.shape)
@@ -821,8 +782,8 @@ def _unravel(step, psi: np.ndarray):
         digit = np.arange(psi.shape[site]).reshape((-1,) + (1,) * (psi.ndim - site - 1))
         for m in range(psi.shape[site]):
             yield m, np.where(digit == m, psi, 0)
-    else:
-        for b, kraus in enumerate(ops):
+    else:  # a Kraus form, or a logical measurement's operators by outcome
+        for b, kraus in [(None, ops.kraus)] if kind == "channel" else enumerate(ops):
             for K in kraus:
                 yield b, _on_footprint(K, psi, positions)
 
@@ -830,16 +791,17 @@ def _unravel(step, psi: np.ndarray):
 def _branch_measure(branches, outcome_rows, wire, branch_limit, rng, exact, pure_dim=0):
     """Split every branch on one measurement, or with wire None on an unrecorded split.
 
-    outcome_rows yields, for each branch in order, its (outcome, probability,
-    unnormalised state) rows; rows of probability at most 1e-14 are dropped.
-    Once the rows kept exceed branch_limit, each branch keeps one row, drawn by
-    probability.  A density matrix is normalised by its probability; pure
-    states, of dimension pure_dim, by its root, and they may hold no more
-    entries than a density matrix at the dense cap.
+    outcome_rows yields, for each branch in order, its (outcome, unnormalised state)
+    rows, of probability the trace of a density matrix or the squared norm of a pure
+    state of dimension pure_dim; rows of probability at most 1e-14 are dropped.  Once
+    the rows kept exceed branch_limit, each branch keeps one row, drawn by probability.
+    A density matrix is normalised by its probability, a pure state by its root; pure
+    states may hold no more entries than a density matrix at the dense cap.
     """
     kept, total, drawn = [], 0, 0
     for rows in outcome_rows:
-        kept.append([row for row in rows if row[1] > 1e-14])
+        weighed = ((m, float((np.vdot(v, v) if pure_dim else np.trace(v)).real), v) for m, v in rows)
+        kept.append([row for row in weighed if row[1] > 1e-14])
         total += len(kept[-1])
         if total > branch_limit:
             if rng is None:

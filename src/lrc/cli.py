@@ -62,7 +62,8 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _summarise(reports):
+def _report(reports, args) -> int:
+    """Summarise the reports on stderr, write them out and return the exit code."""
     for r in reports:
         status = "PASS" if r.passed else "FAIL"
         print(
@@ -70,12 +71,9 @@ def _summarise(reports):
             f"({r.runtime_ms:.0f} ms)",
             file=sys.stderr,
         )
-
-
-def _render(reports, fmt: str, timings: bool) -> str:
-    if fmt == "csv":
-        return reports_to_csv(reports, timings)
-    return reports_to_json(reports, timings)
+    render = reports_to_csv if args.format == "csv" else reports_to_json
+    _emit(render(reports, args.timings), args.out)
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def _resolve_code(spec: str):
@@ -119,9 +117,7 @@ def cmd_verify(args) -> int:
     reports = []
     for name in names:
         reports.extend(run_check(name, args.seed, code=code))
-    _summarise(reports)
-    _emit(_render(reports, args.format, args.timings), args.out)
-    return 0 if all(r.passed for r in reports) else 1
+    return _report(reports, args)
 
 
 def cmd_compile(args) -> int:
@@ -168,9 +164,7 @@ def cmd_toffoli(args) -> int:
         print("toffoli needs a finite --delta", file=sys.stderr)
         return 2
     report = run_toffoli_example(args.delta, blocks=args.blocks, seed=args.seed)
-    _summarise([report])
-    _emit(_render([report], args.format, args.timings), args.out)
-    return 0 if report.passed else 1
+    return _report([report], args)
 
 
 def cmd_syndrome(args) -> int:
@@ -197,9 +191,7 @@ def cmd_syndrome(args) -> int:
     except (ValueError, IndexError) as exc:
         print(f"syndrome check failed: {exc}", file=sys.stderr)
         return 2
-    _summarise([report])
-    _emit(_render([report], args.format, args.timings), args.out)
-    return 0 if report.passed else 1
+    return _report([report], args)
 
 
 def cmd_sample(args) -> int:
@@ -209,9 +201,7 @@ def cmd_sample(args) -> int:
         if circuit is None:
             return 2
     report = check_sampling_equivalence(circuit=circuit, shots=args.shots, seed=args.seed)
-    _summarise([report])
-    _emit(_render([report], args.format, args.timings), args.out)
-    return 0 if report.passed else 1
+    return _report([report], args)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -72,11 +72,11 @@ def roots_of_unity(d: int) -> np.ndarray:
 @functools.lru_cache(maxsize=256)
 def _shift_and_phases(d: int, x: tuple, z: tuple):
     """(perm, u) with (X^x Z^z psi)[i] = u[i] * psi[perm[i]]; read-only, length d^n."""
-    dims = (d,) * len(x)
-    digits = np.array(np.unravel_index(np.arange(d ** len(x)), dims))
-    shifted = (digits - np.array(x)[:, None]) % d
-    perm = np.ravel_multi_index(shifted, dims)
-    u = roots_of_unity(d)[2 * ((np.array(z) @ shifted) % d)]
+    perm = exponent = np.zeros(1, dtype=np.int64)
+    for zk, digits in zip(z, (np.arange(d) - np.array(x)[:, None]) % d):  # per site, i - x by i
+        perm = np.add.outer(d * perm, digits).ravel()
+        exponent = np.add.outer(exponent, zk * digits).ravel()
+    u = roots_of_unity(d)[2 * (exponent % d)]
     perm.setflags(write=False)
     u.setflags(write=False)
     return perm, u
@@ -271,7 +271,9 @@ class WeylOperator:
         D = self.dim
         if psi.shape != (D,):
             raise DimensionError(f"state has dimension {psi.shape}, expected ({D},)")
-        perm, u = _shift_and_phases(self.d, self.x, self.z)
+        # An entry holds 24 D bytes: 256 of them are at most 25 MB up to the default cap.
+        tables = _shift_and_phases if D <= DEFAULT_DENSE_LIMIT else _shift_and_phases.__wrapped__
+        perm, u = tables(self.d, self.x, self.z)
         return (roots_of_unity(self.d)[self.phase_exp] * u) * psi[perm]
 
     def conjugate_matrix(self, M: np.ndarray) -> np.ndarray:

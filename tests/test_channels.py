@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,19 @@ def test_natural_rep_rejects_nonsquare():
 def test_superoperator_capacity():
     with pytest.raises(CapacityError):
         Superoperator(128, np.eye(128**2))
+
+
+def test_natural_rep_refuses_a_wide_matrix_before_its_product():
+    """conj(M) (x) M of an 81-dimensional M would hold 689 MB before the cap refused it."""
+    m = np.eye(81)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="superoperator dimension 81 exceeds the cap 64"):
+            natural_rep(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_coherent_rotation_matches_expm_oracle():

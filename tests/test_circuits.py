@@ -52,7 +52,7 @@ from lrc.circuits import (
 )
 from lrc.compiler import RandomizationPolicy, TwirlGroupSpec, instantiate
 from lrc.verify import readout_flip, readout_rotation
-from lrc.weyl import CapacityError, WeylOperator, dense_limit
+from lrc.weyl import CapacityError, WeylOperator, dense_limit, iter_weyls
 
 BITFLIP = builtin_code("bitflip3")
 
@@ -861,7 +861,7 @@ def random_unitary(rng, D):
 def dense_run(circuit, ideal=False):
     """The dense route's result for a circuit without insertions."""
     insertions = [EMPTY_INSERTIONS] * len(circuit.gadgets)
-    return CircuitResult(circuit, *lrc.circuits._run_dense(circuit, insertions, ideal, 4096, None))
+    return CircuitResult(circuit, *lrc.circuits._run(circuit, insertions, ideal, 4096, None, pure=False))
 
 
 #: d -> codes of its blocks, trivial codes standing in where no small code exists
@@ -989,7 +989,7 @@ def test_a_kraus_form_of_several_operators_splits_into_unrecorded_branches():
     assert_routes_agree(got, want)
 
 
-def test_noise_without_a_kraus_form_keeps_the_dense_route_and_its_bits(monkeypatch):
+def test_noise_without_a_kraus_form_keeps_the_dense_route_and_its_bits():
     flip = readout_flip(2, 0.2)
     assert flip.kraus is None
     c = LogicalCircuit(
@@ -1006,15 +1006,13 @@ def test_noise_without_a_kraus_form_keeps_the_dense_route_and_its_bits(monkeypat
         classical_wires=("s", "m"),
     )
     want = dense_run(fresh_copy(c))
-    monkeypatch.setattr(lrc.circuits, "_run_pure", None)
     got = evaluate(c)
     assert all(br.state.shape == (128, 128) for br in got.branches)
     assert_same_result(got, want)
 
 
 @pytest.mark.parametrize("ideal", [False, True])
-def test_registers_up_to_64_dimensions_never_take_the_pure_route(monkeypatch, ideal):
-    monkeypatch.setattr(lrc.circuits, "_run_pure", None)
+def test_registers_up_to_64_dimensions_never_take_the_pure_route(ideal):
     two = (one_block(), Register(name="L1", kind="logical", qudits=(3, 4, 5), code=BITFLIP))
     noise = coherent_rotation(WeylOperator.from_label("XII"), 0.3)
     c = LogicalCircuit(
@@ -1091,3 +1089,74 @@ def test_the_registry_reads_the_gadget_matrix_caches_without_evicting(tmp_path):
     for cached in (fourier_matrix, controlled_weyl):
         info = cached.cache_info()
         assert 0 < info.misses <= info.maxsize < 64 and info.hits > info.misses
+
+
+# -- instance_channel against evaluate -----------------------------------------
+
+
+#: d -> (block code, readout count): two or three registers of at most 32 dimensions,
+#: where a superoperator product takes milliseconds (1 s at 64)
+CHANNEL_LAYOUTS = {
+    2: (("bitflip3", 1), ("phaseflip3", 2), (2, 1)),
+    3: ((1, 1), (1, 2), (2, 1)),
+    5: ((1, 1),),
+}
+
+
+@st.composite
+def channel_instances(draw):
+    """One sampled instance of a measurement-free circuit over d in {2, 3, 5}: a block
+    and readouts, Weyl gadgets (some logically twirled), matrix gadgets on one or two
+    registers and idles, each with unitary, Weyl-mixture or two-operator noise or none."""
+    d = draw(st.sampled_from((2, 3, 5)))
+    name, n_readouts = draw(st.sampled_from(CHANNEL_LAYOUTS[d]))
+    code = builtin_code(name) if isinstance(name, str) else trivial_code(d, name)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    registers = (Register("L0", "logical", tuple(range(code.n)), code),)
+    registers += tuple(Register(f"R{r}", "readout", (code.n + r,)) for r in range(n_readouts))
+    width = {r.name: len(r.qudits) for r in registers}
+
+    def noise(k):  # a channel on k sites
+        kind = draw(st.sampled_from((None, "unitary", "mixture", "kraus")))
+        if kind == "unitary":
+            return natural_rep(random_unitary(rng, d**k))
+        if kind == "mixture":
+            basis = list(iter_weyls(d, k))
+            return stochastic_weyl(dict(zip((basis[j] for j in rng.choice(len(basis), 3, replace=False)),
+                                            rng.dirichlet(np.ones(3)).tolist())))
+        if kind == "kraus":
+            p = rng.uniform()
+            kraus = (np.sqrt(p) * random_unitary(rng, d**k), np.sqrt(1 - p) * random_unitary(rng, d**k))
+            return Superoperator(d**k, sum(np.kron(K.conj(), K) for K in kraus), kraus=kraus)
+        return None
+
+    gadgets, groups = [], {}
+    for i in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("weyl", "matrix", "idle")))
+        regs = draw(st.lists(st.sampled_from(list(width)), min_size=1, max_size=1 + (kind == "matrix"), unique=True))
+        k = sum(width[r] for r in regs)
+        if kind == "weyl":
+            dits = st.lists(st.integers(0, d - 1), min_size=k, max_size=k)
+            weyl = WeylOperator(d, draw(dits), draw(dits), draw(st.integers(0, 2 * d - 1)))
+            gadgets.append(Gadget.unitary(regs, weyl=weyl, noise=noise(k)))
+            if regs == ["L0"] and draw(st.booleans()):
+                groups[i] = TwirlGroupSpec.logical_weyl()
+        elif kind == "matrix":
+            gadgets.append(Gadget.unitary(regs, matrix=random_unitary(rng, d**k), noise=noise(k)))
+        else:
+            gadgets.append(Gadget.idle(regs[0], draw(st.integers(1, 2)), noise=noise(k)))
+    circuit = LogicalCircuit(d=d, registers=registers, gadgets=tuple(gadgets), classical_wires=())
+    policy = RandomizationPolicy(seed=draw(st.integers(0, 2**16)), mode="sampled", samples=1, twirl_groups=groups)
+    return next(iter(instantiate(circuit, policy)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(inst=channel_instances(), ideal=st.booleans())
+def test_instance_channel_equals_the_evaluator_on_footprints_smaller_than_the_register(inst, ideal):
+    """The superoperator interpreter (embed_operator, lift_local_superop) against the
+    branch evaluator (site-layout kernels), two independent readings of one step list."""
+    D = inst.base.dim
+    rho0 = np.zeros((D, D), dtype=complex)
+    rho0[0, 0] = 1.0
+    got = instance_channel(inst, ideal=ideal)(rho0)
+    assert np.max(np.abs(got - inst.evaluate(ideal=ideal).final_state())) <= 1e-12

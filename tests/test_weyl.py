@@ -304,6 +304,25 @@ def test_shift_and_phase_cache_is_bounded_and_read_only():
         assert _shift_and_phases(d, w.x, w.z)[0] is perm  # cached, not rebuilt
 
 
+def test_vectors_above_the_dense_cap_leave_the_shift_and_phase_cache_alone():
+    """An entry holds 24 D bytes: above the default dense cap (4096) apply_to_vector
+    builds its tables per call, with the same bits, and the cache is not read."""
+    before = _shift_and_phases.cache_info()
+    for d, n in ((3, 9), (2, 13)):
+        digits = np.array(list(itertools.product(range(d), repeat=n)))
+        for _ in range(3):
+            w = random_weyl(d, n)
+            psi = RNG.normal(size=w.dim) + 1j * RNG.normal(size=w.dim)
+            shifted = (digits - np.asarray(w.x)) % d
+            u = np.exp(2j * np.pi * ((shifted @ np.asarray(w.z)) % d) / d)
+            expect = (roots_of_unity(d)[w.phase_exp] * u) * psi[shifted @ d ** np.arange(n - 1, -1, -1)]
+            np.testing.assert_allclose(w.apply_to_vector(psi), expect, rtol=0, atol=1e-12)
+    assert _shift_and_phases.cache_info() == before  # no lookup, no entry
+    random_weyl(2, 12).apply_to_vector(psi[: 2**12])
+    after = _shift_and_phases.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses + 1
+
+
 WEYL_KINDS = ("any", "x-free", "z-free", "phase-only")
 
 
