@@ -204,7 +204,8 @@ def syndrome_of(code: StabilizerCode, E: WeylOperator) -> tuple:
     return tuple(braiding_exponent(E, g) for g in code.stab_gens)
 
 
-@functools.lru_cache(maxsize=None)
+# An entry holds one D x D matrix; `lrc verify --all` and the workloads read 5 keys.
+@functools.lru_cache(maxsize=8)
 def codespace_projector(code: StabilizerCode) -> np.ndarray:
     """Mean of all stabilizer matrices; Hermitian idempotent of rank d^k."""
     if code.dim > dense_limit():
@@ -217,7 +218,8 @@ def codespace_projector(code: StabilizerCode) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=None)
+# An entry holds d^(n-k) D x D projectors (16.8 MB for a 7-qubit repetition code).
+@functools.lru_cache(maxsize=8)
 def cospace_table(code: StabilizerCode) -> types.MappingProxyType:
     """Read-only map from each syndrome to its pure error T and cospace projector
     T P T^dagger, in pure-error order; the projectors are read-only too."""
@@ -248,7 +250,8 @@ def is_logical_weyl(code: StabilizerCode, op: WeylOperator) -> bool:
     return any(op.same_xz(l) for l in logical_weyls(code))
 
 
-@functools.lru_cache(maxsize=None)
+# An entry holds one D x d^k matrix (524 KB at D=16,384 and d^k=2).
+@functools.lru_cache(maxsize=8)
 def encoding_isometry(code: StabilizerCode) -> np.ndarray:
     """Isometry from the d^k logical space into the codespace.
 

@@ -29,6 +29,7 @@ import numpy as np
 from .channels import (
     SUPEROP_DIM_LIMIT,
     Superoperator,
+    _check_superop_dim,
     average,
     compose,
     coherent_rotation,
@@ -236,12 +237,28 @@ def _resolve(code_spec):
 
 
 def check_theorem1(code_name, seed: int = 0) -> VerificationReport:
+    """max |stabilizer_average_channel - cospace_projector_sum| in O(D^3) memory, bit for bit:
+    both sides are summed in those functions' order one row block at a time, block i of
+    conj(M) (x) M being the slab [k, j, l] = conj(M)[i, j] M[k, l] of row iD + k, column jD + l."""
     name, code = _resolve(code_name)
 
     def run():
-        lhs = stabilizer_average_channel(code)
-        rhs = cospace_projector_sum(code)
-        return float(np.max(np.abs(lhs.matrix - rhs.matrix)))
+        _check_superop_dim(code.dim)
+        D = code.dim
+        stabs = [s.to_matrix() for s in enumerate_stabilizers(code)]
+        first, *rest = [P for _, P in cospace_table(code).values()]
+        lhs, rhs, tmp = (np.empty((D, D, D), dtype=complex) for _ in range(3))
+        worst = 0.0
+        for i in range(D):
+            lhs.fill(0)
+            for m in stabs:
+                lhs += np.multiply(m[i, None, :, None].conj(), m[:, None, :], out=tmp)
+            lhs /= len(stabs)
+            np.multiply(first[i, None, :, None].conj(), first[:, None, :], out=rhs)
+            for m in rest:
+                rhs += np.multiply(m[i, None, :, None].conj(), m[:, None, :], out=tmp)
+            worst = max(worst, float(np.max(np.abs(np.subtract(lhs, rhs, out=tmp)))))
+        return worst
 
     value, ms = _timed(run)
     return _structural_report(f"theorem1:{name}", value, ms, seed)
@@ -578,7 +595,7 @@ def averaged_extraction_channels(
         raise ValueError(f"generator {generator} lies outside [0, {code.n_generators})")
     Df = code.dim * d
     # Df^2 x Df^2 compositions from the loop bounds below; wider registers meet the cap.
-    composes = 2 + 3 * d + (3 * d**4 if policy.measurement_rc else d) + 2 * policy.stabilizers
+    composes = 3 + 2 * d + (d**2 + d**3 + d**4 if policy.measurement_rc else d) + 2 * policy.stabilizers
     composes += 2 * d * d + 5 * len(logical_weyls(code)) if policy.twirl else 0
     flops = composes * 8 * Df**6
     if Df <= SUPEROP_DIM_LIMIT and flops > EXTRACTION_FLOP_LIMIT:
@@ -633,23 +650,22 @@ def averaged_extraction_channels(
         proj[m, m] = 1.0
         return ro_chan(natural_rep(proj))
 
-    measured: dict = {}
     if policy.measurement_rc:
-        draws = list(itertools.product(range(d), range(d), range(d)))
-        for b in range(d):
-            acc = None
-            for x, z, zp in draws:
-                m = (b + x) % d
-                rc = weyl_chan(WeylOperator(d, (x,), (z,)), ro)
-                post = weyl_chan(
-                    WeylOperator(d, (0,), (zp,)).mul(WeylOperator(d, (-x,), (0,))), ro
-                )
-                term = compose(post, compose(projector_chan(m), compose(noise_chan, rc)))
-                acc = term if acc is None else Superoperator(Df, acc.matrix + term.matrix)
-            measured[b] = Superoperator(Df, acc.matrix / len(draws))
+        # Each product is built once per draw it depends on; outcomes sum in (x, z, z') order.
+        sums: dict = {}
+        for x, z in itertools.product(range(d), repeat=2):
+            noisy = compose(noise_chan, weyl_chan(WeylOperator(d, (x,), (z,)), ro))
+            for b in range(d):
+                projected = compose(projector_chan((b + x) % d), noisy)
+                for zp in range(d):
+                    post = weyl_chan(
+                        WeylOperator(d, (0,), (zp,)).mul(WeylOperator(d, (-x,), (0,))), ro
+                    )
+                    term = compose(post, projected).matrix
+                    sums[b] = sums[b] + term if b in sums else term
+        measured = {b: Superoperator(Df, sums.pop(b) / d**3) for b in range(d)}
     else:
-        for b in range(d):
-            measured[b] = compose(projector_chan(b), noise_chan)
+        measured = {b: compose(projector_chan(b), noise_chan) for b in range(d)}
 
     # Idle window on the encoded register during readout.
     phi = enc_chan(idle_noise) if idle_noise is not None else ident
@@ -665,9 +681,10 @@ def averaged_extraction_channels(
     # vec index (i*d + io) + Df*(j*d + jo) splits rows and columns as (j, jo, i, io):
     # the readout starts in |0> (column jo = io = 0) and is traced out (row jo = io).
     De = code.dim
+    head = compose(coupling, stab_avg)
     out = {}
     for b in range(d):
-        chain = compose(tail, compose(measured[b], compose(coupling, stab_avg)))
+        chain = compose(tail, compose(measured[b], head))
         block = chain.matrix.reshape((De, d) * 4)[..., 0, :, 0]
         out[b] = Superoperator(De, np.einsum("jaiakl->jikl", block).reshape(De**2, De**2))
     return out

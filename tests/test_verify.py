@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,9 +20,12 @@ from lrc.circuits import (
     Gadget,
     LogicalCircuit,
     Register,
+    controlled_weyl,
     expand_gadget,
+    fourier_matrix,
 )
 from lrc.codes import (
+    StabilizerCode,
     builtin_code,
     code_from_dict,
     enumerate_pure_errors,
@@ -44,11 +50,14 @@ from lrc.verify import (
     cospace_projector_sum,
     derive_seed,
     instance_channel,
+    readout_flip,
+    readout_rotation,
     run_toffoli_example,
     stabilizer_average_channel,
     weyl_error_probabilities,
 )
 from lrc.weyl import DimensionError, WeylOperator
+from test_circuits import repetition3
 
 BITFLIP = builtin_code("bitflip3")
 
@@ -110,11 +119,44 @@ def test_coherence_metrics_logical_rotation_is_intra():
 # -- theorem 1 and character orthogonality ---------------------------------------
 
 
-@pytest.mark.parametrize("name", ["bitflip3", "phaseflip3", "qutrit_rep3", "five_one_three"])
-def test_theorem1_checks_pass(name):
-    rep = check_theorem1(name)
+def _qudit5_code():
+    """A d = 5 code on two qudits (D = 25): stabilizer Z (x) Z^-1, logicals X (x) X and Z (x) I."""
+    w = WeylOperator
+    return StabilizerCode(
+        d=5,
+        n=2,
+        k=1,
+        stab_gens=(w(5, (0, 0), (1, 4)),),
+        pure_error_gens=(w(5, (0, 1), (0, 0)),),
+        logical_gens=(w(5, (1, 1), (0, 0)), w(5, (0, 0), (1, 0))),
+    )
+
+
+@pytest.mark.parametrize(
+    "code",
+    [builtin_code(c) for c in ("bitflip3", "phaseflip3", "qutrit_rep3", "five_one_three")]
+    + [repetition3(2), repetition3(3), _qudit5_code()],
+    ids=["bitflip3", "phaseflip3", "qutrit_rep3", "five_one_three", "rep3_d2", "rep3_d3", "qudit5"],
+)
+def test_theorem1_checks_pass(code):
+    """The row-block comparison passes and reports, to the bit, the largest entry of
+    the difference of the two D^2 x D^2 superoperators."""
+    rep = check_theorem1(code)
     assert rep.passed, rep.value
     assert rep.value < 1e-12
+    oracle = np.max(np.abs(stabilizer_average_channel(code).matrix - cospace_projector_sum(code).matrix))
+    assert rep.value == oracle
+
+
+def test_theorem1_never_holds_a_superoperator():
+    # One D^2 x D^2 complex matrix of five_one_three (D = 32) alone is 16.8 MB.
+    tracemalloc.start()
+    try:
+        check_theorem1("five_one_three")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_theorem1_trivial_code():
@@ -446,17 +488,66 @@ def test_derive_seed_stable():
     assert derive_seed(1, "x") != derive_seed(2, "x")
 
 
+QUTRIT_Z = {
+    "d": 3,
+    "n": 1,
+    "k": 0,
+    "stabilizer_generators": ["0;0;1;3"],
+    "pure_error_generators": ["0;1;0;3"],
+    "logical_generators": [],
+}
+
+
 def test_extraction_rejects_readout_noise_of_another_dimension():
-    qutrit_z = code_from_dict(
-        {
-            "d": 3,
-            "n": 1,
-            "k": 0,
-            "stabilizer_generators": ["0;0;1;3"],
-            "pure_error_generators": ["0;1;0;3"],
-            "logical_generators": [],
-        }
-    )
+    qutrit_z = code_from_dict(QUTRIT_Z)
     qubit_flip = stochastic_weyl({WeylOperator.identity(2, 1): 0.9, WeylOperator.x_op(2, 1): 0.1})
     with pytest.raises(DimensionError):
         averaged_extraction_channels(qutrit_z, readout_noise=qubit_flip)
+
+
+def draw_by_draw_extraction(code, readout_noise):
+    """averaged_extraction_channels under measurement randomization alone, with the
+    measurement block built term by term: each outcome b sums, over the draws
+    (x, z, z') in that order, post(x, z') . projector(b + x) . noise . rc(x, z)."""
+    d, n, De = code.d, code.n, code.dim
+    Df = De * d
+
+    def ro_chan(C):
+        return lift_local_superop(C, [n], d, n + 1)
+
+    def weyl_chan(op):
+        return natural_rep(op.embed([n], n + 1).to_matrix())
+
+    ident = identity_channel(Df)
+    lam = natural_rep(embed_operator(controlled_weyl(code.stab_gens[0]), list(range(n + 1)), d, n + 1))
+    F = fourier_matrix(d)
+    coupling = compose(ro_chan(natural_rep(F.conj().T)), compose(lam, ro_chan(natural_rep(F))))
+    out = {}
+    for b in range(d):
+        acc = None
+        for x, z, zp in itertools.product(range(d), repeat=3):
+            proj = np.zeros((d, d))
+            proj[(b + x) % d, (b + x) % d] = 1.0
+            rc = weyl_chan(WeylOperator(d, (x,), (z,)))
+            post = weyl_chan(WeylOperator(d, (0,), (zp,)).mul(WeylOperator(d, (-x,), (0,))))
+            term = compose(post, compose(ro_chan(natural_rep(proj)), compose(ro_chan(readout_noise), rc)))
+            acc = term if acc is None else Superoperator(Df, acc.matrix + term.matrix)
+        measured = Superoperator(Df, acc.matrix / d**3)
+        chain = compose(ident, compose(measured, compose(coupling, ident)))
+        block = chain.matrix.reshape((De, d) * 4)[..., 0, :, 0]
+        out[b] = np.einsum("jaiakl->jikl", block).reshape(De**2, De**2)
+    return out
+
+
+@pytest.mark.parametrize(
+    "code",
+    [builtin_code("bitflip3"), builtin_code("phaseflip3"), code_from_dict(QUTRIT_Z)],
+    ids=["bitflip3", "phaseflip3", "qutrit_z"],
+)
+@pytest.mark.parametrize("noise", ["rotation", "flip"])
+def test_extraction_cascade_keeps_the_bits_of_the_draw_by_draw_sum(code, noise):
+    readout_noise = readout_rotation(code.d, 0.2) if noise == "rotation" else readout_flip(code.d, 0.1)
+    policy = RandomizationPolicy(stabilizers=False, twirl=False)
+    engine = averaged_extraction_channels(code, readout_noise=readout_noise, policy=policy)
+    for b, matrix in draw_by_draw_extraction(code, readout_noise).items():
+        assert np.array_equal(engine[b].matrix, matrix)
