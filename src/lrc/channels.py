@@ -8,11 +8,13 @@ Structural identities are expected to hold to 1e-12 and physicality checks
 to 1e-10; superoperators are restricted to D <= 64 while density matrices
 may use the full dense capacity.
 
-``natural_rep`` also keeps its matrix M as the channel's Kraus form, the
-``kraus`` field; every other constructor leaves it None.  ``apply_local_channel``
-applies a channel with a Kraus form of r operators on a footprint of dimension
-Dk >= 8 r as sum_K K rho K^dagger, and any other channel by one product with its
-matrix.
+``natural_rep`` holds only its matrix M, as the channel's Kraus form (the
+``kraus`` field); the D^2 x D^2 matrix is built when something first reads it,
+and the superoperator cap fires there.  ``is_trace_preserving``, and so circuit
+validation, reads a Kraus form when there is one.  Every other constructor holds
+a matrix and leaves ``kraus`` None.  ``apply_local_channel`` applies a channel
+with a Kraus form of r operators on a footprint of dimension Dk >= 8 r as
+sum_K K rho K^dagger, and any other channel by one product with its matrix.
 
 Every operator on a footprint of k of the n sites meets a d^n x d^n matrix
 in one site layout: ``to_sites`` views the matrix as a (d^k, R, R, d^k)
@@ -23,7 +25,6 @@ digits, other column digits and footprint column digits; ``from_sites`` undoes i
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,50 +63,70 @@ def _check_superop_dim(dim: int):
         raise CapacityError(f"superoperator dimension {dim} exceeds the cap {SUPEROP_DIM_LIMIT}")
 
 
-@dataclass(frozen=True)
 class Superoperator:
-    dim: int
-    matrix: np.ndarray
-    #: Operators K with the channel rho -> sum_K K rho K^dagger, or None.
-    kraus: tuple | None = None
+    """A channel on a dim-dimensional system: its D^2 x D^2 matrix, operators K with
+    rho -> sum_K K rho K^dagger (``kraus``), or both.  A matrix given here is copied;
+    a Kraus-only channel builds ``matrix`` on first read, sum_K conj(K) (x) K in Kraus
+    order, and keeps it.  Either way the dimension cap fires before any allocation."""
 
-    def __post_init__(self):
-        _check_superop_dim(self.dim)
-        m = np.asarray(self.matrix, dtype=complex)
+    __slots__ = ("dim", "kraus", "_matrix")
+
+    def __init__(self, dim: int, matrix=None, kraus=None):
+        if matrix is None and not kraus:
+            raise ValueError("a channel needs a matrix or a Kraus form")
+        self.dim, self.kraus, self._matrix = dim, None, None
+        if matrix is not None:
+            _check_superop_dim(dim)
+            self._keep(np.array(matrix, dtype=complex))  # a copy: the caller's array stays writable
+        if kraus is not None:
+            kraus = tuple(np.array(K, dtype=complex) for K in kraus)
+            for K in kraus:
+                if K.shape != (dim, dim):
+                    raise DimensionError(f"Kraus operator has shape {K.shape}, expected ({dim}, {dim})")
+                K.setflags(write=False)
+            self.kraus = kraus
+
+    def _keep(self, m: np.ndarray):
         if m.shape != (self.dim**2, self.dim**2):
             raise DimensionError(
-                f"superoperator matrix has shape {m.shape}, expected "
-                f"({self.dim**2}, {self.dim**2})"
+                f"superoperator matrix has shape {m.shape}, expected ({self.dim**2}, {self.dim**2})"
             )
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        if self.kraus is not None:
-            kraus = tuple(np.array(K, dtype=complex) for K in self.kraus)
-            for K in kraus:
-                if K.shape != (self.dim, self.dim):
-                    raise DimensionError(
-                        f"Kraus operator has shape {K.shape}, expected ({self.dim}, {self.dim})"
-                    )
-                K.setflags(write=False)
-            object.__setattr__(self, "kraus", kraus)
+        self._matrix = m
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            _check_superop_dim(self.dim)
+            self._keep(functools.reduce(np.add, (np.kron(K.conj(), K) for K in self.kraus)))
+        return self._matrix
 
     def __call__(self, rho: np.ndarray) -> np.ndarray:
         """Apply to a raw matrix (no physicality checks)."""
         return unvec(self.matrix @ vec(rho))
 
 
+def _owned(dim: int, m: np.ndarray) -> Superoperator:
+    """The channel of a matrix its caller has just built, frozen in place, not copied."""
+    _check_superop_dim(dim)
+    C = Superoperator.__new__(Superoperator)
+    C.dim, C.kraus, C._matrix = dim, None, None
+    C._keep(m)
+    return C
+
+
 def identity_channel(dim: int) -> Superoperator:
-    return Superoperator(dim, np.eye(dim**2, dtype=complex))
+    _check_superop_dim(dim)  # before the D^2 x D^2 identity, not after
+    return _owned(dim, np.eye(dim**2, dtype=complex))
 
 
 def natural_rep(M) -> Superoperator:
-    """The channel conj(M) (x) M of conjugation by a square matrix M, with a
-    read-only copy of M as its Kraus form."""
+    """The channel conj(M) (x) M of conjugation by a square matrix M, held as a
+    read-only copy of M, its Kraus form; the matrix is built on first read."""
     m = _as_matrix(M)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
-    _check_superop_dim(m.shape[0])  # before the Dk^2 x Dk^2 product, not after
-    return Superoperator(m.shape[0], np.kron(m.conj(), m), kraus=(m,))
+    return Superoperator(m.shape[0], kraus=(m,))
 
 
 def coherent_rotation(P: WeylOperator, theta: float) -> Superoperator:
@@ -130,19 +151,20 @@ def stochastic_weyl(probs) -> Superoperator:
     if any(p < -1e-12 for _, p in items) or abs(total - 1.0) > 1e-12:
         raise ValueError(f"probabilities must be nonnegative and sum to 1, got {total}")
     dim = items[0][0].dim
+    _check_superop_dim(dim)
     acc = np.zeros((dim**2, dim**2), dtype=complex)
     for op, p in items:
         if op.dim != dim:
             raise DimensionError("mixture terms act on different registers")
         acc += p * natural_rep(op).matrix
-    return Superoperator(dim, acc)
+    return _owned(dim, acc)
 
 
 def compose(A: Superoperator, B: Superoperator) -> Superoperator:
     """The channel applying B first, then A."""
     if A.dim != B.dim:
         raise DimensionError(f"dimensions differ: {A.dim} vs {B.dim}")
-    return Superoperator(A.dim, A.matrix @ B.matrix)
+    return _owned(A.dim, A.matrix @ B.matrix)
 
 
 def average(channels) -> Superoperator:
@@ -157,7 +179,7 @@ def average(channels) -> Superoperator:
         count += 1
     if acc is None:
         raise ValueError("cannot average zero channels")
-    return Superoperator(dim, acc / count)
+    return _owned(dim, acc / count)
 
 
 def twirl(L: Superoperator, group) -> Superoperator:
@@ -174,6 +196,9 @@ def twirl(L: Superoperator, group) -> Superoperator:
 
 
 def is_trace_preserving(C: Superoperator, atol: float = 1e-10) -> bool:
+    """sum_K K^dagger K = I from a Kraus form when there is one, so its matrix stays unbuilt."""
+    if C.kraus is not None:
+        return bool(np.max(np.abs(sum(K.conj().T @ K for K in C.kraus) - np.eye(C.dim))) < atol)
     ident = vec(np.eye(C.dim))
     return bool(np.max(np.abs(ident.conj() @ C.matrix - ident.conj())) < atol)
 
@@ -289,7 +314,7 @@ def lift_local_superop(C: Superoperator, positions, d: int, n: int) -> Superoper
     an operator embedding on the doubled register.
     """
     doubled = [*positions, *(n + p for p in positions)]
-    return Superoperator(d**n, embed_operator(C.matrix, doubled, d, 2 * n))
+    return _owned(d**n, embed_operator(C.matrix, doubled, d, 2 * n))
 
 
 def apply_local_channel(

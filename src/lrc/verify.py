@@ -30,6 +30,7 @@ from .channels import (
     SUPEROP_DIM_LIMIT,
     Superoperator,
     _check_superop_dim,
+    _owned,
     average,
     compose,
     coherent_rotation,
@@ -180,7 +181,7 @@ def cospace_projector_sum(code: StabilizerCode) -> Superoperator:
     acc = None
     for _, P in cospace_table(code).values():
         term = natural_rep(P)
-        acc = term if acc is None else Superoperator(term.dim, acc.matrix + term.matrix)
+        acc = term if acc is None else _owned(term.dim, acc.matrix + term.matrix)
     return acc
 
 
@@ -203,7 +204,7 @@ def logical_channel(C: Superoperator, code: StabilizerCode) -> Superoperator:
             cols.append(vec(out))
             basis[i, j] = 0.0
     # columns were produced in vec order (i fastest), matching column stacking
-    return Superoperator(dk, np.stack(cols, axis=1))
+    return _owned(dk, np.stack(cols, axis=1))
 
 
 def logical_transfer_matrix(C: Superoperator, code: StabilizerCode) -> np.ndarray:
@@ -623,18 +624,17 @@ def averaged_extraction_channels(
     # Coupling block: F, (L, P), controlled-A, (L^dagger, P^dagger), G, F^dagger.
     lam = natural_rep(embed_operator(controlled_weyl(A), enc + ro, d, n + 1))
     if policy.twirl:
+        # Averages sum as they go: no list of Df^2 x Df^2 channels is held.
         p_twirled = average(
-            [
-                compose(weyl_chan(P.dagger(), ro), compose(lam, weyl_chan(P, ro)))
-                for P in iter_weyls(d, 1)
-            ]
+            compose(weyl_chan(P.dagger(), ro), compose(lam, weyl_chan(P, ro))) for P in iter_weyls(d, 1)
         )
-        terms = []
-        for L in logical_weyls(code):
+
+        def corrected(L):
             G = compute_propagation_correction(A, L).dagger()
             inner = compose(weyl_chan(L.dagger(), enc), compose(p_twirled, weyl_chan(L, enc)))
-            terms.append(compose(weyl_chan(G, ro), inner))
-        coupled = average(terms)
+            return compose(weyl_chan(G, ro), inner)
+
+        coupled = average(corrected(L) for L in logical_weyls(code))
     else:
         coupled = lam
     F = fourier_matrix(d)
@@ -663,7 +663,7 @@ def averaged_extraction_channels(
                     )
                     term = compose(post, projected).matrix
                     sums[b] = sums[b] + term if b in sums else term
-        measured = {b: Superoperator(Df, sums.pop(b) / d**3) for b in range(d)}
+        measured = {b: _owned(Df, sums.pop(b) / d**3) for b in range(d)}
     else:
         measured = {b: compose(projector_chan(b), noise_chan) for b in range(d)}
 
@@ -671,10 +671,7 @@ def averaged_extraction_channels(
     phi = enc_chan(idle_noise) if idle_noise is not None else ident
     if policy.twirl:
         phi = average(
-            [
-                compose(weyl_chan(L.dagger(), enc), compose(phi, weyl_chan(L, enc)))
-                for L in logical_weyls(code)
-            ]
+            compose(weyl_chan(L.dagger(), enc), compose(phi, weyl_chan(L, enc))) for L in logical_weyls(code)
         )
     tail = compose(stab_avg, compose(phi, stab_avg)) if policy.stabilizers else phi
 
@@ -686,7 +683,7 @@ def averaged_extraction_channels(
     for b in range(d):
         chain = compose(tail, compose(measured[b], head))
         block = chain.matrix.reshape((De, d) * 4)[..., 0, :, 0]
-        out[b] = Superoperator(De, np.einsum("jaiakl->jikl", block).reshape(De**2, De**2))
+        out[b] = _owned(De, np.einsum("jaiakl->jikl", block).reshape(De**2, De**2))
     return out
 
 
@@ -722,9 +719,7 @@ def check_measurement_rc(
             code, generator=generator, readout_noise=readout_noise, idle_noise=idle_noise
         )
         d = code.d
-        total = Superoperator(
-            code.dim, sum(c.matrix for c in channels.values())
-        )
+        total = _owned(code.dim, sum(c.matrix for c in channels.values()))
         weyl_residual = max_offdiagonal(weyl_transfer_matrix(total, d, code.n))
         tp = is_trace_preserving(total)
 

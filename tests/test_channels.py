@@ -19,6 +19,7 @@ from lrc.channels import (
     from_sites,
     identity_channel,
     is_trace_preserving,
+    lift_local_superop,
     max_offdiagonal,
     natural_rep,
     partial_trace,
@@ -108,16 +109,86 @@ def test_superoperator_capacity():
 
 
 def test_natural_rep_refuses_a_wide_matrix_before_its_product():
-    """conj(M) (x) M of an 81-dimensional M would hold 689 MB before the cap refused it."""
+    """conj(M) (x) M of an 81-dimensional M would hold 689 MB: the channel holds M,
+    and the first read of its matrix meets the cap before the product."""
     m = np.eye(81)
     tracemalloc.start()
     try:
+        C = natural_rep(m)
         with pytest.raises(CapacityError, match="superoperator dimension 81 exceeds the cap 64"):
-            natural_rep(m)
+            C.matrix
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+    assert C.dim == 81 and np.array_equal(C.kraus[0], m)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@settings(max_examples=12)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_natural_rep_builds_the_eager_matrix_on_first_read(d, data, seed):
+    Dk = d ** data.draw(st.integers(1, {2: 6, 3: 3, 5: 2}[d]))
+    U = random_unitary(np.random.default_rng(seed), Dk)
+    C = natural_rep(U)
+    m = C.matrix
+    assert m.shape == (Dk * Dk, Dk * Dk) and not m.flags.writeable
+    assert C.matrix is m
+    # np.kron(U.conj(), U) one row block at a time: entry (i Dk + a, j Dk + b) is conj(U[i, j]) U[a, b].
+    for i in range(Dk):
+        assert np.array_equal(m[i * Dk : (i + 1) * Dk], np.kron(U.conj()[i : i + 1], U))
+
+
+def test_natural_rep_holds_no_matrix_until_read():
+    U = random_unitary(np.random.default_rng(20), 32)
+    tracemalloc.start()
+    try:
+        C = natural_rep(U)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # conj(U) (x) U would be 16.8 MB
+    assert C.matrix.nbytes == 16 * 32**4
+
+
+def test_superoperator_copies_a_given_matrix_and_freezes_what_it_builds():
+    m = np.eye(4, dtype=complex)
+    C = Superoperator(2, m)
+    assert m.flags.writeable and not C.matrix.flags.writeable
+    m[0, 0] = 5.0
+    assert C.matrix[0, 0] == 1.0
+    built = [
+        compose(natural_rep(X), natural_rep(Z)),
+        average([natural_rep(X), natural_rep(Z)]),
+        identity_channel(2),
+        stochastic_weyl({I1: 0.5, X: 0.5}),
+        lift_local_superop(natural_rep(X), (1,), 2, 2),
+    ]
+    for C in built:
+        assert C.kraus is None and not C.matrix.flags.writeable
+    with pytest.raises(ValueError, match="needs a matrix or a Kraus form"):
+        Superoperator(2, kraus=())
+
+
+def kraus_sets(rng, D, count):
+    """A trace-preserving Kraus set, the blocks of a random isometry, and two that are not."""
+    Q = np.linalg.qr(rng.normal(size=(count * D, D)) + 1j * rng.normal(size=(count * D, D)))[0]
+    tp = [Q[j * D : (j + 1) * D] for j in range(count)]
+    return {
+        "isometry": (tp, True),
+        "scaled": ([0.9 * K for K in tp], False),
+        "random": ([random_matrix(rng, D) for _ in range(count)], False),
+    }
+
+
+@pytest.mark.parametrize("D", [2, 3, 4, 5, 9, 25])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_trace_preservation_read_from_a_kraus_form_matches_its_matrix(D, count):
+    for name, (kraus, expected) in kraus_sets(np.random.default_rng(D * 10 + count), D, count).items():
+        oracle = Superoperator(D, sum(np.kron(K.conj(), K) for K in kraus))
+        C = Superoperator(D, kraus=kraus)
+        assert is_trace_preserving(C) == is_trace_preserving(oracle) == expected, name
+        assert C._matrix is None
 
 
 def test_coherent_rotation_matches_expm_oracle():

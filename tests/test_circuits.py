@@ -18,6 +18,7 @@ from lrc.channels import (
     coherent_rotation,
     embed_operator,
     identity_channel,
+    lift_local_superop,
     natural_rep,
     partial_trace,
     stochastic_weyl,
@@ -518,21 +519,23 @@ def test_idle_noise_acts_once_per_tick():
 
 
 def test_noise_must_be_trace_preserving():
-    """Half the identity used to pass validation, and evaluate then summed to 0.5."""
-    lossy = Superoperator(8, 0.5 * np.eye(64))
-    gadgets = [
-        (Gadget.reset("L0", (0,), noise=lossy), Gadget.measurement("L0", "m")),
-        (
-            Gadget.reset("L0", (0,)),
-            Gadget.reset("R0", (0,)),
-            Gadget.syndrome_extraction("L0", 0, "R0", "m", idle_noise=lossy),
-        ),
-    ]
-    for gs in gadgets:
-        c = LogicalCircuit(d=2, registers=block_plus_readout(), gadgets=gs, classical_wires=("m",))
-        assert [d.rule for d in validate(c)] == ["noise-trace"]
-        with pytest.raises(EvaluationError, match="noise-trace"):
-            evaluate(c)
+    """Half the identity used to pass validation, and evaluate then summed to 0.5.
+    Half a unitary, a Kraus-only channel, is refused from its Kraus form."""
+    half_unitary = natural_rep(0.5 * random_unitary(np.random.default_rng(4), 8))
+    for lossy in (Superoperator(8, 0.5 * np.eye(64)), half_unitary):
+        gadgets = [
+            (Gadget.reset("L0", (0,), noise=lossy), Gadget.measurement("L0", "m")),
+            (
+                Gadget.reset("L0", (0,)),
+                Gadget.reset("R0", (0,)),
+                Gadget.syndrome_extraction("L0", 0, "R0", "m", idle_noise=lossy),
+            ),
+        ]
+        for gs in gadgets:
+            c = LogicalCircuit(d=2, registers=block_plus_readout(), gadgets=gs, classical_wires=("m",))
+            assert [d.rule for d in validate(c)] == ["noise-trace"]
+            with pytest.raises(EvaluationError, match="noise-trace"):
+                evaluate(c)
 
 
 @pytest.mark.parametrize("count", [1, 3])
@@ -631,6 +634,23 @@ def test_evaluate_never_embeds_into_the_full_register(monkeypatch):
     )
     res = evaluate(circuit)
     assert res.distribution() == {(0, 0, 1): pytest.approx(1.0, abs=1e-12)}
+
+
+def qubit_repetition(n):
+    """The n-qubit repetition code: Z_j Z_(j+1) stabilizers, X on every qubit after j
+    as pure errors."""
+    zero = (0,) * n
+    site = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    zz = [tuple(a ^ b for a, b in zip(site[j], site[j + 1])) for j in range(n - 1)]
+    after = [tuple(int(i > j) for i in range(n)) for j in range(n - 1)]
+    return StabilizerCode(
+        d=2,
+        n=n,
+        k=1,
+        stab_gens=tuple(WeylOperator(2, zero, z) for z in zz),
+        pure_error_gens=tuple(WeylOperator(2, x, zero) for x in after),
+        logical_gens=(WeylOperator(2, (1,) * n, zero), WeylOperator(2, zero, site[0])),
+    )
 
 
 def repetition3(d):
@@ -1055,6 +1075,40 @@ def test_sixteen_thousand_dimensions_past_the_dense_cap():
         res.final_state()
     with pytest.raises(CapacityError, match="dense cap"):
         res.branch_table()
+
+
+def test_kraus_only_noise_above_the_cap_runs():
+    """One extraction on the 7-qubit repetition code with 7-qubit coherent idle noise
+    (Dk = 128): the pure route applies its Kraus form, and nothing builds its matrix."""
+    c = extraction_circuit(qubit_repetition(7), 1, 1, seed=8)
+    idle = c.gadgets[-1].idle_noise
+    assert c.dim == 256 and idle.dim == 128
+    assert validate(c) == []
+    got = evaluate(c)
+    assert abs(sum(got.distribution().values()) - 1.0) <= 1e-12
+    assert_routes_agree(got, dense_run(c))
+    assert idle._matrix is None
+    cap = "superoperator dimension 128 exceeds the cap 64"
+    with pytest.raises(CapacityError, match=cap):
+        idle.matrix
+    with pytest.raises(CapacityError, match=cap):
+        lift_local_superop(idle, range(7), 2, 8)
+    with pytest.raises(CapacityError, match="superoperator dimension 256 exceeds the cap 64"):
+        instance_channel(CompiledInstance(c, (EMPTY_INSERTIONS,) * len(c.gadgets)))
+
+
+def test_validation_and_evaluation_leave_a_unitary_noise_matrix_unbuilt():
+    """32-dimensional unitary noise is checked and applied through its Kraus form."""
+    noise = natural_rep(random_unitary(np.random.default_rng(9), 32))
+    c = LogicalCircuit(
+        d=2,
+        registers=(one_block(builtin_code("five_one_three")),),
+        gadgets=(Gadget.reset("L0", (0,), noise=noise), Gadget.measurement("L0", "m")),
+        classical_wires=("m",),
+    )
+    assert validate(c) == []
+    assert abs(sum(evaluate(c).distribution().values()) - 1.0) <= 1e-12
+    assert noise._matrix is None
 
 
 def test_pure_route_branch_limit_raises_then_samples():

@@ -12,10 +12,11 @@ import pytest
 from lrc.cli import main
 from lrc.channels import Superoperator
 from lrc.circuits import Gadget, LogicalCircuit, Register, serialize
-from lrc.codes import StabilizerCode, builtin_code, code_to_dict, trivial_code
+from lrc.codes import builtin_code, code_to_dict, trivial_code
 from lrc.compiler import RandomizationPolicy, instantiate, t_gate_matrix
 from lrc.verify import logical_s_gate
 from lrc.weyl import WeylOperator
+from test_circuits import qubit_repetition
 
 
 @pytest.fixture
@@ -527,23 +528,9 @@ def test_extraction_out_of_range_fails_fast(argv, message, capsys):
 
 
 def test_theorem1_refuses_a_code_above_the_superoperator_cap_at_once(tmp_path, capsys):
-    """The 7-qubit repetition code (D = 128): Z_j Z_(j+1) stabilizers, X on every
-    qubit after j as pure errors."""
-    n = 7
-    zero = (0,) * n
-    site = [tuple(int(i == j) for i in range(n)) for j in range(n)]
-    zz = [tuple(a ^ b for a, b in zip(site[j], site[j + 1])) for j in range(n - 1)]
-    after = [tuple(int(i > j) for i in range(n)) for j in range(n - 1)]
-    code = StabilizerCode(
-        d=2,
-        n=n,
-        k=1,
-        stab_gens=tuple(WeylOperator(2, zero, z) for z in zz),
-        pure_error_gens=tuple(WeylOperator(2, x, zero) for x in after),
-        logical_gens=(WeylOperator(2, (1,) * n, zero), WeylOperator(2, zero, site[0])),
-    )
+    """The 7-qubit repetition code (D = 128)."""
     path = tmp_path / "rep7.json"
-    path.write_text(json.dumps(code_to_dict(code)))
+    path.write_text(json.dumps(code_to_dict(qubit_repetition(7))))
     start = time.perf_counter()
     assert main(["verify", "--check", "theorem1", "--code", str(path)]) == 2
     assert time.perf_counter() - start < 5.0
