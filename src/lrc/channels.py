@@ -344,15 +344,14 @@ def apply_local_channel(
     return out.reshape((d,) * (2 * n)).transpose(inv).reshape(D, D)
 
 
-def apply_local_measurement(rho: np.ndarray, kraus_by_outcome, positions, d: int, n: int):
-    """Yields, per outcome, sum_K K rho K^dagger over its operators K on the given sites.
-
-    rho enters the site layout once, whatever the number of outcomes and operators.
-    With kraus_by_outcome None, one site is read out in the computational basis:
-    outcome m copies the block of rho whose row and column digits there are m, which
-    equals |m><m| rho |m><m| entry for entry.
-    """
-    if kraus_by_outcome is None:
+def apply_local_measurement(rho: np.ndarray, bases, positions, d: int, n: int):
+    """Yields, per outcome, the state a measurement on the given sites leaves of rho, which
+    enters the site layout once.  ``bases`` holds per outcome an isometry V, its columns in
+    blocks, and the block sizes: the outcome keeps the diagonal blocks of V^dagger rho V and
+    maps them back, sum_blk P_blk rho P_blk with P_blk = V_blk V_blk^dagger (no columns: zero).
+    With bases None, one site is read out: outcome m copies the block of rho whose row and
+    column digits there are m, which equals |m><m| rho |m><m| entry for entry."""
+    if bases is None:
         (site,) = positions
         t = np.asarray(rho).reshape((d**site, d, d ** (n - site - 1)) * 2)
         for m in range(d):
@@ -361,25 +360,27 @@ def apply_local_measurement(rho: np.ndarray, kraus_by_outcome, positions, d: int
             yield out.reshape(d**n, d**n)
         return
     t = to_sites(rho, positions, d, n)
-    rows = t.reshape(len(t), -1)
-    for kraus in kraus_by_outcome:
-        yield _kraus_sum(rows, kraus, positions, d, n)
+    Dk, R2 = len(t), t[0].size // len(t)
+    rows = t.reshape(Dk, -1)
+    for V, sizes in bases:
+        m, Vh = V.shape[1], V.conj().T
+        T = ((Vh @ rows).reshape(-1, Dk) @ V).reshape(m, R2, m)
+        if m == len(sizes):  # blocks of one column: the diagonal of T, as (m, R2, 1)
+            out = V @ (T[np.arange(m), :, np.arange(m), None] * Vh[:, None, :]).reshape(m, R2 * Dk)
+        else:
+            block = np.repeat(np.arange(len(sizes)), sizes)
+            T *= (block[:, None] == block)[:, None, :]
+            out = (V @ T.reshape(m, -1)).reshape(-1, m) @ Vh
+        yield from_sites(out, positions, d, n)
 
 
 def apply_local_kraus(rho: np.ndarray, kraus, positions, d: int, n: int) -> np.ndarray:
-    """sum_K K rho K^dagger for operators K on the given sites."""
+    """sum_K K rho K^dagger for operators K on the given sites, summed from the first term."""
     t = to_sites(rho, positions, d, n)
-    return _kraus_sum(t.reshape(len(t), -1), kraus, positions, d, n)
-
-
-def _kraus_sum(rows: np.ndarray, kraus, positions, d: int, n: int) -> np.ndarray:
-    """sum_K K rho K^dagger from the (Dk, R R Dk) rows of rho's site layout, summed
-    from the first term; no operators give the zero state."""
-    Dk = len(rows)
+    Dk = len(t)
+    rows = t.reshape(Dk, -1)
     terms = ((K @ rows).reshape(-1, Dk) @ K.conj().T for K in kraus)
-    out = next(terms, None)
-    if out is None:
-        return np.zeros((d**n, d**n), dtype=complex)
+    out = next(terms)
     for term in terms:
         out += term
     return from_sites(out, positions, d, n)

@@ -28,9 +28,9 @@ gadgets before and after a gadget, and as settings inside it; the same
 evaluator runs bare and compiled circuits.
 ``expand_gadget`` lowers gadgets to five step kinds: ("weyl", op),
 ("gate", sites, U), ("channel", sites, C), ("reset", sites, state) and
-("measure", sites, kraus_by_outcome, wire), one step for site readouts
-(kraus_by_outcome None: the diagonal blocks of |m><m|, copied) and logical
-measurements (cospace-refined projectors on the block); "weyl" is an index
+("measure", sites, bases, wire), one step for site readouts (bases None: the
+diagonal blocks of |m><m|, copied) and logical measurements (per outcome b, one
+isometry whose column blocks span the ranges of Pi_s P_b); "weyl" is an index
 map, the others act on their footprint in the site layout of ``channels``.
 
 Circuits serialize to JSON (schema_version 1) with top-level keys
@@ -40,6 +40,7 @@ Circuits serialize to JSON (schema_version 1) with top-level keys
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import types
 import weakref
@@ -72,7 +73,8 @@ from .codes import (
     _json_weyl,
     code_from_dict,
     code_to_dict,
-    cospace_table,
+    codespace_projector,
+    enumerate_pure_errors,
     is_logical_weyl,
     logical_basis_state,
 )
@@ -81,6 +83,7 @@ from .weyl import (
     DENSE_LIMIT_ENV,
     CapacityError,
     WeylOperator,
+    braiding_exponent,
     dense_limit,
     eigenprojector,
     roots_of_unity,
@@ -517,8 +520,8 @@ def expand_gadget(circuit: LogicalCircuit, g: Gadget, ins: GadgetInsertions) -> 
 
     elif g.kind == MEASUREMENT:
         steps += noise
-        kraus = _logical_measurement_kraus(reg.code, measured_weyl(g, reg.code))
-        steps.append(("measure", tuple(reg.qudits), kraus, g.wire))
+        basis = _logical_measurement_basis(reg.code, measured_weyl(g, reg.code))
+        steps.append(("measure", tuple(reg.qudits), basis, g.wire))
         restore = ins.internal.get("restore")
         if restore is not None and not restore.is_identity(ignore_phase=True):
             steps.append(_step_weyl(restore, reg.qudits, n))
@@ -642,14 +645,27 @@ class CircuitResult:
         return {k: (p, states[k] / p) for k, p in probs.items()}
 
 
-# An entry holds d*|pure errors| code-sized arrays (31 MB for repetition3(5));
+# An entry holds Dk x Dk columns of the code block (250 KB for repetition3(5));
 # the registry reads 3 keys.
 @functools.lru_cache(maxsize=8)
-def _logical_measurement_kraus(code: StabilizerCode, measured: WeylOperator):
-    """Per outcome b, the cospace-refined projectors onto eigenvalue w^b, on the code block."""
-    spectral = [eigenprojector(measured, b) for b in range(code.d)]
-    by_outcome = ([pi_t @ S for _, pi_t in cospace_table(code).values()] for S in spectral)
-    return tuple(tuple(K for K in kraus if np.max(np.abs(K)) >= 1e-14) for kraus in by_outcome)
+def _logical_measurement_basis(code: StabilizerCode, measured: WeylOperator):
+    """Per outcome b, a read-only isometry V_b and its block sizes: for each pure error T
+    in order, T applied to an orthonormal basis of the codespace's W = w^(b - c) eigenspace,
+    c the braiding exponent of T with W.  A block's V V^dagger is Pi_s P_b, s T's syndrome."""
+    d, codespace = code.d, codespace_projector(code)
+    eigenbases = []
+    for b in range(d):  # W commutes with the stabilizers: P_0 P_b is a projector
+        values, vectors = np.linalg.eigh(codespace @ eigenprojector(measured, b))
+        eigenbases.append(vectors[:, values > 0.5].T)
+        del vectors  # before the next eigenprojector
+    out = []
+    for b in range(d):
+        blocks = [[T.apply_to_vector(v) for v in eigenbases[(b - braiding_exponent(T, measured)) % d]]
+                  for T in enumerate_pure_errors(code)]
+        V = np.ascontiguousarray(np.array([v for blk in blocks for v in blk]).reshape(-1, code.dim).T)
+        V.setflags(write=False)
+        out.append((V, tuple(len(blk) for blk in blocks if blk)))
+    return tuple(out)
 
 
 #: Per circuit object, (ideal, branch_limit) -> (weak references to the first G-1 records
@@ -782,10 +798,15 @@ def _unravel(step, psi: np.ndarray):
         digit = np.arange(psi.shape[site]).reshape((-1,) + (1,) * (psi.ndim - site - 1))
         for m in range(psi.shape[site]):
             yield m, np.where(digit == m, psi, 0)
-    else:  # a Kraus form, or a logical measurement's operators by outcome
-        for b, kraus in [(None, ops.kraus)] if kind == "channel" else enumerate(ops):
-            for K in kraus:
-                yield b, _on_footprint(K, psi, positions)
+    elif kind == "channel":
+        for K in ops.kraus:
+            yield None, _on_footprint(K, psi, positions)
+    else:  # a logical measurement: each block V_blk of outcome b keeps V_blk V_blk^dagger psi
+        rows = _footprint_rows(psi, positions)
+        for b, (V, sizes) in enumerate(ops):
+            A = V.conj().T @ rows
+            for lo, hi in itertools.pairwise(itertools.accumulate(sizes, initial=0)):
+                yield b, _from_footprint_rows(V[:, lo:hi] @ A[lo:hi], positions, psi.shape)
 
 
 def _branch_measure(branches, outcome_rows, wire, branch_limit, rng, exact, pure_dim=0):
@@ -857,14 +878,18 @@ def _matrix_from_json(rows, path: str) -> np.ndarray:
 
 
 def _superop_to_json(s: Superoperator) -> dict:
+    if s.kraus is not None:  # its Kraus form when it has one, which builds no matrix
+        return {"dim": s.dim, "kraus": [_matrix_to_json(K) for K in s.kraus]}
     return {"dim": s.dim, "matrix": _matrix_to_json(s.matrix)}
 
 
 def _superop_from_json(data, path: str) -> Superoperator:
-    if not isinstance(data, dict) or "dim" not in data or "matrix" not in data:
-        raise SchemaError(f"{path}: expected an object with dim and matrix")
+    if not isinstance(data, dict) or "dim" not in data or not ("matrix" in data or "kraus" in data):
+        raise SchemaError(f"{path}: expected an object with dim and a matrix or kraus field")
     dim = _int(data["dim"], path + ".dim")
-    return Superoperator(dim, _matrix_from_json(data["matrix"], path + ".matrix"))
+    matrix = _matrix_from_json(data["matrix"], path + ".matrix") if "matrix" in data else None
+    kraus = _json_list(data["kraus"], path + ".kraus", _matrix_from_json) if "kraus" in data else None
+    return Superoperator(dim, matrix, kraus)
 
 
 def circuit_to_dict(circuit: LogicalCircuit) -> dict:

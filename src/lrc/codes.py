@@ -213,9 +213,9 @@ def codespace_projector(code: StabilizerCode) -> np.ndarray:
     acc = np.zeros((code.dim, code.dim), dtype=complex)
     for s in enumerate_stabilizers(code):
         acc += s.to_matrix()
-    out = acc / len(enumerate_stabilizers(code))
-    out.setflags(write=False)
-    return out
+    acc /= len(enumerate_stabilizers(code))
+    acc.setflags(write=False)
+    return acc
 
 
 # An entry holds d^(n-k) D x D projectors (16.8 MB for a 7-qubit repetition code).

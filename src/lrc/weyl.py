@@ -346,9 +346,11 @@ def eigenprojector(W: WeylOperator, b: int = 0) -> np.ndarray:
     """Projector onto the omega^b eigenspace of W, for W^d = 1: the mean of omega^(-jb) W^j."""
     roots = roots_of_unity(W.d)
     acc = np.zeros((W.dim, W.dim), dtype=complex)
-    for j in range(W.d):
-        acc += np.conj(roots[2 * (j * b % W.d)]) * (W**j).to_matrix()
-    return acc / W.d
+    for j in range(W.d):  # W^j scaled in place and dropped: two D x D arrays at a time
+        M = (W**j).to_matrix()
+        acc += np.multiply(np.conj(roots[2 * (j * b % W.d)]), M, out=M)
+        del M
+    return np.divide(acc, W.d, out=acc)
 
 
 def weyl_from_matrix(M: np.ndarray, d: int, n: int, atol: float = 1e-10):

@@ -1,6 +1,9 @@
 import importlib.util
+import itertools
 import re
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +16,9 @@ import lrc.cli
 import lrc.circuits
 from lrc.channels import (
     Superoperator,
+    _on_footprint,
     apply_local_channel,
+    apply_local_kraus,
     apply_local_measurement,
     coherent_rotation,
     embed_operator,
@@ -26,6 +31,7 @@ from lrc.channels import (
 from lrc.codes import (
     StabilizerCode,
     builtin_code,
+    cospace_table,
     enumerate_pure_errors,
     logical_basis_state,
     projector_for_syndrome,
@@ -53,7 +59,7 @@ from lrc.circuits import (
 )
 from lrc.compiler import RandomizationPolicy, TwirlGroupSpec, instantiate
 from lrc.verify import readout_flip, readout_rotation
-from lrc.weyl import CapacityError, WeylOperator, dense_limit, iter_weyls
+from lrc.weyl import CapacityError, WeylOperator, dense_limit, eigenprojector, iter_weyls
 
 BITFLIP = builtin_code("bitflip3")
 
@@ -286,7 +292,7 @@ def test_measurement_weyl_off_the_block_is_rejected(code_name, text):
 
 
 def test_fourier_and_logical_measurement_keep_their_qubit_bits():
-    """At d = 2, fourier_matrix and the logical-measurement Kraus operators of
+    """At d = 2, fourier_matrix and the oracle's logical-measurement projectors of
     bitflip3 and phaseflip3 give the bits of the np.exp and matrix_power sums
     that the root table and the Weyl eigenprojector replaced."""
     j, k = np.meshgrid(np.arange(2), np.arange(2), indexing="ij")
@@ -295,7 +301,7 @@ def test_fourier_and_logical_measurement_keep_their_qubit_bits():
     for code in (BITFLIP, builtin_code("phaseflip3")):
         M = code.logical_z(0).to_matrix()
         pis = [projector_for_syndrome(code, syndrome_of(code, T)) for T in enumerate_pure_errors(code)]
-        kraus = lrc.circuits._logical_measurement_kraus(code, code.logical_z(0))
+        kraus = logical_measurement_kraus(code, code.logical_z(0))
         for b in range(2):
             acc = np.zeros((code.dim, code.dim), dtype=complex)
             for j in range(2):
@@ -867,7 +873,7 @@ def test_wide_register_pass_matches_the_recorded_averages(tmp_path, monkeypatch)
 
 
 def test_caches_of_measurement_operators_and_weyl_bases_are_bounded():
-    for cached in (lrc.circuits._logical_measurement_kraus, lrc.channels._weyl_basis_matrices):
+    for cached in (lrc.circuits._logical_measurement_basis, lrc.channels._weyl_basis_matrices):
         assert isinstance(cached.cache_parameters()["maxsize"], int)
 
 
@@ -1097,6 +1103,22 @@ def test_kraus_only_noise_above_the_cap_runs():
         instance_channel(CompiledInstance(c, (EMPTY_INSERTIONS,) * len(c.gadgets)))
 
 
+def test_kraus_only_noise_round_trips_through_circuit_json():
+    """The Dk = 128 idle noise is written as its Kraus form, read back bit for bit, and
+    its matrix is never built."""
+    c = extraction_circuit(qubit_repetition(7), 1, 1, seed=8)
+    text = serialize(c)
+    again = parse(text)
+    assert serialize(again) == text
+    for g, h in zip(c.gadgets, again.gadgets, strict=True):
+        for a, b in ((g.noise, h.noise), (g.idle_noise, h.idle_noise)):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a._matrix is None and b._matrix is None
+                assert all(np.array_equal(K, L) for K, L in zip(a.kraus, b.kraus, strict=True))
+    assert evaluate(again).distribution() == evaluate(c).distribution()
+
+
 def test_validation_and_evaluation_leave_a_unitary_noise_matrix_unbuilt():
     """32-dimensional unitary noise is checked and applied through its Kraus form."""
     noise = natural_rep(random_unitary(np.random.default_rng(9), 32))
@@ -1214,3 +1236,140 @@ def test_instance_channel_equals_the_evaluator_on_footprints_smaller_than_the_re
     rho0[0, 0] = 1.0
     got = instance_channel(inst, ideal=ideal)(rho0)
     assert np.max(np.abs(got - inst.evaluate(ideal=ideal).final_state())) <= 1e-12
+
+
+# -- logical measurement through one basis per (code, W) ---------------------------
+
+
+def logical_measurement_kraus(code, W):
+    """Oracle: per outcome b, the nonzero cospace-refined projectors Pi_s P_b on the
+    code block, in pure-error order."""
+    spectral = [eigenprojector(W, b) for b in range(code.d)]
+    by_outcome = ([pi @ S for _, pi in cospace_table(code).values()] for S in spectral)
+    return tuple(tuple(K for K in kraus if np.max(np.abs(K)) >= 1e-14) for kraus in by_outcome)
+
+
+def measured_weyls(code):
+    """Z-bar, X-bar, X-bar Z-bar with the phase that makes its d-th power 1, and the identity."""
+    xz = code.logical_x(0).mul(code.logical_z(0))
+    xz = next(w for w in map(xz.with_phase_exp, range(2 * code.d)) if (w**code.d).is_identity())
+    return (code.logical_z(0), code.logical_x(0), xz, code.identity())
+
+
+def oracle_codes(d):
+    builtins = {2: ("bitflip3", "phaseflip3", "five_one_three"), 3: ("qutrit_rep3",), 5: ()}[d]
+    return [builtin_code(name) for name in builtins] + [repetition3(d), trivial_code(d, 2)]
+
+
+def blocks_of(V, sizes):
+    return [V[:, lo:hi] for lo, hi in itertools.pairwise(itertools.accumulate(sizes, initial=0))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_the_measurement_basis_decodes_like_the_cospace_refined_projectors(data):
+    """Every block of outcome b spans the range of one Pi_s P_b, in pure-error order, and
+    both routes measure a footprint smaller than the register, in any order, like the
+    projector list: the dense kernel's outcomes equal their Kraus sums up to 64
+    dimensions, and above them each pure branch equals Pi_s P_b psi."""
+    d = data.draw(st.sampled_from((2, 3, 5)))
+    code = data.draw(st.sampled_from(oracle_codes(d)))
+    W = data.draw(st.sampled_from(measured_weyls(code)))
+    basis = lrc.circuits._logical_measurement_basis(code, W)
+    kraus = logical_measurement_kraus(code, W)
+    assert len(basis) == len(kraus) == d
+    total = np.zeros((code.dim, code.dim), dtype=complex)
+    for (V, sizes), ops in zip(basis, kraus):
+        assert V.flags.c_contiguous and not V.flags.writeable
+        assert V.shape == (code.dim, sum(sizes)) and len(sizes) == len(ops)
+        assert np.max(np.abs(V.conj().T @ V - np.eye(V.shape[1])), initial=0.0) <= 1e-12
+        total += V @ V.conj().T
+        for blk, K in zip(blocks_of(V, sizes), ops):
+            assert np.max(np.abs(blk @ blk.conj().T - K)) <= 1e-12
+    assert np.max(np.abs(total - np.eye(code.dim))) <= 1e-12
+
+    n = code.n + data.draw(st.sampled_from([e for e in (1, 2, 3) if d ** (code.n + e) <= 1024]))
+    positions = tuple(data.draw(st.permutations(range(n)))[: code.n])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    D = d**n
+    if D <= 64:
+        m = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
+        rho = m @ m.conj().T / np.trace(m @ m.conj().T)
+        for got, ops in zip(apply_local_measurement(rho, basis, positions, d, n), kraus, strict=True):
+            want = apply_local_kraus(rho, ops, positions, d, n) if ops else np.zeros((D, D))
+            assert np.max(np.abs(got - want)) <= 1e-12
+    else:
+        psi = rng.normal(size=(d,) * n) + 1j * rng.normal(size=(d,) * n)
+        psi /= np.linalg.norm(psi)
+        got = list(lrc.circuits._unravel(("measure", positions, basis, "m"), psi))
+        want = [(b, _on_footprint(K, psi, positions)) for b, ops in enumerate(kraus) for K in ops]
+        assert [b for b, _ in got] == [b for b, _ in want]
+        for (_, v), (_, w) in zip(got, want):
+            assert v.shape == psi.shape and np.max(np.abs(v - w)) <= 1e-12
+
+
+def test_the_measurement_basis_is_small_and_reads_no_cospace_table():
+    """repetition3(5) held 125 projectors of 125 x 125 (31 MB) in one cache entry."""
+    code = repetition3(5)
+    lrc.circuits._logical_measurement_basis.cache_clear()
+    lrc.codes.codespace_projector.cache_clear()
+    calls = cospace_table.cache_info()
+    tracemalloc.start()
+    try:
+        basis = lrc.circuits._logical_measurement_basis(code, code.logical_z(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert sum(V.nbytes for V, _ in basis) == 16 * code.dim**2
+    info = cospace_table.cache_info()
+    assert (info.hits, info.misses) == (calls.hits, calls.misses)
+
+
+def surface_code():
+    """The [[9,1,3]] rotated surface code on a 3 x 3 lattice, qubit 3r + c: weight-four
+    Z and X plaquettes, weight-two boundary checks, and one-qubit pure errors."""
+
+    def pauli(kind, sites):
+        v, zero = tuple(int(q in sites) for q in range(9)), (0,) * 9
+        return WeylOperator(2, v, zero) if kind == "X" else WeylOperator(2, zero, v)
+
+    checks = [("Z", (0, 1, 3, 4)), ("Z", (4, 5, 7, 8)), ("Z", (2, 5)), ("Z", (3, 6))]
+    checks += [("X", (1, 2, 4, 5)), ("X", (3, 4, 6, 7)), ("X", (0, 1)), ("X", (7, 8))]
+    # Each pure error anticommutes with one check only, the one at its index.
+    pure = [("X", (0,)), ("X", (8,)), ("X", (2,)), ("X", (6,)), ("Z", (2,)), ("Z", (6,)), ("Z", (0,)), ("Z", (8,))]
+    return StabilizerCode(
+        d=2,
+        n=9,
+        k=1,
+        stab_gens=tuple(pauli(*c) for c in checks),
+        pure_error_gens=tuple(pauli(*p) for p in pure),
+        logical_gens=(pauli("X", (0, 3, 6)), pauli("Z", (0, 1, 2))),
+    )
+
+
+def test_surface_code_measurement_with_a_readout_qubit():
+    """|0-bar> under exp(-i theta X_0), one idle readout qubit (D = 1024), then a logical Z
+    measurement: X_0 flips Z-bar and one check, so b = 1 has probability sin^2 theta."""
+    theta = 0.3
+    code = surface_code()
+    assert [syndrome_of(code, T).index(1) for T in code.pure_error_gens] == list(range(8))
+    noise = coherent_rotation(WeylOperator.x_op(2, 9, 0), theta)
+    c = LogicalCircuit(
+        d=2,
+        registers=(one_block(code), Register(name="R0", kind="readout", qudits=(9,))),
+        gadgets=(Gadget.reset("L0", (0,), noise=noise), Gadget.measurement("L0", "m")),
+        classical_wires=("m",),
+    )
+    assert c.dim == 1024
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        dist = evaluate(c).distribution()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 3.0
+    assert peak < 300 * 2**20
+    assert abs(dist[(1,)] - np.sin(theta) ** 2) <= 1e-12
+    assert abs(dist[(0,)] - np.cos(theta) ** 2) <= 1e-12

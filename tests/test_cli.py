@@ -10,13 +10,13 @@ import numpy as np
 import pytest
 
 from lrc.cli import main
-from lrc.channels import Superoperator
+from lrc.channels import Superoperator, natural_rep
 from lrc.circuits import Gadget, LogicalCircuit, Register, serialize
 from lrc.codes import builtin_code, code_to_dict, trivial_code
 from lrc.compiler import RandomizationPolicy, instantiate, t_gate_matrix
 from lrc.verify import logical_s_gate
 from lrc.weyl import WeylOperator
-from test_circuits import qubit_repetition
+from test_circuits import qubit_repetition, random_unitary
 
 
 @pytest.fixture
@@ -306,6 +306,34 @@ def test_sample_command(tmp_path):
     assert main(["sample", "--shots", "20000", "--seed", "5", "--out", str(out)]) == 0
     report = json.loads(out.read_text())[0]
     assert report["value"] <= report["tolerance"]
+
+
+def test_sample_runs_a_circuit_file_with_kraus_only_noise_above_the_cap(tmp_path):
+    """An unencoded qubit and six readout qubits (D = 128) under an identity gate whose
+    noise is a 128-dimensional unitary U: the file holds U as the noise's Kraus form,
+    and lrc sample reads it and runs the circuit on the pure route.  Z on qubit 0
+    reads 1 with probability sum_(i >= 64) |U[i, 0]|^2."""
+    U = random_unitary(np.random.default_rng(8), 128)
+    readouts = [f"R{i}" for i in range(6)]
+    circuit = LogicalCircuit(
+        d=2,
+        registers=(Register(name="L0", kind="logical", qudits=(0,), code=trivial_code(2, 1)),)
+        + tuple(Register(name=r, kind="readout", qudits=(i + 1,)) for i, r in enumerate(readouts)),
+        gadgets=(
+            Gadget.unitary(("L0", *readouts), matrix=np.eye(128), noise=natural_rep(U)),
+            Gadget.measurement("L0", "m"),
+        ),
+        classical_wires=("m",),
+    )
+    path = tmp_path / "kraus.json"
+    path.write_text(serialize(circuit))
+    assert sorted(json.loads(path.read_text())["gadgets"][0]["noise"]) == ["dim", "kraus"]
+    out = tmp_path / "sample.json"
+    assert main(["sample", "--circuit", str(path), "--shots", "1000", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())[0]
+    assert report["pass"] is True
+    p1 = float(np.sum(np.abs(U[64:, 0]) ** 2))
+    assert np.max(np.abs(np.array(report["details"]["p_avg"]) - [1 - p1, p1])) <= 1e-12
 
 
 def test_sample_refuses_noise_that_is_not_trace_preserving(tmp_path, capsys):

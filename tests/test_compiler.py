@@ -456,9 +456,13 @@ def flat_enumeration(circuit, policy):
         yield CompiledInstance(circuit, tuple(insertions), policy.seed, index), post
 
 
-#: Instances are evaluated only up to this register dimension: at D=625 one
-#: logical measurement of repetition3(5) applies 125 Kraus operators.
-EVALUATE_DIM_LIMIT = 125
+#: Instances are evaluated only up to this register dimension, which holds
+#: repetition3(5) with a readout qudit.
+EVALUATE_DIM_LIMIT = 625
+
+#: The shared-insertions test evaluates every instance five times; above this
+#: dimension its noisy runs take the dense route (about 30 s in all at D=625).
+SHARED_EVALUATE_DIM_LIMIT = 125
 
 
 def _twirled_policy(circuit, **kwargs):
@@ -533,7 +537,7 @@ def test_shared_insertions_evaluate_like_fresh_ones(circuit, seed):
     once, so no cache has seen them.  A shared record is evaluated noisy and
     ideal in alternating order, on the circuit and on a noiseless copy of it,
     and one hand-built record is reused at every gadget."""
-    if circuit.dim > EVALUATE_DIM_LIMIT:
+    if circuit.dim > SHARED_EVALUATE_DIM_LIMIT:
         return
     policy = _twirled_policy(circuit)
     if draw_space_size(circuit, policy) > 64:

@@ -57,7 +57,7 @@ from lrc.verify import (
     weyl_error_probabilities,
 )
 from lrc.weyl import DimensionError, WeylOperator
-from test_circuits import repetition3
+from test_circuits import blocks_of, repetition3
 
 BITFLIP = builtin_code("bitflip3")
 
@@ -374,13 +374,16 @@ def brute_force_extraction_channels(code, policy, noise=None, idle_noise=None, g
                 term = lift_local_superop(step[2], step[1], d, n)
                 prefix = [(m, compose(term, p)) for m, p in prefix]
             elif step[0] == "measure":
-                _, positions, kraus_by_outcome, _ = step
-                if kraus_by_outcome is None:  # a site readout: |m><m| on its qudit
-                    kraus_by_outcome = [(np.outer(e, e),) for e in np.eye(d)]
+                _, positions, bases, _ = step
+                if bases is None:  # a site readout: |m><m| on its qudit
+                    by_outcome = [(np.outer(e, e),) for e in np.eye(d)]
+                else:  # a logical measurement: the projector of each block of the outcome
+                    by_outcome = [[b @ b.conj().T for b in blocks_of(V, sizes)] for V, sizes in bases]
                 new = []
-                for m, (block,) in enumerate(kraus_by_outcome):
-                    proj = natural_rep(embed_operator(block, positions, d, n))
-                    new.extend((m, compose(proj, p)) for _, p in prefix)
+                for m, projectors in enumerate(by_outcome):
+                    for block in projectors:
+                        proj = natural_rep(embed_operator(block, positions, d, n))
+                        new.extend((m, compose(proj, p)) for _, p in prefix)
                 prefix = new
         for m, chain in prefix:
             b = (m + add) % d
