@@ -25,6 +25,7 @@ digits, other column digits and footprint column digits; ``from_sites`` undoes i
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -237,45 +238,48 @@ def max_offdiagonal(R: np.ndarray) -> float:
 
 
 @functools.lru_cache(maxsize=None)
-def _site_axes(positions: tuple, n: int):
-    """Axis permutation into the site layout of a footprint, and its inverse."""
+def _site_axes(positions: tuple, n: int, lead: int = 0):
+    """Axis permutation into the site layout of a footprint, after ``lead`` fixed axes, and its inverse."""
     rest = [i for i in range(n) if i not in positions]
     perm = (*positions, *rest, *(n + i for i in rest), *(n + i for i in positions))
+    perm = (*range(lead), *(lead + a for a in perm))
     return perm, tuple(np.argsort(perm))
 
 
 @functools.lru_cache(maxsize=None)
-def _channel_axes(positions: tuple, n: int):
+def _channel_axes(positions: tuple, n: int, lead: int = 0):
     """The site layout's axes with the footprint columns moved first, (footprint
     columns, footprint rows, other rows, other columns): the column-stacked operand
     of a channel on the footprint.  Returns the permutation and its inverse."""
-    site = _site_axes(positions, n)[0]
-    perm = site[-len(positions) :] + site[: -len(positions)]
+    site, k = _site_axes(positions, n, lead)[0], len(positions)
+    perm = site[:lead] + site[-k:] + site[lead:-k]
     return perm, tuple(np.argsort(perm))
 
 
 def to_sites(M: np.ndarray, positions, d: int, n: int) -> np.ndarray:
-    """A d^n x d^n matrix in the site layout of the footprint, shape (Dk, R, R, Dk)."""
-    positions = tuple(positions)
-    Dk = d ** len(positions)
-    t = np.asarray(M).reshape((d,) * (2 * n)).transpose(_site_axes(positions, n)[0])
-    return t.reshape(Dk, d**n // Dk, d**n // Dk, Dk)
+    """A d^n x d^n matrix (or a stack) in the site layout of the footprint, shape (..., Dk, R, R, Dk)."""
+    positions, M = tuple(positions), np.asarray(M)
+    Dk, lead = d ** len(positions), M.shape[:-2]
+    t = M.reshape(lead + (d,) * (2 * n)).transpose(_site_axes(positions, n, len(lead))[0])
+    return t.reshape(lead + (Dk, d**n // Dk, d**n // Dk, Dk))
 
 
-def from_sites(t: np.ndarray, positions, d: int, n: int) -> np.ndarray:
-    """The d^n x d^n matrix of a tensor in the site layout (inverse of to_sites)."""
-    inv = _site_axes(tuple(positions), n)[1]
-    return t.reshape((d,) * (2 * n)).transpose(inv).reshape(d**n, d**n)
+def from_sites(t: np.ndarray, positions, d: int, n: int, lead: tuple = ()) -> np.ndarray:
+    """The d^n x d^n matrix (after the ``lead`` stack axes) of a tensor in the site layout."""
+    inv = _site_axes(tuple(positions), n, len(lead))[1]
+    return t.reshape(lead + (d,) * (2 * n)).transpose(inv).reshape(lead + (d**n, d**n))
 
 
 def _footprint_rows(psi: np.ndarray, positions: tuple) -> np.ndarray:
-    """A (d,)*n state tensor as footprint digits by the others: the rows of the site layout."""
-    n = psi.ndim
-    return psi.transpose(_site_axes(positions, n)[0][:n]).reshape(psi.shape[0] ** len(positions), -1)
+    """A state tensor as the digits of the axes ``positions`` by the others: the rows of
+    the site layout.  A stack of (d,)*n states has its sites at axes 1..n."""
+    Dk = math.prod(psi.shape[a] for a in positions)
+    return psi.transpose(_site_axes(positions, psi.ndim)[0][: psi.ndim]).reshape(Dk, -1)
 
 
 def _from_footprint_rows(rows: np.ndarray, positions: tuple, shape: tuple) -> np.ndarray:
-    return rows.reshape(shape).transpose(_site_axes(positions, len(shape))[1][: len(shape)])
+    n, (perm, inv) = len(shape), _site_axes(positions, len(shape))
+    return rows.reshape([shape[a] for a in perm[:n]]).transpose(inv[:n])
 
 
 def _on_footprint(K: np.ndarray, psi: np.ndarray, positions: tuple) -> np.ndarray:
@@ -295,15 +299,15 @@ def embed_operator(M: np.ndarray, positions, d: int, n_total: int) -> np.ndarray
 
 def partial_trace(rho: np.ndarray, keep, d: int, n: int) -> np.ndarray:
     """Trace out every site not listed in keep; keep order is preserved."""
-    return np.einsum("abbc->ac", to_sites(rho, keep, d, n))
+    return np.einsum("...abbc->...ac", to_sites(rho, keep, d, n))
 
 
 def reset_sites(rho: np.ndarray, positions, state: np.ndarray, d: int, n: int) -> np.ndarray:
     """Replace the reduced state on the given sites by a fresh pure state."""
-    rest = [i for i in range(n) if i not in positions]
-    reduced = partial_trace(rho, rest, d, n) if rest else np.array([[1.0 + 0j]])
+    rest, lead = [i for i in range(n) if i not in positions], np.shape(rho)[:-2]
+    reduced = partial_trace(rho, rest, d, n) if rest else np.ones(lead + (1, 1), dtype=complex)
     block = np.outer(state, np.conj(state))
-    return from_sites(block[:, None, None, :] * reduced[None, :, :, None], positions, d, n)
+    return from_sites(block[:, None, None, :] * reduced[..., None, :, :, None], positions, d, n, lead)
 
 
 def lift_local_superop(C: Superoperator, positions, d: int, n: int) -> Superoperator:
@@ -320,7 +324,7 @@ def lift_local_superop(C: Superoperator, positions, d: int, n: int) -> Superoper
 def apply_local_channel(
     rho: np.ndarray, C: Superoperator, positions, d: int, n: int
 ) -> np.ndarray:
-    """Apply a channel on a subset of sites to a global density matrix.
+    """Apply a channel on a subset of sites to a global density matrix, or to each of a stack.
 
     A Kraus form of r <= Dk / 8 operators is applied as sum_K K rho K^dagger,
     2 r Dk^3 products per footprint block against Dk^4 for the matrix.  Two
@@ -337,50 +341,57 @@ def apply_local_channel(
             (K,) = C.kraus
             return K @ rho @ K.conj().T  # the footprint is the register, in order
         return apply_local_kraus(rho, C.kraus, positions, d, n)
-    perm, inv = _channel_axes(tuple(positions), n)
+    lead = np.shape(rho)[:-2]
+    perm, inv = _channel_axes(tuple(positions), n, len(lead))
     # Column-stacked vec index r + Dk*c: the channel acts on (c, r)-ordered rows.
-    t = np.asarray(rho).reshape((d,) * (2 * n)).transpose(perm).reshape(Dk * Dk, -1)
+    t = np.asarray(rho).reshape(lead + (d,) * (2 * n)).transpose(perm).reshape(lead + (Dk * Dk, -1))
     out = C.matrix @ t
-    return out.reshape((d,) * (2 * n)).transpose(inv).reshape(D, D)
+    return out.reshape(lead + (d,) * (2 * n)).transpose(inv).reshape(lead + (D, D))
 
 
-def apply_local_measurement(rho: np.ndarray, bases, positions, d: int, n: int):
-    """Yields, per outcome, the state a measurement on the given sites leaves of rho, which
-    enters the site layout once.  ``bases`` holds per outcome an isometry V, its columns in
+def apply_local_measurement(rho: np.ndarray, bases, positions, d: int, n: int) -> np.ndarray:
+    """Per outcome, on a new axis after the stack's, the state a measurement on the sites leaves
+    of rho (or of each of a stack).  ``bases`` holds per outcome an isometry V, its columns in
     blocks, and the block sizes: the outcome keeps the diagonal blocks of V^dagger rho V and
-    maps them back, sum_blk P_blk rho P_blk with P_blk = V_blk V_blk^dagger (no columns: zero).
+    maps them back, sum_blk P_blk rho P_blk, P_blk = V_blk V_blk^dagger (no columns: zero).
     With bases None, one site is read out: outcome m copies the block of rho whose row and
-    column digits there are m, which equals |m><m| rho |m><m| entry for entry."""
+    column digits there are m (|m><m| rho |m><m| entry for entry) into one zeroed output."""
+    rho = np.asarray(rho)
+    lead = rho.shape[:-2]
     if bases is None:
         (site,) = positions
-        t = np.asarray(rho).reshape((d**site, d, d ** (n - site - 1)) * 2)
+        t = rho.reshape(lead + (d**site, d, d ** (n - site - 1)) * 2)
+        out = np.zeros(lead + (d,) + t.shape[len(lead) :], dtype=complex)
         for m in range(d):
-            out = np.zeros_like(t)
-            out[:, m, :, :, m, :] = t[:, m, :, :, m, :]
-            yield out.reshape(d**n, d**n)
-        return
+            out[..., m, :, m, :, :, m, :] = t[..., m, :, :, m, :]
+        return out.reshape(lead + (d,) + rho.shape[-2:])
     t = to_sites(rho, positions, d, n)
-    Dk, R2 = len(t), t[0].size // len(t)
-    rows = t.reshape(Dk, -1)
-    for V, sizes in bases:
+    Dk, R2 = t.shape[-1], t.shape[-3] * t.shape[-2]
+    rows = t.reshape(lead + (Dk, -1))
+    outs = np.empty(lead + (len(bases),) + rho.shape[-2:], dtype=complex)
+    for b, (V, sizes) in enumerate(bases):
         m, Vh = V.shape[1], V.conj().T
-        T = ((Vh @ rows).reshape(-1, Dk) @ V).reshape(m, R2, m)
-        if m == len(sizes):  # blocks of one column: the diagonal of T, as (m, R2, 1)
-            out = V @ (T[np.arange(m), :, np.arange(m), None] * Vh[:, None, :]).reshape(m, R2 * Dk)
+        T = ((Vh @ rows).reshape(lead + (-1, Dk)) @ V).reshape(lead + (m, R2, m))
+        if m == len(sizes):  # blocks of one column: the diagonal of T, as (..., m, R2, 1)
+            diag = T.diagonal(axis1=-3, axis2=-1).swapaxes(-1, -2)[..., None]
+            out = V @ (diag * Vh[:, None, :]).reshape(lead + (m, R2 * Dk))
         else:
             block = np.repeat(np.arange(len(sizes)), sizes)
             T *= (block[:, None] == block)[:, None, :]
-            out = (V @ T.reshape(m, -1)).reshape(-1, m) @ Vh
-        yield from_sites(out, positions, d, n)
+            out = (V @ T.reshape(lead + (m, -1))).reshape(lead + (-1, m)) @ Vh
+        view = outs[..., b, :, :].reshape(lead + (d,) * (2 * n))  # from_sites, written in place
+        view[...] = out.reshape(view.shape).transpose(_site_axes(tuple(positions), n, len(lead))[1])
+    return outs
 
 
 def apply_local_kraus(rho: np.ndarray, kraus, positions, d: int, n: int) -> np.ndarray:
-    """sum_K K rho K^dagger for operators K on the given sites, summed from the first term."""
+    """sum_K K rho K^dagger for operators K on the given sites, summed from the first term;
+    rho may be a stack of density matrices."""
     t = to_sites(rho, positions, d, n)
-    Dk = len(t)
-    rows = t.reshape(Dk, -1)
-    terms = ((K @ rows).reshape(-1, Dk) @ K.conj().T for K in kraus)
+    lead, Dk = t.shape[:-4], t.shape[-1]
+    rows = t.reshape(lead + (Dk, -1))
+    terms = ((K @ rows).reshape(lead + (-1, Dk)) @ K.conj().T for K in kraus)
     out = next(terms)
     for term in terms:
         out += term
-    return from_sites(out, positions, d, n)
+    return from_sites(out, positions, d, n, lead)

@@ -17,21 +17,21 @@ footprint; noise conventions are
 
 Every noise channel must be trace-preserving (diagnostic ``noise-trace``).
 The evaluator tracks the exact distribution over measurement outcomes by
-branch enumeration, with a configurable branch limit and a sampling
-fallback.  One loop walks the steps for two kinds of branch state: a density
-matrix, or above 64 dimensions, in a run whose noise channels all have Kraus
-forms, a pure state psi (the pure route), which resets, measurements and Kraus
-forms of several operators split into pure branches that the branch limit
-counts; a result builds rho = sum p |psi><psi| only when asked.  Compiled
-randomization draws enter as inserted layers, which are noise-free unitary
-gadgets before and after a gadget, and as settings inside it; the same
-evaluator runs bare and compiled circuits.
+branch enumeration, with a configurable branch limit and a sampling fallback.
+A run holds its branches as stacks and applies each step once to all of them:
+density matrices, or above 64 dimensions, in a run whose noise channels all
+have Kraus forms, pure states psi (the pure route), which resets, measurements
+and Kraus forms of several operators split.  A split weighs every row before it
+builds the kept ones; ``Branch`` objects are made for the result, which builds
+rho = sum p |psi><psi| only when asked.  Compiled randomization draws enter as
+inserted layers (noise-free unitary gadgets) and as settings inside a gadget.
 ``expand_gadget`` lowers gadgets to five step kinds: ("weyl", op),
 ("gate", sites, U), ("channel", sites, C), ("reset", sites, state) and
 ("measure", sites, bases, wire), one step for site readouts (bases None: the
 diagonal blocks of |m><m|, copied) and logical measurements (per outcome b, one
 isometry whose column blocks span the ranges of Pi_s P_b); "weyl" is an index
-map, the others act on their footprint in the site layout of ``channels``.
+map, as is a controlled-Weyl "gate" on the pure route (it carries its nonzero
+entry per row); the others act on their footprint in the layout of ``channels``.
 
 Circuits serialize to JSON (schema_version 1) with top-level keys
 "codes", "registers", "gadgets" and "classical_wires".
@@ -53,6 +53,7 @@ from .channels import (
     _footprint_rows,
     _from_footprint_rows,
     _on_footprint,
+    _site_axes,
     apply_local_channel,
     apply_local_kraus,
     apply_local_measurement,
@@ -83,6 +84,7 @@ from .weyl import (
     DENSE_LIMIT_ENV,
     CapacityError,
     WeylOperator,
+    _shift_and_phases,
     braiding_exponent,
     dense_limit,
     eigenprojector,
@@ -448,15 +450,21 @@ def fourier_matrix(d: int) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def controlled_weyl(A: WeylOperator) -> np.ndarray:
     """sum_s A^s (x) |s><s| with the control qudit as the last factor."""
-    d = A.d
-    Da = A.dim
-    out = np.zeros((Da * d, Da * d), dtype=complex)
-    for s in range(d):
-        ctrl = np.zeros((d, d))
-        ctrl[s, s] = 1.0
-        out += np.kron((A**s).to_matrix(), ctrl)
+    cols, vals = _controlled_weyl_rows(A)
+    out = np.zeros((len(cols),) * 2, dtype=complex)
+    out[np.arange(len(cols)), cols] = vals
     out.setflags(write=False)
     return out
+
+
+@functools.lru_cache(maxsize=8)
+def _controlled_weyl_rows(A: WeylOperator):
+    """Per row (digits of A's sites, then s) of controlled_weyl(A), the column of its one
+    nonzero entry and that entry, read from the index maps of the A^s."""
+    powers = [A**s for s in range(A.d)]
+    maps = [(_shift_and_phases(A.d, W.x, W.z), roots_of_unity(A.d)[W.phase_exp]) for W in powers]
+    cols = np.stack([perm * A.d + s for s, ((perm, _), _) in enumerate(maps)], axis=1).ravel()
+    return cols, np.stack([phase * u for (_, u), phase in maps], axis=1).ravel()
 
 
 def _step_weyl(op: WeylOperator, positions, n_total: int):
@@ -537,7 +545,7 @@ def expand_gadget(circuit: LogicalCircuit, g: Gadget, ins: GadgetInsertions) -> 
             steps.append(_step_weyl(L, reg.qudits, n))
         if P is not None:
             steps.append(_step_weyl(P, ro_pos, n))
-        steps.append(("gate", tuple(reg.qudits) + ro_pos, controlled_weyl(A)))
+        steps.append(("gate", tuple(reg.qudits) + ro_pos, controlled_weyl(A), _controlled_weyl_rows(A)))
         if L is not None:
             steps.append(_step_weyl(L.dagger(), reg.qudits, n))
         if P is not None:
@@ -610,6 +618,8 @@ class CircuitResult:
     circuit: LogicalCircuit
     branches: list
     exact: bool = True
+    #: the route ("dense" or "pure"), the peak branch count and the splits that sampled
+    stats: dict = field(default_factory=dict)
 
     def distribution(self) -> dict:
         """Probability of each joint wire assignment, keyed in wire order."""
@@ -669,7 +679,7 @@ def _logical_measurement_basis(code: StabilizerCode, measured: WeylOperator):
 
 
 #: Per circuit object, (ideal, branch_limit) -> (weak references to the first G-1 records
-#: of the last exact run, its read-only (probability, state, record) branches after them).
+#: of the last exact run, its read-only probability, state and record stacks after them).
 _PREFIXES = weakref.WeakKeyDictionary()
 
 
@@ -698,21 +708,15 @@ def evaluate(
         insertions = [EMPTY_INSERTIONS] * len(circuit.gadgets)
     pure = circuit.dim > _SMALL_DIM and (ideal or all(
         c.kraus is not None for g in circuit.gadgets for c in (g.noise, g.idle_noise) if c is not None))
-    branches, exact = _run(circuit, insertions, ideal, branch_limit, rng, pure)
-    for ins in insertions:
-        for wire, add in ins.classical_add.items():
-            for br in branches:
-                if wire in br.record:
-                    br.record[wire] = (br.record[wire] + add) % circuit.d
-    return CircuitResult(circuit, branches, exact=exact)
+    return CircuitResult(circuit, *_run(circuit, insertions, ideal, branch_limit, rng, pure))
 
 
 def _run(circuit, insertions, ideal, branch_limit, rng, pure):
-    """Branches and whether they are exact: density matrices, or with ``pure`` pure
-    states psi, each a (d,)*n tensor until the end, then a vector.  A measurement splits
-    every branch; on the pure route so do a reset (into the unrecorded |s><m| psi of each
-    nonzero m) and a Kraus form of several operators (pure branches x D <= dense_limit()^2)."""
-    d, n, D = circuit.d, circuit.n_qudits, circuit.dim
+    """Branches, whether they are exact, and the run's stats.  The B branches are stacks: a
+    probability vector, (B, D, D) density matrices or with ``pure`` (B, d, ..., d) states psi,
+    and a B x wires array of outcomes, each step acting on all of them.  A measurement splits
+    every branch; on the pure route so do a reset and a Kraus form of several operators."""
+    d, n, D, wires = circuit.d, circuit.n_qudits, circuit.dim, circuit.classical_wires
     if pure:
         _check_pure_memory(1, D)
     elif D > dense_limit():
@@ -722,60 +726,55 @@ def _run(circuit, insertions, ideal, branch_limit, rng, pure):
     key = (ideal, branch_limit)
     saved = memo.get(key) if memo is not None else None
     if saved is not None and all(ref() is ins for ref, ins in zip(saved[0], insertions)):
-        first = last
-        branches = [Branch(p, state, dict(record)) for p, state, record in saved[1]]
+        first, (probs, states, records) = last, saved[1]
     else:
-        first = 0
-        state = np.zeros((d,) * n if pure else (D, D), dtype=complex)
-        state.flat[0] = 1.0
-        branches = [Branch(1.0, state, {})]
-    exact, act = True, _act_pure if pure else _act_dense
+        first, probs, records = 0, np.ones(1), np.zeros((1, len(wires)), dtype=np.int64)
+        states = np.zeros((1,) + ((d,) * n if pure else (D, D)), dtype=complex)
+        states.flat[0] = 1.0
+    stats = {"route": "pure" if pure else "dense", "peak_branches": len(probs), "fallback_splits": 0}
 
     for i, steps in enumerate(_instance_steps(circuit, insertions, ideal, first), first):
-        if i == last and first == 0 and memo is not None and exact:
-            for br in branches:
-                br.state.setflags(write=False)
-            memo[key] = (
-                tuple(weakref.ref(ins) for ins in insertions[:last]),
-                tuple((br.probability, br.state, dict(br.record)) for br in branches),
-            )
+        if i == last and first == 0 and memo is not None and not stats["fallback_splits"]:
+            for stack in (probs, states, records):
+                stack.setflags(write=False)
+            memo[key] = (tuple(weakref.ref(ins) for ins in insertions[:last]), (probs, states, records))
         for step in steps:
             kind = step[0]
             if kind == "weyl" and step[1].is_identity(ignore_phase=True):
                 continue  # a global phase; its conjugation multiplies every entry by exactly 1+0j
             if kind == "measure" or pure and (kind == "reset" or kind == "channel" and len(step[2].kraus) > 1):
-                rows = (_unravel(step, br.state) if pure
-                        else enumerate(apply_local_measurement(br.state, step[2], step[1], d, n)) for br in branches)
-                wire = step[3] if kind == "measure" else None
-                branches, exact = _branch_measure(branches, rows, wire, branch_limit, rng, exact, D if pure else 0)
+                p, labels, build = _split_rows(step, states, d, n, pure)
+                probs, states, records = _branch_measure(
+                    p, labels, build, probs, records, wires.index(step[3]) if kind == "measure" else None,
+                    branch_limit, rng, stats, D if pure else 0)
             else:
-                for br in branches:
-                    br.state = act(step, br.state, d, n)
-    if pure:
-        for br in branches:
-            br.state = br.state.reshape(D)
-    return branches, exact
+                states = _act(step, states, d, n, pure)
+    adds = [sum(ins.classical_add.get(wire, 0) for ins in insertions) for wire in wires]
+    flat = states.reshape(len(probs), D) if pure else states
+    branches = [Branch(p, s, {w: (v + a) % d for w, v, a in zip(wires, r, adds)})
+                for p, s, r in zip(probs.tolist(), flat, records.tolist())]
+    return branches, not stats["fallback_splits"], stats
 
 
-def _act_dense(step, rho, d, n):
+def _act(step, states, d, n, pure):
+    """A Weyl, gate, one-operator Kraus or (dense) channel or reset step on every branch."""
     kind = step[0]
-    if kind == "weyl":
-        return step[1].conjugate_matrix(rho)
-    if kind == "gate":
-        return apply_local_kraus(rho, (step[2],), step[1], d, n)
-    if kind == "channel":
-        return apply_local_channel(rho, step[2], step[1], d, n)
+    if kind == "weyl":  # one gather of the index map on every branch
+        if pure:
+            return step[1].apply_to_vector(states.reshape(len(states), -1)).reshape(states.shape)
+        return step[1].conjugate_matrix(states)
+    if pure:  # one product with the footprint rows of every branch, a gather for a monomial gate
+        axes = tuple(q + 1 for q in step[1])  # axis 0 of the stack counts branches
+        if len(step) > 3:
+            cols, vals = step[3]
+            rows = vals[:, None] * _footprint_rows(states, axes)[cols]
+            return _from_footprint_rows(rows, axes, states.shape)
+        return _on_footprint(step[2] if kind == "gate" else step[2].kraus[0], states, axes)
     if kind == "reset":
-        return reset_sites(rho, step[1], step[2], d, n)
-    raise EvaluationError(f"unknown step {kind!r}")
-
-
-def _act_pure(step, psi, d, n):
-    """A Weyl, a gate or a Kraus form of one operator on a (d,)*n state tensor."""
-    if step[0] == "weyl":
-        return step[1].apply_to_vector(psi.reshape(-1)).reshape(psi.shape)
-    _, positions, op = step
-    return _on_footprint(op if step[0] == "gate" else op.kraus[0], psi, positions)
+        return reset_sites(states, step[1], step[2], d, n)
+    if kind == "channel":
+        return apply_local_channel(states, step[2], step[1], d, n)
+    return apply_local_kraus(states, (step[2],), step[1], d, n)  # a gate
 
 
 def _check_pure_memory(count: int, D: int):
@@ -785,63 +784,89 @@ def _check_pure_memory(count: int, D: int):
                             f"those of a density matrix at the dense cap ({DENSE_LIMIT_ENV})")
 
 
-def _unravel(step, psi: np.ndarray):
-    """(outcome, unnormalised pure state) of each branch a splitting step makes of psi;
-    the outcome is None for an unrecorded split (a reset, or a Kraus form)."""
+def _split_rows(step, states, d, n, pure):
+    """(p, labels, build) of a split: p[i, c] is the probability of row c of branch i, and
+    build(branch, row, weight) forms only the chosen rows, normalised.  On density matrices
+    row m is the state outcome m leaves; on pure states, X their footprint rows, row m of X
+    gives a reset's |s><m| psi or a readout's slice m of psi, a Kraus operator K gives K X,
+    and column block c of V = [V_0 ... V_(d-1)] gives V_c A_c, A = V^dagger X."""
     kind, positions, ops = step[:3]
-    if kind == "reset":  # |s><m| for each m, ops the state s
-        for row in _footprint_rows(psi, positions):
-            if row.any():
-                yield None, _from_footprint_rows(np.multiply.outer(ops, row), positions, psi.shape)
-    elif ops is None:  # a site readout keeps the entries whose digit there is m
-        (site,) = positions
-        digit = np.arange(psi.shape[site]).reshape((-1,) + (1,) * (psi.ndim - site - 1))
-        for m in range(psi.shape[site]):
-            yield m, np.where(digit == m, psi, 0)
-    elif kind == "channel":
-        for K in ops.kraus:
-            yield None, _on_footprint(K, psi, positions)
-    else:  # a logical measurement: each block V_blk of outcome b keeps V_blk V_blk^dagger psi
-        rows = _footprint_rows(psi, positions)
-        for b, (V, sizes) in enumerate(ops):
-            A = V.conj().T @ rows
-            for lo, hi in itertools.pairwise(itertools.accumulate(sizes, initial=0)):
-                yield b, _from_footprint_rows(V[:, lo:hi] @ A[lo:hi], positions, psi.shape)
+    if not pure:  # (branch, outcome, D, D), so that keeping every row copies nothing
+        outs = apply_local_measurement(states, ops, positions, d, n)
+
+        def build(branch, row, weight):
+            new = outs.reshape(-1, *outs.shape[2:]) if len(branch) == len(outs) * d else outs[branch, row]
+            return np.divide(new, weight[:, None, None], out=new)
+
+        return outs.trace(axis1=-2, axis2=-1).real, np.arange(d), build
+    X = _footprint_rows(states, tuple(q + 1 for q in positions)).reshape(d ** len(positions), len(states), -1)
+    Dk, labels, inv = len(X), np.arange(len(X)), _site_axes(tuple(positions), n, 1)[1][: n + 1]
+
+    def back(new):  # (rows, footprint digits, other digits) as a stack of states
+        return new.reshape((-1,) + states.shape[1:]).transpose(inv)
+
+    def squares(rows):  # summed over the other digits
+        return sum(np.einsum("...r,...r->...", part, part) for part in (rows.real, rows.imag))
+
+    if kind == "reset" or ops is None:  # a reset is unrecorded
+
+        def build(branch, row, weight):
+            kept = (X[row, branch] / np.sqrt(weight)[:, None])[:, None, :]
+            return back(kept * (ops[:, None] if kind == "reset" else (labels == row[:, None])[..., None]))
+
+        return squares(X).T, labels, build
+    if kind == "channel":  # unrecorded
+        p = np.stack([squares(np.tensordot(K, X, 1)).sum(axis=0) for K in ops.kraus], axis=1)
+
+        def build(branch, row, weight):
+            new = np.empty((len(branch), Dk, X.shape[2]), dtype=complex)
+            for k in np.unique(row):  # one product per Kraus operator
+                chosen = X[:, branch[row == k]] / np.sqrt(weight[row == k])[:, None]
+                new[row == k] = np.tensordot(ops.kraus[k], chosen, 1).transpose(1, 0, 2)
+            return back(new)
+
+        return p, labels, build
+    conj = X.conj().reshape(Dk, -1)  # A = conj(V^T conj(X)) copies no V_b
+    A = np.concatenate([V.T @ conj for V, _ in ops]).conj().reshape(X.shape)
+    sizes = [size for _, outcome in ops for size in outcome]
+
+    def build(branch, row, weight):
+        V = np.hstack([V for V, _ in ops])
+        if len(sizes) == Dk:  # blocks of one column: column c of V times row c of A
+            return back(V.T[row][..., None] * (A[row, branch] / np.sqrt(weight)[:, None])[:, None, :])
+        blocks = np.repeat(np.arange(len(sizes)), sizes)  # the column block of each row of A
+        chosen = A[:, branch] * ((blocks[:, None] == row) / np.sqrt(weight))[..., None]
+        return back((V @ chosen.reshape(Dk, -1)).reshape(Dk, len(branch), -1).transpose(1, 0, 2))
+
+    p = np.add.reduceat(squares(A), list(itertools.accumulate(sizes, initial=0))[:-1], axis=0).T
+    return p, np.repeat(np.arange(len(ops)), [len(outcome) for _, outcome in ops]), build
 
 
-def _branch_measure(branches, outcome_rows, wire, branch_limit, rng, exact, pure_dim=0):
-    """Split every branch on one measurement, or with wire None on an unrecorded split.
-
-    outcome_rows yields, for each branch in order, its (outcome, unnormalised state)
-    rows, of probability the trace of a density matrix or the squared norm of a pure
-    state of dimension pure_dim; rows of probability at most 1e-14 are dropped.  Once
-    the rows kept exceed branch_limit, each branch keeps one row, drawn by probability.
-    A density matrix is normalised by its probability, a pure state by its root; pure
-    states may hold no more entries than a density matrix at the dense cap.
-    """
-    kept, total, drawn = [], 0, 0
-    for rows in outcome_rows:
-        weighed = ((m, float((np.vdot(v, v) if pure_dim else np.trace(v)).real), v) for m, v in rows)
-        kept.append([row for row in weighed if row[1] > 1e-14])
-        total += len(kept[-1])
-        if total > branch_limit:
-            if rng is None:
-                raise EvaluationError(
-                    f"branch limit {branch_limit} exceeded; pass an rng for the sampling fallback"
-                )
-            for j in range(drawn, len(kept)):
-                ps = np.array([p for _, p, _ in kept[j]])
-                kept[j] = [kept[j][rng.choice(len(ps), p=ps / ps.sum())]]
-            drawn = len(kept)
-        if pure_dim:
-            _check_pure_memory(drawn or total, pure_dim)
-    new = []
-    for br, rows in zip(branches, kept):
-        for m, p, sub in rows:
-            state = np.divide(sub, np.sqrt(p) if pure_dim else p, out=sub)
-            record = dict(br.record) if wire is None else {**br.record, wire: m}
-            new.append(Branch(br.probability if drawn else br.probability * p, state, record))
-    return new, exact and not drawn
+def _branch_measure(p, labels, build, probs, records, wire, branch_limit, rng, stats, pure_dim=0):
+    """Split every branch: row c of branch i has probability p[i, c] (a trace, or with
+    pure_dim a squared norm) and records labels[c] in column ``wire`` (None: unrecorded).
+    Rows of probability at most 1e-14 are dropped, the rest kept in branch-major, row order;
+    over branch_limit each branch keeps one row, drawn for every branch at once.  Only then
+    are they built: pure states hold no more entries than a density matrix at the dense cap."""
+    keep = p > 1e-14
+    branch, row = np.nonzero(keep)
+    drawn = len(branch) > branch_limit
+    if drawn:
+        if rng is None:
+            raise EvaluationError(
+                f"branch limit {branch_limit} exceeded; pass an rng for the sampling fallback"
+            )
+        cdf = np.cumsum(np.where(keep, p, 0.0), axis=1)
+        branch, row = np.arange(len(p)), (cdf > rng.random(len(p))[:, None] * cdf[:, -1:]).argmax(axis=1)
+        stats["fallback_splits"] += 1
+    if pure_dim:
+        _check_pure_memory(len(branch), pure_dim)
+    weight = p[branch, row] if drawn else p[keep]
+    records = records[branch]
+    if wire is not None:
+        records[:, wire] = labels[row]
+    stats["peak_branches"] = max(stats["peak_branches"], len(branch))
+    return (probs[branch] if drawn else probs[branch] * weight), build(branch, row, weight), records
 
 
 def instance_channel(inst, ideal: bool = False) -> Superoperator:

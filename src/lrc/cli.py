@@ -26,6 +26,7 @@ from .verify import (
     CHECK_NAMES,
     check_measurement_rc,
     check_sampling_equivalence,
+    derive_seed,
     readout_flip,
     readout_rotation,
     run_check,
@@ -120,19 +121,16 @@ def cmd_verify(args) -> int:
     return _report(reports, args)
 
 
-def cmd_compile(args) -> int:
-    circuit = _load_circuit(args.circuit)
-    if circuit is None:
-        return 2
+def _read_policy(args, policy: RandomizationPolicy, seed: int | None):
+    """The policy of --policy, else ``policy``, with the --mode override and, if not None,
+    the seed; None after reporting a policy that cannot be read or a bad --mode."""
     if args.policy:
         try:
             with open(args.policy, "r", encoding="utf-8") as fh:
                 policy = RandomizationPolicy.from_json(fh.read())
         except (OSError, ValueError, CompileError) as exc:
             print(f"invalid policy: {exc}", file=sys.stderr)
-            return 2
-    else:
-        policy = RandomizationPolicy()
+            return None
     if args.mode:
         kind, _, count = args.mode.partition("=")
         if args.mode == "exhaustive":
@@ -141,9 +139,18 @@ def cmd_compile(args) -> int:
             policy.mode, policy.samples = "sampled", int(count)
         else:
             print(f"bad --mode {args.mode!r}; use exhaustive or sampled=N", file=sys.stderr)
-            return 2
-    if args.seed is not None:
-        policy.seed = args.seed
+            return None
+    if seed is not None:
+        policy.seed = seed
+    return policy
+
+
+def cmd_compile(args) -> int:
+    circuit = _load_circuit(args.circuit)
+    if circuit is None:
+        return 2
+    if (policy := _read_policy(args, RandomizationPolicy(), args.seed)) is None:
+        return 2
     try:
         instances = [inst.to_dict() for inst in instantiate(circuit, policy)]
     except CompileError as exc:
@@ -200,7 +207,11 @@ def cmd_sample(args) -> int:
         circuit = _load_circuit(args.circuit)
         if circuit is None:
             return 2
-    report = check_sampling_equivalence(circuit=circuit, shots=args.shots, seed=args.seed)
+    seed = DEFAULT_SEED if args.seed is None else args.seed  # a given --seed also overrides a policy file's
+    policy = RandomizationPolicy(seed=derive_seed(seed, "sampling_policy"))  # the default of the check
+    if (policy := _read_policy(args, policy, args.seed if args.policy else None)) is None:
+        return 2
+    report = check_sampling_equivalence(circuit=circuit, policy=policy, shots=args.shots, seed=seed)
     return _report([report], args)
 
 
@@ -253,8 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="compare one-shot-per-compilation sampling to the average")
     p.add_argument("--shots", type=int, default=10**5)
     p.add_argument("--circuit", help="circuit JSON path (default: builtin noisy reset+measure)")
+    p.add_argument("--policy", help="policy JSON path (default: derived from the master seed)")
+    p.add_argument("--mode", help="exhaustive or sampled=N (overrides the policy)")
     common(p)
-    p.set_defaults(fn=cmd_sample)
+    p.set_defaults(fn=cmd_sample, seed=None)  # None: the default master seed
     return parser
 
 

@@ -267,38 +267,39 @@ class WeylOperator:
         return M
 
     def apply_to_vector(self, psi: np.ndarray) -> np.ndarray:
-        """W |psi> without forming the matrix."""
+        """W |psi> without forming the matrix; psi may be a stack of states, (..., D)."""
         D = self.dim
-        if psi.shape != (D,):
+        if psi.shape[-1:] != (D,):
             raise DimensionError(f"state has dimension {psi.shape}, expected ({D},)")
         # An entry holds 24 D bytes: 256 of them are at most 25 MB up to the default cap.
         tables = _shift_and_phases if D <= DEFAULT_DENSE_LIMIT else _shift_and_phases.__wrapped__
         perm, u = tables(self.d, self.x, self.z)
-        return (roots_of_unity(self.d)[self.phase_exp] * u) * psi[perm]
+        return (roots_of_unity(self.d)[self.phase_exp] * u) * psi.take(perm, axis=-1)
 
     def conjugate_matrix(self, M: np.ndarray) -> np.ndarray:
-        """W M W^dagger as a gather plus phases, O(dim^2); C-contiguous.
+        """W M W^dagger as a gather plus phases, O(dim^2); C-contiguous.  M may be a
+        stack of matrices, (..., D, D).
 
         Entry (i, j) is u[i] * conj(u[j]) times M[perm[i], perm[j]], one product
         of the same values on both sides of _SMALL_DIM.
         """
         D = self.dim
-        if M.shape != (D, D):
+        if M.shape[-2:] != (D, D):
             raise DimensionError(f"matrix has shape {M.shape}, expected ({D},{D})")
-        d, x, z = self.d, self.x, self.z
+        d, x, z, lead = self.d, self.x, self.z, M.shape[:-2]
         if D <= _SMALL_DIM:
             idx, outer = _gather_tables(d, x, z)
-            g = np.ravel(M).take(idx)
+            g = M.reshape(lead + (D * D,)).take(idx, axis=-1)
             return np.multiply(outer, g, out=g)
         perm, u = _shift_and_phases(d, x, z)
-        g = M.take(perm, 0).take(perm, 1) if any(x) else None
+        g = M.take(perm, -2).take(perm, -1) if any(x) else None
         # u[i] reads only the digits of i where z != 0: those d^|S| values broadcast
         # over the (d,)*n row digits, conj(u) runs along the D columns.
         rows = u.reshape((d,) * self.n)[tuple(slice(None if zk else 1) for zk in z)]
         outer = rows[..., None] * u.conj()
-        shape = (d,) * self.n + (D,)
+        shape = lead + (d,) * self.n + (D,)
         if g is None:
-            return np.multiply(outer, M.reshape(shape), order="C").reshape(D, D)
+            return np.multiply(outer, M.reshape(shape), order="C").reshape(M.shape)
         np.multiply(outer, g.reshape(shape), out=g.reshape(shape))  # g is fresh and C-ordered
         return g
 

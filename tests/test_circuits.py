@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import itertools
 import re
@@ -60,6 +61,8 @@ from lrc.circuits import (
 from lrc.compiler import RandomizationPolicy, TwirlGroupSpec, instantiate
 from lrc.verify import readout_flip, readout_rotation
 from lrc.weyl import CapacityError, WeylOperator, dense_limit, eigenprojector, iter_weyls
+
+from branch_oracle import evaluate_per_branch
 
 BITFLIP = builtin_code("bitflip3")
 
@@ -1301,11 +1304,15 @@ def test_the_measurement_basis_decodes_like_the_cospace_refined_projectors(data)
     else:
         psi = rng.normal(size=(d,) * n) + 1j * rng.normal(size=(d,) * n)
         psi /= np.linalg.norm(psi)
-        got = list(lrc.circuits._unravel(("measure", positions, basis, "m"), psi))
+        # every row of a stack of one branch, built unnormalised (weight 1), with its probability
+        p, labels, build = lrc.circuits._split_rows(("measure", positions, basis, "m"), psi[None], d, n, True)
+        rows = np.arange(p.shape[1])
+        got = build(np.zeros_like(rows), rows, np.ones(len(rows)))
         want = [(b, _on_footprint(K, psi, positions)) for b, ops in enumerate(kraus) for K in ops]
-        assert [b for b, _ in got] == [b for b, _ in want]
-        for (_, v), (_, w) in zip(got, want):
+        assert list(labels) == [b for b, _ in want]
+        for v, q, (_, w) in zip(got, p[0], want, strict=True):
             assert v.shape == psi.shape and np.max(np.abs(v - w)) <= 1e-12
+            assert abs(q - np.vdot(w, w).real) <= 1e-12
 
 
 def test_the_measurement_basis_is_small_and_reads_no_cospace_table():
@@ -1373,3 +1380,208 @@ def test_surface_code_measurement_with_a_readout_qubit():
     assert peak < 300 * 2**20
     assert abs(dist[(1,)] - np.sin(theta) ** 2) <= 1e-12
     assert abs(dist[(0,)] - np.cos(theta) ** 2) <= 1e-12
+
+
+# -- stacked branches against the per-branch route --------------------------------
+
+
+def two_operator_kraus(rng, dim, matrix):
+    """sqrt(q) U_1, sqrt(1 - q) U_2 for random unitaries, with its matrix only if asked."""
+    q = rng.uniform(0.2, 0.8)
+    kraus = (np.sqrt(q) * random_unitary(rng, dim), np.sqrt(1 - q) * random_unitary(rng, dim))
+    return Superoperator(dim, sum(np.kron(K.conj(), K) for K in kraus) if matrix else None, kraus=kraus)
+
+
+@st.composite
+def branching_circuits(draw, pure):
+    """A valid circuit over d in {2, 3, 5} of 8 to 64 dimensions, or with ``pure`` of 65 to
+    1024: blocks and readouts reset, then a block entangled with a readout, then Weyl and
+    matrix gadgets, resets, logical and readout measurements and extractions, each with
+    noise or none: unitary, two Kraus operators, or on the dense route a Weyl mixture.
+    Half the draws are one compiled instance of it, the other half the bare circuit."""
+    d = draw(st.sampled_from((2, 3, 5)))
+    lo, hi = (65, 1024) if pure else (8, 64)
+    codes = [builtin_code(x) if isinstance(x, str) else trivial_code(d, x) for x in WIDE_CODES[d] + (1,)]
+    layouts = [(c, b, r) for c in codes for b in (1, 2, 3) for r in (1, 2) if lo <= d ** (b * c.n + r) <= hi]
+    code, n_blocks, n_readouts = draw(st.sampled_from(layouts))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks, readouts = [f"L{b}" for b in range(n_blocks)], [f"R{r}" for r in range(n_readouts)]
+    registers = [Register(b, "logical", tuple(range(i * code.n, (i + 1) * code.n)), code) for i, b in enumerate(blocks)]
+    registers += [Register(r, "readout", (n_blocks * code.n + i,)) for i, r in enumerate(readouts)]
+    fanout = [1]  # the most branches the pure route can hold so far, at most 512
+
+    def noise(dim):
+        kind = draw(st.sampled_from((None, "unitary", "kraus") + (() if pure else ("mixture",))))
+        if kind == "unitary" or kind == "kraus" and fanout[0] * 2 > 512 or kind == "mixture" and dim > 64:
+            return natural_rep(random_unitary(rng, dim))
+        if kind == "kraus":
+            fanout[0] *= 2 if pure else 1
+            return two_operator_kraus(rng, dim, matrix=dim <= 64 and draw(st.booleans()))
+        if kind == "mixture":
+            weyls = list(iter_weyls(d, round(np.log(dim) / np.log(d))))
+            picked = rng.choice(len(weyls), 2, replace=False)
+            return stochastic_weyl(dict(zip((weyls[j] for j in picked), (0.3, 0.7))))
+        return None
+
+    dit = st.integers(0, d - 1)
+    block_dim, ready = d**code.n, set(readouts)
+    gadgets = [Gadget.reset(b, draw(st.lists(dit, min_size=code.k, max_size=code.k))) for b in blocks]
+    gadgets += [Gadget.reset(r, (draw(dit),)) for r in readouts]
+    wires = []
+    for i in range(draw(st.integers(2, 6))):
+        wire, block, readout = f"w{i}", draw(st.sampled_from(blocks)), draw(st.sampled_from(readouts))
+        kind = draw(st.sampled_from(("entangle", "weyl", "reset", "measure", "extract", "readout"))) if i else "entangle"
+        if kind == "extract" and not code.n_generators:
+            kind = "entangle"
+        split = {"reset": block_dim if pure else 1, "measure": d ** (code.n - code.k + 1), "extract": d, "readout": d}
+        if fanout[0] * split.get(kind, 1) > 512 / 4:  # room for two Kraus splits after it
+            kind = "weyl"
+        fanout[0] *= split.get(kind, 1)
+        if kind in ("extract", "readout") and readout not in ready:
+            gadgets.append(Gadget.reset(readout, (draw(dit),), noise=noise(d)))
+        if kind == "entangle":
+            gadgets.append(Gadget.unitary((block, readout), matrix=random_unitary(rng, block_dim * d),
+                                          noise=noise(block_dim * d)))
+        elif kind == "weyl":
+            dits = st.lists(dit, min_size=code.n, max_size=code.n)
+            weyl = WeylOperator(d, draw(dits), draw(dits), draw(st.integers(0, 2 * d - 1)))
+            gadgets.append(Gadget.unitary(block, weyl=weyl, noise=noise(block_dim)))
+        elif kind == "reset":
+            gadgets.append(Gadget.reset(block, draw(st.lists(dit, min_size=code.k, max_size=code.k)),
+                                        noise=noise(block_dim)))
+        elif kind == "measure":
+            gadgets.append(Gadget.measurement(block, wire, noise=noise(block_dim)))
+        elif kind == "extract":
+            generator = draw(st.integers(0, code.n_generators - 1))
+            gadgets.append(Gadget.syndrome_extraction(block, generator, readout, wire, noise(d), noise(block_dim)))
+        else:
+            gadgets.append(Gadget.readout_measurement(readout, wire, noise=noise(d)))
+        if kind in ("measure", "extract", "readout"):
+            wires.append(wire)
+        if kind in ("extract", "readout"):
+            ready.discard(readout)
+    circuit = LogicalCircuit(d=d, registers=tuple(registers), gadgets=tuple(gadgets), classical_wires=tuple(wires))
+    if not draw(st.booleans()):
+        return circuit, None
+    policy = RandomizationPolicy(seed=draw(st.integers(0, 2**16)), mode="sampled", samples=1)
+    return circuit, next(iter(instantiate(circuit, policy))).insertions
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn=branching_circuits(pure=False), ideal=st.booleans())
+def test_stacked_dense_branches_keep_the_bits_of_the_per_branch_route(drawn, ideal):
+    """Up to 64 dimensions every branch's state, probability and record, in order, equals
+    bit for bit those of the route that walked each step once per branch."""
+    circuit, insertions = drawn
+    assert validate(circuit) == []
+    got = evaluate(circuit, insertions=insertions, ideal=ideal)
+    want = evaluate_per_branch(circuit, insertions=insertions, ideal=ideal)
+    assert got.stats["route"] == "dense" and got.exact and want.exact
+    assert_same_result(got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn=branching_circuits(pure=True), ideal=st.booleans())
+def test_stacked_pure_branches_agree_with_the_per_branch_route(drawn, ideal):
+    """From 65 to 1024 dimensions, with unitary noise and Kraus forms of two operators,
+    the branches agree in order with the per-branch route to 1e-12."""
+    circuit, insertions = drawn
+    assert validate(circuit) == []
+    got = evaluate(circuit, insertions=insertions, ideal=ideal)
+    want = evaluate_per_branch(circuit, insertions=insertions, ideal=ideal)
+    assert got.stats["route"] == "pure" and got.exact and want.exact
+    assert [br.record for br in got.branches] == [br.record for br in want.branches]
+    for a, b in zip(got.branches, want.branches):
+        assert abs(a.probability - b.probability) <= 1e-12
+        assert a.state.shape == b.state.shape == (circuit.dim,)
+        assert np.max(np.abs(a.state - b.state)) <= 1e-12
+
+
+def test_stats_name_the_route_the_peak_branch_count_and_the_sampled_splits():
+    pure = extraction_circuit(BITFLIP, 2, 1, seed=5)  # D = 128
+    exact = evaluate(pure)
+    assert exact.stats == {"route": "pure", "peak_branches": len(exact.branches), "fallback_splits": 0}
+    sampled = evaluate(pure, branch_limit=2, rng=np.random.default_rng(1))
+    assert not sampled.exact and sampled.stats["route"] == "pure"
+    assert sampled.stats["fallback_splits"] >= 1 and sampled.stats["peak_branches"] == 2
+    dense = LogicalCircuit(
+        d=2,
+        registers=(one_block(),),
+        gadgets=(Gadget.reset("L0", (0,), noise=coherent_rotation(WeylOperator.from_label("XXX"), 0.7)),)
+        + tuple(Gadget.measurement("L0", f"m{i}") for i in range(3)),
+        classical_wires=("m0", "m1", "m2"),
+    )
+    res = evaluate(dense, branch_limit=1, rng=np.random.default_rng(4))  # the first measurement samples
+    assert res.stats == {"route": "dense", "peak_branches": 1, "fallback_splits": 1}
+
+
+def surface_rounds(rounds, theta=0.05, readout_theta=0.1):
+    """The surface code and one readout qubit (D = 1024): reset to |0-bar>, then rounds of
+    eight extractions sharing the readout, under a Z over-rotation of every code qubit,
+    passed as one 512 x 512 idle unitary, and an X over-rotation of the readout."""
+    code = surface_code()
+    z = np.diag(np.exp([-1j * theta, 1j * theta]))
+    idle = natural_rep(functools.reduce(np.kron, [z] * 9))
+    readout = coherent_rotation(WeylOperator.x_op(2, 1), readout_theta)
+    gadgets, wires = [Gadget.reset("L0", (0,))], []
+    for r, g in itertools.product(range(rounds), range(8)):
+        wires.append(f"s{r}.{g}")
+        gadgets += [Gadget.reset("R0", (0,)), Gadget.syndrome_extraction("L0", g, "R0", wires[-1], readout, idle)]
+    registers = (one_block(code), Register(name="R0", kind="readout", qudits=(9,)))
+    return LogicalCircuit(d=2, registers=registers, gadgets=tuple(gadgets), classical_wires=tuple(wires))
+
+
+def test_one_surface_code_round_runs_exactly_as_one_stack_of_branches():
+    c = surface_rounds(1)
+    assert c.dim == 1024
+    logical_basis_state(c.registers[0].code, (0,))  # the encoding isometry, built once
+    start = time.perf_counter()
+    got = evaluate(c)
+    assert time.perf_counter() - start < 3.0
+    assert got.exact and len(got.branches) == 256
+    assert got.stats == {"route": "pure", "peak_branches": 256, "fallback_splits": 0}
+    want = evaluate_per_branch(c)
+    assert [br.record for br in got.branches] == [br.record for br in want.branches]
+    for a, b in zip(got.branches, want.branches):
+        assert abs(a.probability - b.probability) <= 1e-12
+        assert np.max(np.abs(a.state - b.state)) <= 1e-12
+
+
+def test_a_split_past_the_memory_bound_is_refused_before_its_rows_exist(monkeypatch):
+    """The surface code under a random 512 x 512 unitary, then a logical measurement: all
+    512 blocks have weight.  At LRC_DENSE_LIMIT=256 one pure state of D = 1024 fits and 512
+    do not, and the split refuses from their probabilities alone, tracing under 1 MB where
+    the rows would take 8 MB."""
+    noise = natural_rep(random_unitary(np.random.default_rng(2), 512))
+    c = LogicalCircuit(
+        d=2,
+        registers=(one_block(surface_code()), Register(name="R0", kind="readout", qudits=(9,))),
+        gadgets=(Gadget.reset("L0", (0,), noise=noise), Gadget.measurement("L0", "m")),
+        classical_wires=("m",),
+    )
+    assert len(evaluate(c).branches) == 512  # and the measurement basis is cached
+    monkeypatch.setenv("LRC_DENSE_LIMIT", "256")
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="512 pure states of dimension 1024 need 8388608 bytes"):
+            evaluate(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_a_controlled_weyl_gate_is_one_gather_on_the_pure_route(d):
+    """controlled_weyl(A) is sum_s A^s (x) |s><s|, and on a stack of pure states its step, which
+    carries the one nonzero entry of each row, acts like the product with the matrix."""
+    rng = np.random.default_rng(d)
+    for _ in range(4):
+        A = WeylOperator(d, rng.integers(0, d, 2), rng.integers(0, d, 2), int(rng.integers(0, 2 * d)))
+        M = controlled_weyl(A)
+        assert np.array_equal(M, sum(np.kron((A**s).to_matrix(), np.diag(np.eye(d)[s])) for s in range(d)))
+        positions = tuple(int(q) for q in rng.permutation(4)[:3])
+        states = rng.normal(size=(3,) + (d,) * 4) + 1j * rng.normal(size=(3,) + (d,) * 4)
+        step = ("gate", positions, M, lrc.circuits._controlled_weyl_rows(A))
+        want = _on_footprint(M, states, tuple(q + 1 for q in positions))
+        assert np.max(np.abs(lrc.circuits._act(step, states, d, 4, pure=True) - want)) <= 1e-12

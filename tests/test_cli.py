@@ -16,7 +16,7 @@ from lrc.codes import builtin_code, code_to_dict, trivial_code
 from lrc.compiler import RandomizationPolicy, instantiate, t_gate_matrix
 from lrc.verify import logical_s_gate
 from lrc.weyl import WeylOperator
-from test_circuits import qubit_repetition, random_unitary
+from test_circuits import extraction_circuit, qubit_repetition, random_unitary
 
 
 @pytest.fixture
@@ -334,6 +334,30 @@ def test_sample_runs_a_circuit_file_with_kraus_only_noise_above_the_cap(tmp_path
     assert report["pass"] is True
     p1 = float(np.sum(np.abs(U[64:, 0]) ** 2))
     assert np.max(np.abs(np.array(report["details"]["p_avg"]) - [1 - p1, p1])) <= 1e-12
+
+
+def test_sample_takes_a_policy_file_with_the_overrides_of_compile(tmp_path, capsys):
+    """The extraction circuit of the seven-qubit repetition code (D = 256) has an exhaustive
+    draw space of 2^33 instances; a sampled policy runs it on the pure route, and --mode
+    and --seed override the file as they do for compile."""
+    path, policy, out = tmp_path / "rep7.json", tmp_path / "policy.json", tmp_path / "sample.json"
+    path.write_text(serialize(extraction_circuit(qubit_repetition(7), 1, 1, seed=8)))
+    assert main(["sample", "--circuit", str(path), "--shots", "100"]) == 2
+    assert "exhaustive draw space has 8589934592 instances" in capsys.readouterr().err
+    policy.write_text(json.dumps({"seed": 3, "mode": {"sampled": 4}}))
+    argv = ["sample", "--circuit", str(path), "--policy", str(policy), "--shots", "1000", "--out", str(out)]
+    assert main(argv) == 0
+    report = json.loads(out.read_text())[0]
+    assert report["pass"] is True and report["details"]["compilations"] == 4
+    assert main(argv + ["--seed", "9"]) == 0  # the compilations of seed 9, not of the file's 3
+    p_avg = json.loads(out.read_text())[0]["details"]["p_avg"]
+    policy.write_text(json.dumps({"seed": 9, "mode": {"sampled": 4}}))
+    assert main(argv) == 0
+    assert json.loads(out.read_text())[0]["details"]["p_avg"] == p_avg != report["details"]["p_avg"]
+    assert main(argv + ["--mode", "sampled=2", "--seed", "9"]) == 0
+    assert json.loads(out.read_text())[0]["details"]["compilations"] == 2
+    assert main(argv + ["--mode", "sampled=x"]) == 2
+    assert "bad --mode 'sampled=x'" in capsys.readouterr().err
 
 
 def test_sample_refuses_noise_that_is_not_trace_preserving(tmp_path, capsys):
