@@ -248,9 +248,9 @@ def _site_axes(positions: tuple, n: int, lead: int = 0):
 
 @functools.lru_cache(maxsize=None)
 def _channel_axes(positions: tuple, n: int, lead: int = 0):
-    """The site layout's axes with the footprint columns moved first, (footprint
-    columns, footprint rows, other rows, other columns): the column-stacked operand
-    of a channel on the footprint.  Returns the permutation and its inverse."""
+    """The site layout's axes (after ``lead`` fixed axes) with the footprint columns moved
+    first, (footprint columns, footprint rows, other rows, other columns): the column-stacked
+    operand of a channel on the footprint.  Returns the permutation and its inverse."""
     site, k = _site_axes(positions, n, lead)[0], len(positions)
     perm = site[:lead] + site[-k:] + site[lead:-k]
     return perm, tuple(np.argsort(perm))

@@ -728,7 +728,7 @@ def _run(circuit, insertions, ideal, branch_limit, rng, pure):
     if saved is not None and all(ref() is ins for ref, ins in zip(saved[0], insertions)):
         first, (probs, states, records) = last, saved[1]
     else:
-        first, probs, records = 0, np.ones(1), np.zeros((1, len(wires)), dtype=np.int64)
+        first, probs, records = 0, np.array([1.0]), np.zeros((1, len(wires)), dtype=np.int64)
         states = np.zeros((1,) + ((d,) * n if pure else (D, D)), dtype=complex)
         states.flat[0] = 1.0
     stats = {"route": "pure" if pure else "dense", "peak_branches": len(probs), "fallback_splits": 0}
