@@ -57,12 +57,7 @@ from .channels import (
     apply_local_channel,
     apply_local_kraus,
     apply_local_measurement,
-    compose,
-    embed_operator,
-    identity_channel,
     is_trace_preserving,
-    lift_local_superop,
-    natural_rep,
     reset_sites,
 )
 from .codes import (
@@ -467,31 +462,28 @@ def _controlled_weyl_rows(A: WeylOperator):
     return cols, np.stack([phase * u for (_, u), phase in maps], axis=1).ravel()
 
 
-def _step_weyl(op: WeylOperator, positions, n_total: int):
-    return ("weyl", op.embed(positions, n_total))
+def _step_weyl(op: WeylOperator | None, positions, n_total: int) -> list:
+    """The step of a Weyl on the given sites, none for None or a phase times the identity,
+    whose conjugation multiplies every entry by exactly 1+0j."""
+    if op is None or op.is_identity(ignore_phase=True):
+        return []
+    return [("weyl", op.embed(positions, n_total))]
 
 
 def _layer_steps(circuit: LogicalCircuit, layers) -> list:
     return [step for g in layers for step in expand_gadget(circuit, g, EMPTY_INSERTIONS)]
 
 
+def readout_weyls(d: int, x: int, z: int, zp: int) -> tuple:
+    """The randomized readout's X^x Z^z on one qudit and its restore Z^z' X^-x."""
+    return WeylOperator(d, (x,), (z,)), WeylOperator(d, (0,), (zp,)).mul(WeylOperator(d, (-x,), (0,)))
+
+
 def _readout_steps(d: int, n: int, site: int, wire: str, ins: GadgetInsertions, noise: list) -> list:
     """X^x Z^z, the readout noise, the measurement, then the restore Z^z' X^-x."""
-    steps = []
-    rc = ins.internal.get("rc")
-    if rc is not None:
-        x, z = rc
-        steps.append(_step_weyl(WeylOperator(d, (x,), (z,)), (site,), n))
-    steps += noise
-    steps.append(("measure", (site,), None, wire))
-    zp = ins.internal.get("post_z")
-    if rc is not None or zp is not None:
-        x = rc[0] if rc is not None else 0
-        zp = zp if zp is not None else 0
-        w_post = WeylOperator(d, (0,), (zp,)).mul(WeylOperator(d, (-x,), (0,)))
-        if not w_post.is_identity():
-            steps.append(_step_weyl(w_post, (site,), n))
-    return steps
+    x, z = ins.internal.get("rc", (0, 0))
+    pre, post = readout_weyls(d, x, z, ins.internal.get("post_z") or 0)
+    return _step_weyl(pre, (site,), n) + noise + [("measure", (site,), None, wire)] + _step_weyl(post, (site,), n)
 
 
 def measured_weyl(g: Gadget, code: StabilizerCode) -> WeylOperator:
@@ -522,7 +514,7 @@ def expand_gadget(circuit: LogicalCircuit, g: Gadget, ins: GadgetInsertions) -> 
     elif g.kind == UNITARY:
         steps += noise
         if g.weyl is not None:
-            steps.append(_step_weyl(g.weyl, positions, n))
+            steps += _step_weyl(g.weyl, positions, n)
         else:
             steps.append(("gate", tuple(positions), g.matrix))
 
@@ -530,39 +522,28 @@ def expand_gadget(circuit: LogicalCircuit, g: Gadget, ins: GadgetInsertions) -> 
         steps += noise
         basis = _logical_measurement_basis(reg.code, measured_weyl(g, reg.code))
         steps.append(("measure", tuple(reg.qudits), basis, g.wire))
-        restore = ins.internal.get("restore")
-        if restore is not None and not restore.is_identity(ignore_phase=True):
-            steps.append(_step_weyl(restore, reg.qudits, n))
+        steps += _step_weyl(ins.internal.get("restore"), reg.qudits, n)
 
     elif g.kind == SYNDROME_EXTRACTION:
-        ro_pos = noise_sites
+        ro_pos, enc = noise_sites, tuple(reg.qudits)
         A = reg.code.stab_gens[g.generator]
         F = fourier_matrix(d)
         steps.append(("gate", ro_pos, F))
         L = ins.internal.get("enc_twirl")
         P = ins.internal.get("readout_weyl")
+        steps += _step_weyl(L, enc, n) + _step_weyl(P, ro_pos, n)
+        steps.append(("gate", enc + ro_pos, controlled_weyl(A), _controlled_weyl_rows(A)))
         if L is not None:
-            steps.append(_step_weyl(L, reg.qudits, n))
+            steps += _step_weyl(L.dagger(), enc, n)
         if P is not None:
-            steps.append(_step_weyl(P, ro_pos, n))
-        steps.append(("gate", tuple(reg.qudits) + ro_pos, controlled_weyl(A), _controlled_weyl_rows(A)))
-        if L is not None:
-            steps.append(_step_weyl(L.dagger(), reg.qudits, n))
-        if P is not None:
-            steps.append(_step_weyl(P.dagger(), ro_pos, n))
-        G = ins.internal.get("readout_correction")
-        if G is not None and not G.is_identity():
-            steps.append(_step_weyl(G, ro_pos, n))
+            steps += _step_weyl(P.dagger(), ro_pos, n)
+        steps += _step_weyl(ins.internal.get("readout_correction"), ro_pos, n)
         steps.append(("gate", ro_pos, F.conj().T))
         steps += _readout_steps(d, n, ro_pos[0], g.wire, ins, noise)
-        ib = ins.internal.get("idle_before")
-        if ib is not None:
-            steps.append(_step_weyl(ib, reg.qudits, n))
+        steps += _step_weyl(ins.internal.get("idle_before"), enc, n)
         if g.idle_noise is not None:
-            steps.append(("channel", tuple(reg.qudits), g.idle_noise))
-        ia = ins.internal.get("idle_after")
-        if ia is not None:
-            steps.append(_step_weyl(ia, reg.qudits, n))
+            steps.append(("channel", enc, g.idle_noise))
+        steps += _step_weyl(ins.internal.get("idle_after"), enc, n)
 
     elif g.kind == IDLE:
         steps += noise * g.ticks
@@ -740,8 +721,6 @@ def _run(circuit, insertions, ideal, branch_limit, rng, pure):
             memo[key] = (tuple(weakref.ref(ins) for ins in insertions[:last]), (probs, states, records))
         for step in steps:
             kind = step[0]
-            if kind == "weyl" and step[1].is_identity(ignore_phase=True):
-                continue  # a global phase; its conjugation multiplies every entry by exactly 1+0j
             if kind == "measure" or pure and (kind == "reset" or kind == "channel" and len(step[2].kraus) > 1):
                 p, labels, build = _split_rows(step, states, d, n, pure)
                 probs, states, records = _branch_measure(
@@ -869,25 +848,6 @@ def _branch_measure(p, labels, build, probs, records, wire, branch_limit, rng, s
     return (probs[branch] if drawn else probs[branch] * weight), build(branch, row, weight), records
 
 
-def instance_channel(inst, ideal: bool = False) -> Superoperator:
-    """Superoperator of a measurement-free compiled instance."""
-    c = inst.base
-    d, n = c.d, c.n_qudits
-    acc = identity_channel(c.dim)
-    for step in (s for steps in _instance_steps(c, inst.insertions, ideal) for s in steps):
-        kind = step[0]
-        if kind == "weyl":
-            term = natural_rep(step[1].to_matrix())
-        elif kind == "gate":
-            term = natural_rep(embed_operator(step[2], step[1], d, n))
-        elif kind == "channel":
-            term = lift_local_superop(step[2], step[1], d, n)
-        else:
-            raise ValueError(f"instance contains a non-channel step {kind!r}")
-        acc = compose(term, acc)
-    return acc
-
-
 # -- serialization -------------------------------------------------------------
 
 
@@ -909,12 +869,14 @@ def _superop_to_json(s: Superoperator) -> dict:
 
 
 def _superop_from_json(data, path: str) -> Superoperator:
-    if not isinstance(data, dict) or "dim" not in data or not ("matrix" in data or "kraus" in data):
-        raise SchemaError(f"{path}: expected an object with dim and a matrix or kraus field")
+    """A channel of dim and exactly one of its matrix or its Kraus form: with both, the
+    two could disagree, and which one acts would depend on the route."""
+    if not isinstance(data, dict) or "dim" not in data or ("matrix" in data) == ("kraus" in data):
+        raise SchemaError(f"{path}: expected an object with dim and exactly one of a matrix or kraus field")
     dim = _int(data["dim"], path + ".dim")
-    matrix = _matrix_from_json(data["matrix"], path + ".matrix") if "matrix" in data else None
-    kraus = _json_list(data["kraus"], path + ".kraus", _matrix_from_json) if "kraus" in data else None
-    return Superoperator(dim, matrix, kraus)
+    if "matrix" in data:
+        return Superoperator(dim, _matrix_from_json(data["matrix"], path + ".matrix"))
+    return Superoperator(dim, kraus=_json_list(data["kraus"], path + ".kraus", _matrix_from_json))
 
 
 def circuit_to_dict(circuit: LogicalCircuit) -> dict:

@@ -50,10 +50,11 @@ from .circuits import (
     Gadget,
     LogicalCircuit,
     Register,
+    _instance_steps,
     controlled_weyl,
     evaluate,
     fourier_matrix,
-    instance_channel,
+    readout_weyls,
 )
 from .codes import (
     StabilizerCode,
@@ -311,6 +312,28 @@ def _single_register_circuit(code: StabilizerCode, gadget_builder):
     return LogicalCircuit(
         d=code.d, registers=(reg,), gadgets=(gadget_builder("L0"),), classical_wires=()
     )
+
+
+def _step_superop(step, d: int, n: int) -> Superoperator:
+    """The superoperator of a Weyl, gate or channel step on n sites of dimension d."""
+    kind = step[0]
+    if kind == "weyl":
+        return natural_rep(step[1].to_matrix())
+    if kind == "gate":
+        return natural_rep(embed_operator(step[2], step[1], d, n))
+    if kind == "channel":
+        return lift_local_superop(step[2], step[1], d, n)
+    raise ValueError(f"instance contains a non-channel step {kind!r}")
+
+
+def instance_channel(inst, ideal: bool = False) -> Superoperator:
+    """Superoperator of a measurement-free compiled instance, one product per step."""
+    c = inst.base
+    acc = identity_channel(c.dim)
+    for steps in _instance_steps(c, inst.insertions, ideal):
+        for step in steps:
+            acc = compose(_step_superop(step, c.d, c.n_qudits), acc)
+    return acc
 
 
 def averaged_compiled_unitary(
@@ -608,70 +631,60 @@ def averaged_extraction_channels(
     A = code.stab_gens[generator]
     ident = identity_channel(Df)
 
-    def enc_chan(C):
-        return lift_local_superop(C, enc, d, n + 1)
+    def step(kind, sites, op):  # a Weyl on ``sites``, or a gate or channel there
+        return _step_superop(("weyl", op.embed(sites, n + 1)) if kind == "weyl" else (kind, sites, op), d, n + 1)
 
-    def ro_chan(C):
-        return lift_local_superop(C, ro, d, n + 1)
-
-    def weyl_chan(op, positions):
-        return natural_rep(op.embed(positions, n + 1).to_matrix())
-
-    stab_avg = (
-        enc_chan(stabilizer_average_channel(code)) if policy.stabilizers else ident
-    )
+    stab_avg = step("channel", enc, stabilizer_average_channel(code)) if policy.stabilizers else ident
 
     # Coupling block: F, (L, P), controlled-A, (L^dagger, P^dagger), G, F^dagger.
-    lam = natural_rep(embed_operator(controlled_weyl(A), enc + ro, d, n + 1))
+    lam = step("gate", enc + ro, controlled_weyl(A))
     if policy.twirl:
         # Averages sum as they go: no list of Df^2 x Df^2 channels is held.
         p_twirled = average(
-            compose(weyl_chan(P.dagger(), ro), compose(lam, weyl_chan(P, ro))) for P in iter_weyls(d, 1)
+            compose(step("weyl", ro, P.dagger()), compose(lam, step("weyl", ro, P))) for P in iter_weyls(d, 1)
         )
 
         def corrected(L):
             G = compute_propagation_correction(A, L).dagger()
-            inner = compose(weyl_chan(L.dagger(), enc), compose(p_twirled, weyl_chan(L, enc)))
-            return compose(weyl_chan(G, ro), inner)
+            inner = compose(step("weyl", enc, L.dagger()), compose(p_twirled, step("weyl", enc, L)))
+            return compose(step("weyl", ro, G), inner)
 
         coupled = average(corrected(L) for L in logical_weyls(code))
     else:
         coupled = lam
     F = fourier_matrix(d)
     coupling = compose(
-        ro_chan(natural_rep(F.conj().T)), compose(coupled, ro_chan(natural_rep(F)))
+        step("channel", ro, natural_rep(F.conj().T)), compose(coupled, step("channel", ro, natural_rep(F)))
     )
 
     # Measurement block conditioned on the reported dit.
-    noise_chan = ro_chan(readout_noise) if readout_noise is not None else ident
+    noise_chan = step("channel", ro, readout_noise) if readout_noise is not None else ident
 
     def projector_chan(m):
         proj = np.zeros((d, d))
         proj[m, m] = 1.0
-        return ro_chan(natural_rep(proj))
+        return step("channel", ro, natural_rep(proj))
 
     if policy.measurement_rc:
         # Each product is built once per draw it depends on; outcomes sum in (x, z, z') order.
         sums: dict = {}
         for x, z in itertools.product(range(d), repeat=2):
-            noisy = compose(noise_chan, weyl_chan(WeylOperator(d, (x,), (z,)), ro))
+            weyls = [readout_weyls(d, x, z, zp) for zp in range(d)]
+            noisy = compose(noise_chan, step("weyl", ro, weyls[0][0]))
             for b in range(d):
                 projected = compose(projector_chan((b + x) % d), noisy)
-                for zp in range(d):
-                    post = weyl_chan(
-                        WeylOperator(d, (0,), (zp,)).mul(WeylOperator(d, (-x,), (0,))), ro
-                    )
-                    term = compose(post, projected).matrix
+                for _, post in weyls:
+                    term = compose(step("weyl", ro, post), projected).matrix
                     sums[b] = sums[b] + term if b in sums else term
         measured = {b: _owned(Df, sums.pop(b) / d**3) for b in range(d)}
     else:
         measured = {b: compose(projector_chan(b), noise_chan) for b in range(d)}
 
     # Idle window on the encoded register during readout.
-    phi = enc_chan(idle_noise) if idle_noise is not None else ident
+    phi = step("channel", enc, idle_noise) if idle_noise is not None else ident
     if policy.twirl:
         phi = average(
-            compose(weyl_chan(L.dagger(), enc), compose(phi, weyl_chan(L, enc))) for L in logical_weyls(code)
+            compose(step("weyl", enc, L.dagger()), compose(phi, step("weyl", enc, L))) for L in logical_weyls(code)
         )
     tail = compose(stab_avg, compose(phi, stab_avg)) if policy.stabilizers else phi
 

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lrc.channels
-import lrc.cli
 import lrc.circuits
 from lrc.channels import (
     Superoperator,
@@ -49,17 +48,17 @@ from lrc.circuits import (
     LogicalCircuit,
     Register,
     SchemaError,
+    _instance_steps,
     circuit_from_dict,
     controlled_weyl,
     evaluate,
     fourier_matrix,
-    instance_channel,
     parse,
     serialize,
     validate,
 )
-from lrc.compiler import RandomizationPolicy, TwirlGroupSpec, instantiate
-from lrc.verify import readout_flip, readout_rotation
+from lrc.compiler import RandomizationPolicy, TwirlGroupSpec, gadget_components, instantiate, realize_gadget
+from lrc.verify import instance_channel, readout_flip, readout_rotation
 from lrc.weyl import CapacityError, WeylOperator, dense_limit, eigenprojector, iter_weyls
 
 from branch_oracle import evaluate_per_branch
@@ -485,6 +484,39 @@ def test_insertions_weyl_layers_and_classical_post():
     assert res.distribution() == pytest.approx({(0,): 1.0})
 
 
+@pytest.mark.parametrize("code_name", ["bitflip3", "qutrit_rep3"])
+def test_no_expanded_step_is_a_weyl_of_phase_only(code_name):
+    """An extraction whose drawn Weyls are all the identity, a Weyl gadget of phase only
+    and a logical measurement restored by a phase expand to no Weyl step with x = z = 0."""
+    code = builtin_code(code_name)
+    phase = WeylOperator(code.d, (0,) * code.n, (0,) * code.n, 1)
+    circuit = LogicalCircuit(
+        d=code.d,
+        registers=block_plus_readout(code),
+        gadgets=(
+            Gadget.reset("L0", (0,)),
+            Gadget.reset("R0", (0,)),
+            Gadget.syndrome_extraction("L0", 0, "R0", "s"),
+            Gadget.unitary("L0", weyl=phase),
+            Gadget.measurement("L0", "m"),
+        ),
+        classical_wires=("s", "m"),
+    )
+    policy = RandomizationPolicy()
+    draws = {c.name: c.values[0] for c in gadget_components(circuit, 2, policy)}  # identities and zeros
+    extraction = realize_gadget(circuit, 2, draws, policy)
+    drawn = {"enc_twirl", "readout_weyl", "readout_correction", "rc", "post_z", "idle_before", "idle_after"}
+    assert drawn <= set(extraction.internal)
+    assert all(w.is_identity() for w in extraction.internal.values() if isinstance(w, WeylOperator))
+    # A phase-only restore never comes out of the compiler, which drops phase-only layers.
+    restored = GadgetInsertions(internal={"restore": phase})
+    insertions = (EMPTY_INSERTIONS, EMPTY_INSERTIONS, extraction, EMPTY_INSERTIONS, restored)
+    for ideal in (False, True):
+        steps = [step for gadget in _instance_steps(circuit, insertions, ideal) for step in gadget]
+        assert [step for step in steps if step[0] == "weyl" and step[1].is_identity(ignore_phase=True)] == []
+    assert evaluate(circuit, insertions).distribution() == pytest.approx({(0, 0): 1.0})
+
+
 XXX = WeylOperator.from_label("XXX")
 
 
@@ -621,7 +653,7 @@ def test_evaluate_never_embeds_into_the_full_register(monkeypatch):
         raise AssertionError("evaluate built a full-register operator")
 
     monkeypatch.setattr(lrc.channels, "embed_operator", refuse)
-    monkeypatch.setattr(lrc.circuits, "embed_operator", refuse)
+    assert not hasattr(lrc.circuits, "embed_operator")
     code = builtin_code("bitflip3")
     circuit = LogicalCircuit(
         d=2,
@@ -1122,6 +1154,31 @@ def test_kraus_only_noise_round_trips_through_circuit_json():
     assert evaluate(again).distribution() == evaluate(c).distribution()
 
 
+def test_noise_json_with_both_a_matrix_and_a_kraus_form_is_refused_at_its_path():
+    """Validation reads a Kraus form and the small dense route applies the matrix, so a
+    channel given both ways could pass as trace-preserving and act as another channel."""
+    import json
+
+    circuit = LogicalCircuit(
+        d=2,
+        registers=(Register("R0", "readout", (0,)),),
+        gadgets=(Gadget.reset("R0", (0,)), Gadget.readout_measurement("R0", "m")),
+        classical_wires=("m",),
+    )
+    data = json.loads(serialize(circuit))
+    data["gadgets"][1]["noise"] = {
+        "dim": 2,
+        "matrix": [[[2.0 * (i == j == 0), 0.0] for j in range(4)] for i in range(4)],
+        "kraus": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
+    }
+    with pytest.raises(SchemaError, match=r"^\$\.gadgets\[1\]\.noise: .*exactly one of a matrix or kraus"):
+        circuit_from_dict(data)
+    for field in ("matrix", "kraus"):  # either one alone reads
+        one = json.loads(json.dumps(data))
+        del one["gadgets"][1]["noise"][field]
+        assert circuit_from_dict(one).gadgets[1].noise is not None
+
+
 def test_validation_and_evaluation_leave_a_unitary_noise_matrix_unbuilt():
     """32-dimensional unitary noise is checked and applied through its Kraus form."""
     noise = natural_rep(random_unitary(np.random.default_rng(9), 32))
@@ -1159,14 +1216,13 @@ def test_pure_branches_are_bounded_by_the_largest_density_matrix(monkeypatch):
         evaluate(c)
 
 
-def test_the_registry_reads_the_gadget_matrix_caches_without_evicting(tmp_path):
+def test_the_registry_reads_the_gadget_matrix_caches_without_evicting(registry_run):
     """Every key `lrc verify --all` reads of fourier_matrix and controlled_weyl stays
-    cached: with more keys than the bound, some key would miss twice."""
+    cached: with more keys than the bound, some key would miss twice.  The run cleared
+    both caches first."""
+    assert registry_run.code == 0
     for cached in (fourier_matrix, controlled_weyl):
-        cached.cache_clear()
-    assert lrc.cli.main(["verify", "--all", "--seed", "7", "--out", str(tmp_path / "r.json")]) == 0
-    for cached in (fourier_matrix, controlled_weyl):
-        info = cached.cache_info()
+        info = registry_run.cache_info[cached]
         assert 0 < info.misses <= info.maxsize < 64 and info.hits > info.misses
 
 

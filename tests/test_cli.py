@@ -473,18 +473,16 @@ QUTRIT_CODE = (
 )
 
 
-def test_verify_all_passes(tmp_path):
-    out = tmp_path / "all.json"
-    code = main(["verify", "--all", "--seed", "7", "--out", str(out)])
-    assert code == 0
-    reports = json.loads(out.read_text())
+def test_verify_all_passes(registry_run):
+    assert registry_run.code == 0
+    reports = json.loads(registry_run.report)
     assert all(r["pass"] for r in reports)
     names = {r["check"] for r in reports}
     assert "theorem1:five_one_three" in names
     assert "compiled_equals_bare" in names
     assert "sampling_equivalence" in names
     # The report is reproducible byte for byte, rounding residuals included.
-    assert out.read_bytes() == (REPO / "benchmarks/reference/registry_seed7.json").read_bytes()
+    assert registry_run.report == (REPO / "benchmarks/reference/registry_seed7.json").read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lrc.codes import (
     BUILTIN_CODE_NAMES,
@@ -386,3 +388,112 @@ def test_a_logical_group_at_the_enumeration_bound_is_accepted():
     assert code_from_dict(unencoded_code(64, 1)).k == 1
     assert code_from_dict(unencoded_code(2, 6)).k == 6
     assert max(code.d ** (2 * code.k) for code in ALL_CODES) == 9
+
+
+# -- mutated code definitions against dense matrix checks ----------------------
+
+
+def _code_dict(d, n, k, stabs, pures, logicals) -> dict:
+    """The JSON form of a code given by (x, z) pairs, validated on the way."""
+    def ops(pairs):
+        return tuple(WeylOperator(d, x, z) for x, z in pairs)
+
+    return code_to_dict(StabilizerCode(d, n, k, ops(stabs), ops(pures), ops(logicals)))
+
+
+def _unit(n, i, power=1):
+    return tuple(power if j == i else 0 for j in range(n))
+
+
+def _mutation_bases() -> list:
+    """Valid codes over d in {2, 3, 5} and n <= 3: Z- and X-type repetition codes, bare
+    qudits, and the Bell pair X X, Z Z^-1 (k = 0)."""
+    out = []
+    for d in (2, 3, 5):
+        for n in (2, 3):
+            zero = (0,) * n
+            checks = [tuple(a + b for a, b in zip(_unit(n, i), _unit(n, i + 1, d - 1))) for i in range(n - 1)]
+            singles = [_unit(n, i) for i in range(n - 1)]
+            out.append(_code_dict(d, n, 1, [(zero, c) for c in checks], [(s, zero) for s in singles],
+                                  [((1,) * n, zero), (zero, _unit(n, 0))]))
+            out.append(_code_dict(d, n, 1, [(c, zero) for c in checks], [(zero, s) for s in singles],
+                                  [(_unit(n, 0), zero), (zero, (1,) * n)]))
+            out.append(code_to_dict(trivial_code(d, n - 1)))
+        out.append(_code_dict(d, 2, 0, [((1, 1), (0, 0)), ((0, 0), (1, d - 1))],
+                              [((0, 0), (1, 0)), ((1, 0), (0, 0))], []))
+    return out
+
+
+MUTATION_BASES = _mutation_bases()
+
+
+def dense_checks_pass(data: dict) -> bool:
+    """Whether a code definition passes every check, each made on dense matrices: the
+    stabilizers commute, have order d with trivial phase and generate d^(n-k) operators
+    distinct up to phase; the pure errors have distinct syndromes; the logicals have order
+    d, commute with the stabilizers and with each other except that logical X_i and Z_i
+    commute as the single-qudit X and Z do."""
+    d, n, k = data["d"], data["n"], data["k"]
+    S, T, L = ([WeylOperator.from_string(t).to_matrix() for t in data[key]] for key in
+               ("stabilizer_generators", "pure_error_generators", "logical_generators"))
+    eye = np.eye(d**n)
+    X, Z = WeylOperator.x_op(d, 1).to_matrix(), WeylOperator.z_op(d, 1).to_matrix()
+    braid = (X @ Z @ X.conj().T @ Z.conj().T)[0, 0]
+
+    def commutator(a, b):  # a b a^-1 b^-1, a phase times the identity for Weyl operators
+        return a @ b @ a.conj().T @ b.conj().T
+
+    def products(gens):
+        out = []
+        for powers in itertools.product(range(d), repeat=len(gens)):
+            acc = eye
+            for g, a in zip(gens, powers):
+                acc = acc @ np.linalg.matrix_power(g, a)
+            out.append(acc)
+        return out
+
+    def up_to_phase(M):
+        first = M.flat[np.flatnonzero(np.abs(M) > 0.5)[0]]
+        return (np.round(M / first, 8) + 0.0).tobytes()
+
+    def syndrome(t):
+        return tuple(complex(np.round(commutator(t, s)[0, 0], 8) + 0.0) for s in S)
+
+    checks = [np.allclose(np.linalg.matrix_power(g, d), eye) for g in S + L]
+    checks += [np.allclose(commutator(a, b), eye) for a, b in itertools.combinations(S, 2)]
+    checks.append(len({up_to_phase(M) for M in products(S)}) == d ** (n - k))
+    checks.append(len({syndrome(t) for t in products(T)}) == d ** (n - k))
+    checks += [np.allclose(commutator(l, s), eye) for l in L for s in S]
+    for i, j in itertools.product(range(k), repeat=2):
+        checks.append(np.allclose(commutator(L[2 * i], L[2 * j + 1]), (braid if i == j else 1.0) * eye))
+        checks.append(np.allclose(commutator(L[2 * i], L[2 * j]), eye))
+        checks.append(np.allclose(commutator(L[2 * i + 1], L[2 * j + 1]), eye))
+    return all(checks)
+
+
+def test_the_mutation_bases_pass_the_dense_checks():
+    assert len(MUTATION_BASES) == 21 and all(map(dense_checks_pass, MUTATION_BASES))
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_a_mutated_code_is_refused_exactly_when_a_dense_check_fails(data):
+    """One x or z digit, or the phase, of one generator of a valid code is changed."""
+    base = data.draw(st.sampled_from(MUTATION_BASES))
+    d, n = base["d"], base["n"]
+    field = data.draw(st.sampled_from([key for key in base if isinstance(base[key], list) and base[key]]))
+    index = data.draw(st.integers(0, len(base[field]) - 1))
+    op = WeylOperator.from_string(base[field][index])
+    part = data.draw(st.sampled_from(("x", "z", "phase")))
+    if part == "phase":
+        op = op.with_phase_exp(op.phase_exp + data.draw(st.integers(1, 2 * d - 1)))
+    else:
+        digits = list(getattr(op, part))
+        digits[data.draw(st.integers(0, n - 1))] += data.draw(st.integers(1, d - 1))
+        op = WeylOperator(d, **{"x": op.x, "z": op.z, part: digits}, phase_exp=op.phase_exp)
+    mutated = {**base, field: [*base[field][:index], op.to_string(), *base[field][index + 1:]]}
+    if dense_checks_pass(mutated):
+        code_from_dict(mutated)
+    else:
+        with pytest.raises(CodeValidationError):
+            code_from_dict(mutated)
