@@ -51,7 +51,6 @@ from .verify import (
     check_theorem1,
     check_theorem2,
     coherence_metrics,
-    run_all,
     run_toffoli_example,
 )
 from .weyl import WeylOperator, braiding_exponent

@@ -246,16 +246,6 @@ def _site_axes(positions: tuple, n: int, lead: int = 0):
     return perm, tuple(np.argsort(perm))
 
 
-@functools.lru_cache(maxsize=None)
-def _channel_axes(positions: tuple, n: int, lead: int = 0):
-    """The site layout's axes (after ``lead`` fixed axes) with the footprint columns moved
-    first, (footprint columns, footprint rows, other rows, other columns): the column-stacked
-    operand of a channel on the footprint.  Returns the permutation and its inverse."""
-    site, k = _site_axes(positions, n, lead)[0], len(positions)
-    perm = site[:lead] + site[-k:] + site[lead:-k]
-    return perm, tuple(np.argsort(perm))
-
-
 def to_sites(M: np.ndarray, positions, d: int, n: int) -> np.ndarray:
     """A d^n x d^n matrix (or a stack) in the site layout of the footprint, shape (..., Dk, R, R, Dk)."""
     positions, M = tuple(positions), np.asarray(M)
@@ -335,18 +325,16 @@ def apply_local_channel(
     Dk = d ** len(positions)
     if C.dim != Dk:
         raise DimensionError(f"channel dimension {C.dim} does not match footprint {Dk}")
-    D = d**n
     if C.kraus is not None and 8 * len(C.kraus) <= Dk:
         if len(C.kraus) == 1 and tuple(positions) == tuple(range(n)):
             (K,) = C.kraus
             return K @ rho @ K.conj().T  # the footprint is the register, in order
         return apply_local_kraus(rho, C.kraus, positions, d, n)
     lead = np.shape(rho)[:-2]
-    perm, inv = _channel_axes(tuple(positions), n, len(lead))
-    # Column-stacked vec index r + Dk*c: the channel acts on (c, r)-ordered rows.
-    t = np.asarray(rho).reshape(lead + (d,) * (2 * n)).transpose(perm).reshape(lead + (Dk * Dk, -1))
-    out = C.matrix @ t
-    return out.reshape(lead + (d,) * (2 * n)).transpose(inv).reshape(lead + (D, D))
+    # Column-stacked vec index r + Dk*c: the channel acts on the site layout, footprint columns first.
+    cols = to_sites(rho, positions, d, n).reshape(lead + (-1, Dk)).swapaxes(-1, -2)
+    out = (C.matrix @ cols.reshape(lead + (Dk * Dk, -1))).reshape(lead + (Dk, -1)).swapaxes(-1, -2)
+    return from_sites(out, positions, d, n, lead)
 
 
 def apply_local_measurement(rho: np.ndarray, bases, positions, d: int, n: int) -> np.ndarray:

@@ -61,12 +61,14 @@ from .channels import (
     reset_sites,
 )
 from .codes import (
-    _BUILTIN_FACTORIES,
+    BUILTIN_CODE_NAMES,
     StabilizerCode,
     _json_int,
+    _json_list,
     _json_object,
-    _json_strs,
+    _json_str,
     _json_weyl,
+    builtin_code,
     code_from_dict,
     code_to_dict,
     codespace_projector,
@@ -79,7 +81,6 @@ from .weyl import (
     DENSE_LIMIT_ENV,
     CapacityError,
     WeylOperator,
-    _shift_and_phases,
     braiding_exponent,
     dense_limit,
     eigenprojector,
@@ -391,6 +392,15 @@ class GadgetInsertions:
 EMPTY_INSERTIONS = GadgetInsertions()
 
 
+def classical_post(insertions) -> dict:
+    """Each wire's additive correction to its raw value: the sum of its insertions' adds."""
+    out: dict = {}
+    for ins in insertions:
+        for wire, add in ins.classical_add.items():
+            out[wire] = out.get(wire, 0) + add
+    return out
+
+
 @dataclass
 class CompiledInstance:
     """One randomization draw over a base circuit: one insertion record per gadget.
@@ -406,10 +416,7 @@ class CompiledInstance:
     @property
     def classical_post(self) -> dict:
         """Each wire's additive correction to its raw value, read from the insertions."""
-        out: dict = {}
-        for ins in self.insertions:
-            out.update(ins.classical_add)
-        return out
+        return classical_post(self.insertions)
 
     def evaluate(self, ideal: bool = False, **kwargs) -> "CircuitResult":
         return evaluate(self.base, insertions=self.insertions, ideal=ideal, **kwargs)
@@ -445,21 +452,18 @@ def fourier_matrix(d: int) -> np.ndarray:
 @functools.lru_cache(maxsize=8)
 def controlled_weyl(A: WeylOperator) -> np.ndarray:
     """sum_s A^s (x) |s><s| with the control qudit as the last factor."""
-    cols, vals = _controlled_weyl_rows(A)
-    out = np.zeros((len(cols),) * 2, dtype=complex)
-    out[np.arange(len(cols)), cols] = vals
+    out = np.zeros((A.dim, A.d) * 2, dtype=complex)
+    for s in range(A.d):
+        out[:, s, :, s] = (A**s).to_matrix()
     out.setflags(write=False)
-    return out
+    return out.reshape((A.dim * A.d,) * 2)  # a read-only view
 
 
 @functools.lru_cache(maxsize=8)
 def _controlled_weyl_rows(A: WeylOperator):
-    """Per row (digits of A's sites, then s) of controlled_weyl(A), the column of its one
-    nonzero entry and that entry, read from the index maps of the A^s."""
-    powers = [A**s for s in range(A.d)]
-    maps = [(_shift_and_phases(A.d, W.x, W.z), roots_of_unity(A.d)[W.phase_exp]) for W in powers]
-    cols = np.stack([perm * A.d + s for s, ((perm, _), _) in enumerate(maps)], axis=1).ravel()
-    return cols, np.stack([phase * u for (_, u), phase in maps], axis=1).ravel()
+    """Per row of controlled_weyl(A), the column and the value of its one nonzero entry."""
+    M = controlled_weyl(A)
+    return np.nonzero(M)[1], M[M != 0]  # both in row order
 
 
 def _step_weyl(op: WeylOperator | None, positions, n_total: int) -> list:
@@ -728,7 +732,8 @@ def _run(circuit, insertions, ideal, branch_limit, rng, pure):
                     branch_limit, rng, stats, D if pure else 0)
             else:
                 states = _act(step, states, d, n, pure)
-    adds = [sum(ins.classical_add.get(wire, 0) for ins in insertions) for wire in wires]
+    post = classical_post(insertions)
+    adds = [post.get(wire, 0) for wire in wires]
     flat = states.reshape(len(probs), D) if pure else states
     branches = [Branch(p, s, {w: (v + a) % d for w, v, a in zip(wires, r, adds)})
                 for p, s, r in zip(probs.tolist(), flat, records.tolist())]
@@ -855,11 +860,14 @@ def _matrix_to_json(m) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
 
 
-def _matrix_from_json(rows, path: str) -> np.ndarray:
+def _matrix_from_json(rows, path: str, error) -> np.ndarray:
+    """The matrix of a JSON list of rows of [real, imaginary] pairs, read as one value."""
     try:
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise TypeError("rows must be JSON lists")
         return np.array([[complex(a, b) for a, b in row] for row in rows])
     except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{path}: malformed complex matrix ({exc})") from None
+        raise error(f"{path}: malformed complex matrix ({exc})") from None
 
 
 def _superop_to_json(s: Superoperator) -> dict:
@@ -875,8 +883,8 @@ def _superop_from_json(data, path: str) -> Superoperator:
         raise SchemaError(f"{path}: expected an object with dim and exactly one of a matrix or kraus field")
     dim = _int(data["dim"], path + ".dim")
     if "matrix" in data:
-        return Superoperator(dim, _matrix_from_json(data["matrix"], path + ".matrix"))
-    return Superoperator(dim, kraus=_json_list(data["kraus"], path + ".kraus", _matrix_from_json))
+        return Superoperator(dim, _matrix(data["matrix"], path + ".matrix"))
+    return Superoperator(dim, kraus=_matrices(data["kraus"], path + ".kraus"))
 
 
 def circuit_to_dict(circuit: LogicalCircuit) -> dict:
@@ -884,11 +892,8 @@ def circuit_to_dict(circuit: LogicalCircuit) -> dict:
     code_keys = {}
     for r in circuit.registers:
         if r.code is not None and id(r.code) not in code_keys:
-            key = f"code{len(codes)}"
-            for name, factory in _BUILTIN_FACTORIES.items():
-                if factory() == r.code:
-                    key = name
-                    break
+            builtin = (name for name in BUILTIN_CODE_NAMES if builtin_code(name) == r.code)
+            key = next(builtin, f"code{len(codes)}")
             codes[key] = code_to_dict(r.code)
             code_keys[id(r.code)] = key
     return {
@@ -920,24 +925,14 @@ def _need(data: dict, key: str, path: str, read=None):
     return data[key] if read is None else read(data[key], f"{path}.{key}")
 
 
-def _str(value, path: str) -> str:
-    if not isinstance(value, str):
-        raise SchemaError(f"{path} must be a string, not {value!r}")
-    return value
-
-
-def _json_list(value, path: str, item) -> tuple:
-    """value, if it is a JSON list, as the tuple of ``item(entry, its path)``."""
-    if not isinstance(value, list):
-        raise SchemaError(f"{path} must be a JSON list, not {value!r}")
-    return tuple(item(v, f"{path}[{j}]") for j, v in enumerate(value))
-
-
 _int = functools.partial(_json_int, error=SchemaError)
+_str = functools.partial(_json_str, error=SchemaError)
 _object = functools.partial(_json_object, error=SchemaError)
-_ints = functools.partial(_json_list, item=_int)
-_strs = functools.partial(_json_strs, error=SchemaError)
-_objects = functools.partial(_json_list, item=_object)
+_ints = functools.partial(_json_list, error=SchemaError, item=_json_int)
+_strs = functools.partial(_json_list, error=SchemaError, item=_json_str)
+_objects = functools.partial(_json_list, error=SchemaError, item=_json_object)
+_matrix = functools.partial(_matrix_from_json, error=SchemaError)
+_matrices = functools.partial(_json_list, error=SchemaError, item=_matrix_from_json)
 _weyl_from_json = functools.partial(_json_weyl, error=SchemaError)
 
 #: Each optional gadget field's JSON reader and writer.  A field is written when
@@ -945,7 +940,7 @@ _weyl_from_json = functools.partial(_json_weyl, error=SchemaError)
 _GADGET_FIELDS = {
     "state": (_ints, list),
     "weyl": (_weyl_from_json, WeylOperator.to_string),
-    "matrix": (_matrix_from_json, _matrix_to_json),
+    "matrix": (_matrix, _matrix_to_json),
     "label": (_str, str),
     "generator": (_int, int),
     "readout": (_str, str),

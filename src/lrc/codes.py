@@ -440,14 +440,19 @@ def _json_int(value, what: str, error) -> int:
     return value
 
 
-def _json_strs(value, what: str, error) -> tuple:
-    """value, if it is a JSON list of strings, as a tuple; otherwise raises ``error``."""
+def _json_str(value, what: str, error) -> str:
+    """value, if it is a JSON string; otherwise raises ``error``."""
+    if not isinstance(value, str):
+        raise error(f"{what} must be a string, not {value!r}")
+    return value
+
+
+def _json_list(value, what: str, error, item) -> tuple:
+    """value, if it is a JSON list, as the tuple of ``item(entry, its path, error)``;
+    otherwise raises ``error``."""
     if not isinstance(value, list):
         raise error(f"{what} must be a JSON list, not {value!r}")
-    for j, item in enumerate(value):
-        if not isinstance(item, str):
-            raise error(f"{what}[{j}] must be a string, not {item!r}")
-    return tuple(value)
+    return tuple(item(v, f"{what}[{j}]", error) for j, v in enumerate(value))
 
 
 def _json_weyl(value, what: str, error) -> WeylOperator:
@@ -460,7 +465,7 @@ def _json_weyl(value, what: str, error) -> WeylOperator:
 
 def _generators_from_json(data: dict, key: str) -> tuple:
     what = f"code field {key!r}"
-    texts = _json_strs(data[key], what, CodeValidationError)
+    texts = _json_list(data[key], what, CodeValidationError, _json_str)
     return tuple(_json_weyl(t, f"{what}[{j}]", CodeValidationError) for j, t in enumerate(texts))
 
 

@@ -266,12 +266,20 @@ def _randomize(circuit: LogicalCircuit, index: int, policy: RandomizationPolicy,
     def logical_twirl(name):
         return pick(name, _lazy(logical_weyls, reg.code)) if policy.twirl else None
 
+    def together(names, values):
+        """pick(name, values()) for each name, all picked or none: half a shift cannot be undone."""
+        picked = [pick(name, values()) for name in names]
+        missing = [name for name, value in zip(names, picked) if value is None]
+        if 0 < len(missing) < len(names):
+            raise CompileError(f"gadget {index} draws {', '.join(names)} together; missing {', '.join(missing)}")
+        return picked
+
     def readout(wire):
         """X^x Z^z ahead of a readout, the output corrected by -x and the
         restore Z^z' X^-x after it: (internal, classical_add)."""
         if not policy.measurement_rc:
             return {}, {}
-        x, z, zp = (pick(name, range(d)) for name in ("x", "z", "z'"))
+        x, z, zp = together(("x", "z", "z'"), lambda: range(d))
         if x is None:
             return {}, {}
         add = (-x) % d
@@ -300,13 +308,10 @@ def _randomize(circuit: LogicalCircuit, index: int, policy: RandomizationPolicy,
         s = stabilizer("S", regs[0])
         shift, add = None, 0
         if policy.measurement_rc:
-            x, z = (pick(name, itertools.product(range(d), repeat=code.k)) for name in ("x", "z"))
+            x, z = together(("x", "z"), lambda: itertools.product(range(d), repeat=code.k))
             if x is not None:
-                shift = WeylOperator.identity(d, code.n)
-                for i, xi in enumerate(x):
-                    shift = shift.mul(code.logical_x(i) ** xi)
-                for i, zi in enumerate(z):
-                    shift = shift.mul(code.logical_z(i) ** zi)
+                logicals = code.logical_gens[0::2] + code.logical_gens[1::2]  # Xbar_1..k, then Zbar_1..k
+                shift = _product([WeylOperator.identity(d, code.n), *map(pow, logicals, (*x, *z))])
                 add = (-braiding_exponent(shift, measured_weyl(g, code))) % d
         before = _merge_weyl_layers(regs, [s, shift])
         # Undo the inserted Weyl after the projection so the instance is

@@ -58,6 +58,7 @@ from .circuits import (
 )
 from .codes import (
     StabilizerCode,
+    _enumerate_products,
     builtin_code,
     cospace_table,
     encoding_isometry,
@@ -164,7 +165,7 @@ def coherence_metrics(rho: np.ndarray, code: StabilizerCode) -> CoherenceReport:
     V = encoding_isometry(code)
     intra = 0.0
     for t, _ in table.values():
-        Vt = np.stack([t.apply_to_vector(V[:, c]) for c in range(V.shape[1])], axis=1)
+        Vt = t.apply_to_vector(V.T).T
         block = Vt.conj().T @ m @ Vt
         off = block - np.diag(np.diag(block))
         intra += float(np.linalg.norm(off))
@@ -497,14 +498,8 @@ def transversal_toffoli(delta: float = 0.0) -> np.ndarray:
 
 def _block_stabilizer_draws(code: StabilizerCode, blocks):
     """Global stabilizer insertions over the selected blocks, exhaustively."""
-    per_block = [enumerate_stabilizers(code) for _ in blocks]
-    out = []
-    for combo in itertools.product(*per_block):
-        acc = WeylOperator.identity(code.d, 9)
-        for block, s in zip(blocks, combo):
-            acc = acc.mul(s.embed(range(3 * block, 3 * block + 3), 9))
-        out.append(acc)
-    return out
+    gens = [g.embed(range(3 * block, 3 * block + 3), 9) for block in blocks for g in code.stab_gens]
+    return _enumerate_products(gens, code.d, 9)
 
 
 def run_toffoli_example(delta: float, blocks: str = "all", seed: int = 0) -> VerificationReport:
@@ -966,10 +961,3 @@ def run_check(name: str, seed: int, code: str | None = None) -> list:
     if name not in _CHECKS:
         raise ValueError(f"unknown check {name!r}")
     return _CHECKS[name](seed, code)
-
-
-def run_all(seed: int) -> list:
-    reports = []
-    for name in CHECK_NAMES:
-        reports.extend(run_check(name, seed))
-    return reports

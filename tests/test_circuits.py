@@ -1,6 +1,8 @@
+import copy
 import functools
 import importlib.util
 import itertools
+import json
 import re
 import sys
 import time
@@ -260,6 +262,193 @@ def test_parse_rejects_a_value_of_the_wrong_json_type_at_its_path(keys, value, m
     with pytest.raises(SchemaError) as info:
         circuit_from_dict(data)
     assert str(info.value) == message
+
+
+def _with_gadgets(*gadgets, wires=(), registers=None, d=2):
+    registers = block_plus_readout() if registers is None else registers
+    return LogicalCircuit(d=d, registers=registers, gadgets=gadgets, classical_wires=wires)
+
+
+def _registers_only(*registers, d=2):
+    return _with_gadgets(registers=registers, d=d)
+
+
+_FLAT8 = natural_rep(np.eye(8))
+_EXTRACT = functools.partial(Gadget.syndrome_extraction, "L0", 0, "R0", "s")
+
+#: One malformed circuit per diagnostic branch of ``validate``: (rule, circuit).
+_MALFORMED = {
+    "duplicate-register-name": ("register-names", lambda: _registers_only(
+        one_block(), Register("L0", "readout", (3,)))),
+    "qudits-not-a-partition": ("qudit-indices", lambda: _registers_only(
+        Register("L0", "logical", (1, 2, 3), BITFLIP))),
+    "logical-without-code": ("register-code", lambda: _registers_only(Register("L0", "logical", (0, 1, 2)))),
+    "code-size-mismatch": ("register-code", lambda: _registers_only(Register("L0", "logical", (0, 1), BITFLIP))),
+    "code-d-mismatch": ("register-code", lambda: _registers_only(one_block(), d=3)),
+    "wide-readout": ("readout-size", lambda: _registers_only(Register("R0", "readout", (0, 1)))),
+    "unknown-register-kind": ("register-kind", lambda: _registers_only(Register("Q", "ancilla", (0,)))),
+    "unknown-register": ("unknown-register", lambda: _with_gadgets(Gadget.reset("L9", (0,)))),
+    "noise-dim": ("noise-dim", lambda: _with_gadgets(Gadget.reset("R0", (0,), noise=_FLAT8))),
+    "idle-noise-off-extraction": ("idle-noise", lambda: _with_gadgets(Gadget("idle", ("L0",), idle_noise=_FLAT8))),
+    "idle-noise-dim": ("noise-dim", lambda: _with_gadgets(
+        Gadget.reset("R0", (0,)), _EXTRACT(idle_noise=natural_rep(np.eye(2))), wires=("s",))),
+    "noise-trace": ("noise-trace", lambda: _with_gadgets(
+        Gadget.reset("R0", (0,), noise=Superoperator(2, 2 * np.eye(4))))),
+    "reset-width": ("reset-state", lambda: _with_gadgets(Gadget.reset("L0", (0, 0)))),
+    "reset-range": ("reset-state", lambda: _with_gadgets(Gadget.reset("L0", (2,)))),
+    "unitary-without-realisation": ("unitary-realisation", lambda: _with_gadgets(Gadget.unitary("L0"))),
+    "unitary-weyl-size": ("unitary-realisation", lambda: _with_gadgets(
+        Gadget.unitary("L0", weyl=WeylOperator.from_label("XX")))),
+    "unitary-matrix-shape": ("unitary-realisation", lambda: _with_gadgets(Gadget.unitary("L0", matrix=np.eye(2)))),
+    "unitary-not-unitary": ("unitary-realisation", lambda: _with_gadgets(
+        Gadget.unitary("R0", matrix=2 * np.eye(2)))),
+    "measurement-of-a-readout": ("measurement-target", lambda: _with_gadgets(
+        Gadget.measurement("R0", "m"), wires=("m",))),
+    "measurement-weyl-size": ("measurement-basis", lambda: _with_gadgets(
+        Gadget.measurement("L0", "m", weyl=WeylOperator.from_label("XX")), wires=("m",))),
+    "measurement-weyl-not-logical": ("measurement-basis", lambda: _with_gadgets(
+        Gadget.measurement("L0", "m", weyl=WeylOperator.from_label("ZII")), wires=("m",))),
+    "measurement-weyl-power": ("measurement-basis", lambda: _with_gadgets(
+        Gadget.measurement("L0", "m", weyl=BITFLIP.logical_z(0).with_phase_exp(1)), wires=("m",))),
+    "measurement-without-wire": ("wire", lambda: _with_gadgets(Gadget.measurement("L0", None))),
+    "extraction-of-a-readout": ("extraction-target", lambda: _with_gadgets(
+        Gadget.reset("R0", (0,)), Gadget.syndrome_extraction("R0", 0, "R0", "s"), wires=("s",))),
+    "generator-index": ("generator-index", lambda: _with_gadgets(
+        Gadget.reset("R0", (0,)), Gadget.syndrome_extraction("L0", 2, "R0", "s"), wires=("s",))),
+    "unknown-readout": ("readout-register", lambda: _with_gadgets(
+        Gadget.syndrome_extraction("L0", 0, "R9", "s"), wires=("s",))),
+    "logical-readout": ("readout-register", lambda: _with_gadgets(
+        Gadget.syndrome_extraction("L0", 0, "L0", "s"), wires=("s",))),
+    "extraction-readout-not-reset": ("readout-reset", lambda: _with_gadgets(_EXTRACT(), wires=("s",))),
+    "extraction-without-wire": ("wire", lambda: _with_gadgets(
+        Gadget.reset("R0", (0,)), Gadget.syndrome_extraction("L0", 0, "R0", None))),
+    "readout-measurement-of-a-block": ("measurement-target", lambda: _with_gadgets(
+        Gadget.readout_measurement("L0", "r"), wires=("r",))),
+    "readout-not-reset": ("readout-reset", lambda: _with_gadgets(
+        Gadget.readout_measurement("R0", "r"), wires=("r",))),
+    "readout-measurement-without-wire": ("wire", lambda: _with_gadgets(
+        Gadget.reset("R0", (0,)), Gadget.readout_measurement("R0", None))),
+    "idle-ticks": ("idle-ticks", lambda: _with_gadgets(Gadget.idle("L0", ticks=0))),
+    "gadget-kind": ("gadget-kind", lambda: _with_gadgets(Gadget("teleport", ("L0",)))),
+    "wire-rewrite": ("wire-rewrite", lambda: _with_gadgets(
+        Gadget.measurement("L0", "m"), Gadget.measurement("L0", "m"), wires=("m",))),
+    "undeclared-wire": ("classical-wires", lambda: _with_gadgets(Gadget.measurement("L0", "m"))),
+    "unwritten-wire": ("classical-wires", lambda: _with_gadgets(wires=("m",))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_every_validate_rule_fires_on_a_minimal_malformed_circuit(case):
+    rule, build = _MALFORMED[case]
+    circuit = build()
+    assert validate(circuit)[0].rule == rule
+    with pytest.raises(EvaluationError, match=f"invalid circuit: {rule}: "):
+        evaluate(circuit)
+
+
+def _json_kind_circuits():
+    """Circuits with every gadget kind and every optional gadget field, and noise
+    both as a Kraus form and as a matrix, on a builtin and on a non-builtin code."""
+    flip, tilt = readout_flip(2, 0.1), coherent_rotation(WeylOperator.from_label("XII"), 0.1)
+    qubit = LogicalCircuit(d=2, registers=block_plus_readout(), classical_wires=("s", "m", "r"), gadgets=(
+        Gadget.reset("L0", (0,)),
+        Gadget.reset("R0", (0,), noise=readout_rotation(2, 0.2)),
+        Gadget.unitary("L0", weyl=BITFLIP.logical_x(0)),
+        Gadget.unitary("R0", matrix=fourier_matrix(2), label="F", noise=flip),
+        Gadget.syndrome_extraction("L0", 1, "R0", "s", noise=flip, idle_noise=tilt),
+        Gadget.idle("L0", ticks=2),
+        Gadget.measurement("L0", "m", weyl=BITFLIP.logical_z(0)),
+        Gadget.reset("R0", (1,)),
+        Gadget.readout_measurement("R0", "r", noise=flip),
+    ))
+    qutrit = LogicalCircuit(d=3, registers=(one_block(trivial_code(3)),), classical_wires=("m",), gadgets=(
+        Gadget.reset("L0", (2,), noise=readout_rotation(3, 0.2)),
+        Gadget.measurement("L0", "m"),
+    ))
+    return [json.loads(serialize(c)) for c in (qubit, qutrit)]
+
+
+def _json_paths(value, keys=()):
+    """The key path of value and of every value inside it; inside a matrix, the first and
+    the last item of each list stand for all of them."""
+    yield keys
+    if isinstance(value, dict):
+        items = list(value.items())
+    elif isinstance(value, list):
+        items = list(enumerate(value))
+        if "matrix" in keys or "kraus" in keys[:-1]:
+            items = items[:1] + items[1:][-1:]
+    else:
+        items = []
+    for key, inner in items:
+        yield from _json_paths(inner, keys + (key,))
+
+
+_JSON_CASES = [(data, keys) for data in _json_kind_circuits() for keys in _json_paths(data)]
+
+#: A strategy per JSON kind; ints and floats are one kind.
+_JSON_KINDS = {
+    "null": st.none(),
+    "boolean": st.booleans(),
+    "number": st.integers(-3, 3) | st.floats(allow_nan=False, allow_infinity=False),
+    "string": st.text(max_size=3),
+    "list": st.lists(st.integers(0, 2) | st.text(max_size=2) | st.lists(st.floats(0, 1), max_size=2), max_size=3),
+    "object": st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2),
+}
+
+
+def _json_kind(value) -> str:
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {type(None): "null", str: "string", list: "list", dict: "object"}[type(value)]
+
+
+def _refusing_path(keys) -> tuple:
+    """The key path a refusal names: a code and a matrix are each read as one value."""
+    if keys[:1] == ("codes",):
+        return keys[:2]
+    for cut, key in enumerate(keys):
+        if key == "matrix":
+            return keys[: cut + 1]
+        if key == "kraus":
+            return keys[: cut + 2]
+    return keys
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=st.sampled_from(_JSON_CASES), data=st.data())
+def test_a_value_of_another_json_kind_is_refused_at_its_path(case, data):
+    original, keys = case
+    value = original
+    for key in keys:
+        value = value[key]
+    in_matrix = "matrix" in keys or "kraus" in keys
+
+    def canonical(kind):  # complex() accepts a boolean, so in a matrix it is a number
+        return "number" if in_matrix and kind == "boolean" else kind
+
+    own = canonical(_json_kind(value))
+    kind = data.draw(st.sampled_from([k for k in _JSON_KINDS if canonical(k) != own]))
+    replacement = data.draw(_JSON_KINDS[kind])
+    changed = copy.deepcopy(original)
+    if keys:
+        target = changed
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = replacement
+    else:
+        changed = replacement
+    path = "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in _refusing_path(keys))
+    with pytest.raises(SchemaError) as info:
+        parse(json.dumps(changed))
+    assert re.match(re.escape(path) + "[ :]", str(info.value)), (path, str(info.value))
+
+
+def test_the_json_kind_circuits_read_back_and_are_well_formed():
+    for data in _json_kind_circuits():
+        assert validate(circuit_from_dict(data)) == []
 
 
 def test_measurement_weyl_whose_dth_power_is_not_the_identity_is_rejected():

@@ -427,6 +427,67 @@ def test_classical_post_is_read_from_the_insertions():
             inst.classical_post = {}
 
 
+def test_classical_post_sums_the_adds_of_a_wire_as_evaluate_does():
+    c = LogicalCircuit(
+        d=2,
+        registers=(block(),),
+        gadgets=(
+            Gadget.reset("L0", (0,)),
+            Gadget.unitary("L0", weyl=BITFLIP.logical_z(0)),
+            Gadget.measurement("L0", "m"),
+        ),
+        classical_wires=("m",),
+    )
+    add = GadgetInsertions(classical_add={"m": 1})
+    inst = CompiledInstance(c, (add, add, lrc.circuits.EMPTY_INSERTIONS))
+    assert inst.classical_post == {"m": 2} == inst.to_dict()["classical_post"]
+    raw = evaluate(c).distribution()
+    assert raw == {(0,): 1.0}
+    corrected = {tuple((v + inst.classical_post[w]) % c.d for w, v in zip(c.classical_wires, key)): p
+                 for key, p in raw.items()}
+    assert inst.evaluate().distribution() == corrected
+
+
+def extraction_measurement_circuit():
+    base = extraction_circuit()
+    gadgets = base.gadgets + (Gadget.measurement("L0", "m"),)
+    return LogicalCircuit(d=2, registers=base.registers, gadgets=gadgets, classical_wires=("s", "m"))
+
+
+@pytest.mark.parametrize(
+    "index,draws,names,missing",
+    [
+        (2, {"x": 1}, "x, z, z'", "z, z'"),
+        (2, {"x": 1, "z": 0}, "x, z, z'", "z'"),
+        (2, {"z'": 1}, "x, z, z'", "x, z"),
+        (2, {"x": 1, "z": None, "z'": 0}, "x, z, z'", "z"),
+        (3, {"x": (1,)}, "x, z", "z"),
+        (3, {"z": (0,)}, "x, z", "x"),
+    ],
+)
+def test_a_partial_readout_or_measurement_draw_is_refused(index, draws, names, missing):
+    """A readout's x, z, z' and a logical measurement's x, z are drawn together: half a
+    shift cannot be restored, so realize_gadget names what is missing."""
+    c, policy = extraction_measurement_circuit(), RandomizationPolicy()
+    with pytest.raises(CompileError, match=f"^gadget {index} draws {names} together; missing {missing}$"):
+        realize_gadget(c, index, draws, policy)
+
+
+def test_a_readout_or_measurement_draw_given_in_full_or_not_at_all_is_realized():
+    c, policy = extraction_measurement_circuit(), RandomizationPolicy()
+    assert [comp.name for comp in gadget_components(c, 3, policy)] == ["S:L0", "x", "z"]
+    for index in (2, 3):
+        assert "rc" not in realize_gadget(c, index, {}, policy).internal
+        assert not realize_gadget(c, index, {}, policy).classical_add
+    full = realize_gadget(c, 2, {"x": 1, "z": 1, "z'": 0}, policy)
+    assert full.internal["rc"] == (1, 1) and full.classical_add == {"s": 1}
+    measured = realize_gadget(c, 3, {"x": (1,), "z": (0,)}, policy)
+    assert measured.classical_add == {"m": 1} and "restore" in measured.internal
+    insertions = (lrc.circuits.EMPTY_INSERTIONS,) * 2 + (full, measured)
+    dist = CompiledInstance(c, insertions).evaluate(ideal=True).distribution()
+    assert dist == pytest.approx(evaluate(c, ideal=True).distribution())
+
+
 # -- the instance stream against the flat enumeration ---------------------------
 
 
