@@ -5,12 +5,12 @@ column-stacked density matrices, so the channel of a unitary M is
 conj(M) (x) M.  Composition is written compose(A, B) with B applied first.
 
 Structural identities are expected to hold to 1e-12 and physicality checks
-to 1e-10; superoperators are restricted to D <= 64 while density matrices
-may use the full dense capacity.
+to 1e-10.  A dense array is built once ``weyl.check_budget`` admits its entries: D^4
+for a superoperator (D <= 64 by default), D^2 for a density matrix (D <= 4096).
 
 ``natural_rep`` holds only its matrix M, as the channel's Kraus form (the
 ``kraus`` field); the D^2 x D^2 matrix is built when something first reads it,
-and the superoperator cap fires there.  ``is_trace_preserving``, and so circuit
+and the budget is checked there.  ``is_trace_preserving``, and so circuit
 validation, reads a Kraus form when there is one.  Every other constructor holds
 a matrix and leaves ``kraus`` None.  ``apply_local_channel`` applies a channel
 with a Kraus form of r operators on a footprint of dimension Dk >= 8 r as
@@ -29,16 +29,7 @@ import math
 
 import numpy as np
 
-from .weyl import (
-    CapacityError,
-    DimensionError,
-    WeylOperator,
-    dense_limit,
-    iter_weyls,
-)
-
-#: Largest Hilbert dimension representable as a dense superoperator.
-SUPEROP_DIM_LIMIT = 64
+from .weyl import DimensionError, WeylOperator, check_budget, iter_weyls
 
 HERMITICITY_TOL = 1e-10
 
@@ -60,15 +51,14 @@ def _as_matrix(op) -> np.ndarray:
 
 
 def _check_superop_dim(dim: int):
-    if dim > SUPEROP_DIM_LIMIT:
-        raise CapacityError(f"superoperator dimension {dim} exceeds the cap {SUPEROP_DIM_LIMIT}")
+    check_budget(dim**4, "superoperator dimension {} exceeds the cap {root}", dim)  # dim^2 x dim^2
 
 
 class Superoperator:
     """A channel on a dim-dimensional system: its D^2 x D^2 matrix, operators K with
     rho -> sum_K K rho K^dagger (``kraus``), or both.  A matrix given here is copied;
     a Kraus-only channel builds ``matrix`` on first read, sum_K conj(K) (x) K in Kraus
-    order, and keeps it.  Either way the dimension cap fires before any allocation."""
+    order, and keeps it.  Either way the budget is checked before any allocation."""
 
     __slots__ = ("dim", "kraus", "_matrix")
 
@@ -108,8 +98,7 @@ class Superoperator:
 
 
 def _owned(dim: int, m: np.ndarray) -> Superoperator:
-    """The channel of a matrix its caller has just built, frozen in place, not copied."""
-    _check_superop_dim(dim)
+    """The channel of a matrix its caller has just built within the budget, frozen in place, not copied."""
     C = Superoperator.__new__(Superoperator)
     C.dim, C.kraus, C._matrix = dim, None, None
     C._keep(m)
@@ -204,12 +193,6 @@ def is_trace_preserving(C: Superoperator, atol: float = 1e-10) -> bool:
     return bool(np.max(np.abs(ident.conj() @ C.matrix - ident.conj())) < atol)
 
 
-# An entry holds d^(2n) D x D matrices (268 MB at d=2, n=6); the registry reads 2 keys.
-@functools.lru_cache(maxsize=4)
-def _weyl_basis_matrices(d: int, n: int):
-    return tuple(w.to_matrix() for w in iter_weyls(d, n))
-
-
 def weyl_transfer_matrix(C: Superoperator, d: int, n: int) -> np.ndarray:
     """Transfer matrix over the phase-free Weyl basis, (x, z) lexicographic.
 
@@ -219,7 +202,8 @@ def weyl_transfer_matrix(C: Superoperator, d: int, n: int) -> np.ndarray:
     D = d**n
     if D != C.dim:
         raise DimensionError(f"channel dimension {C.dim} is not {d}^{n}")
-    basis = _weyl_basis_matrices(d, n)
+    _check_superop_dim(D)  # the d^(2n) basis matrices hold D^4 entries, as C's matrix does
+    basis = [w.to_matrix() for w in iter_weyls(d, n)]
     R = np.zeros((len(basis), len(basis)), dtype=complex)
     for j, Wj in enumerate(basis):
         out = C(Wj)
@@ -280,8 +264,7 @@ def _on_footprint(K: np.ndarray, psi: np.ndarray, positions: tuple) -> np.ndarra
 def embed_operator(M: np.ndarray, positions, d: int, n_total: int) -> np.ndarray:
     """Extend an operator on the given sites by the identity elsewhere."""
     D = d**n_total
-    if D > dense_limit():
-        raise CapacityError(f"embedding dimension {D} exceeds the dense cap")
+    check_budget(D * D, "embedding dimension {} exceeds the dense cap", D)
     rest = np.eye(D // d ** len(positions))
     full = np.asarray(M, dtype=complex)[:, None, None, :] * rest[None, :, :, None]
     return from_sites(full, positions, d, n_total)

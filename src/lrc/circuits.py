@@ -76,16 +76,7 @@ from .codes import (
     is_logical_weyl,
     logical_basis_state,
 )
-from .weyl import (
-    _SMALL_DIM,
-    DENSE_LIMIT_ENV,
-    CapacityError,
-    WeylOperator,
-    braiding_exponent,
-    dense_limit,
-    eigenprojector,
-    roots_of_unity,
-)
+from .weyl import _SMALL_DIM, WeylOperator, braiding_exponent, check_budget, eigenprojector, roots_of_unity
 
 SCHEMA_VERSION = 1
 
@@ -221,6 +212,28 @@ class Diagnostic:
     message: str
 
 
+def _layer_rule(circuit: LogicalCircuit, g: Gadget):
+    """(rule, message) of the first unknown-register or unitary-realisation rule the
+    gadget breaks, else None: the rules of an inserted layer, as well as ``validate``'s."""
+    try:
+        fdim = circuit.d ** len(circuit.footprint(g))
+    except KeyError as exc:
+        return "unknown-register", str(exc)
+    if g.kind != UNITARY:
+        return None
+    if (g.weyl is None) == (g.matrix is None):
+        return "unitary-realisation", "exactly one of weyl or matrix must be given"
+    if g.weyl is not None:
+        if g.weyl.d != circuit.d or g.weyl.dim != fdim:
+            return "unitary-realisation", "weyl does not match the gadget footprint"
+        return None
+    if g.matrix.shape != (fdim, fdim):
+        return "unitary-realisation", f"matrix shape {g.matrix.shape} != ({fdim},)*2"
+    if np.max(np.abs(g.matrix @ g.matrix.conj().T - np.eye(fdim))) > 1e-10:
+        return "unitary-realisation", "matrix is not unitary"
+    return None
+
+
 def validate(circuit: LogicalCircuit) -> list:
     """Structural diagnostics; an empty list means the circuit is well formed."""
     diags = []
@@ -251,11 +264,12 @@ def validate(circuit: LogicalCircuit) -> list:
     wires_written = {}
     readout_ready = {r.name: False for r in circuit.registers if r.kind == "readout"}
     for i, g in enumerate(circuit.gadgets):
-        try:
-            regs = [circuit.register(name) for name in g.registers]
-        except KeyError as exc:
-            bad(i, "unknown-register", str(exc))
-            continue
+        rule = _layer_rule(circuit, g)
+        if rule is not None:
+            bad(i, *rule)
+            if rule[0] == "unknown-register":
+                continue
+        regs = [circuit.register(name) for name in g.registers]
         footprint = circuit.footprint(g)
         fdim = circuit.d ** len(footprint)
 
@@ -281,17 +295,6 @@ def validate(circuit: LogicalCircuit) -> list:
                 bad(i, "reset-state", "reset dits out of range")
             if reg.kind == "readout":
                 readout_ready[reg.name] = True
-        elif g.kind == UNITARY:
-            if (g.weyl is None) == (g.matrix is None):
-                bad(i, "unitary-realisation", "exactly one of weyl or matrix must be given")
-            elif g.weyl is not None:
-                if g.weyl.d != circuit.d or g.weyl.n != len(footprint):
-                    bad(i, "unitary-realisation", "weyl does not match the gadget footprint")
-            else:
-                if g.matrix.shape != (fdim, fdim):
-                    bad(i, "unitary-realisation", f"matrix shape {g.matrix.shape} != ({fdim},)*2")
-                elif np.max(np.abs(g.matrix @ g.matrix.conj().T - np.eye(fdim))) > 1e-10:
-                    bad(i, "unitary-realisation", "matrix is not unitary")
         elif g.kind == MEASUREMENT:
             reg = regs[0]
             if reg.kind != "logical":
@@ -337,7 +340,7 @@ def validate(circuit: LogicalCircuit) -> list:
         elif g.kind == IDLE:
             if g.ticks < 1:
                 bad(i, "idle-ticks", "idle duration must be at least one tick")
-        else:
+        elif g.kind != UNITARY:  # a unitary's rules are _layer_rule's
             bad(i, "gadget-kind", f"unknown gadget kind {g.kind!r}")
 
         if g.wire is not None and g.kind in (MEASUREMENT, SYNDROME_EXTRACTION, READOUT_MEASUREMENT):
@@ -568,8 +571,8 @@ _EXPANSIONS = weakref.WeakKeyDictionary()
 
 
 def _instance_steps(circuit: LogicalCircuit, insertions, ideal: bool, first: int = 0) -> list:
-    """Each gadget's steps from gadget ``first`` on, each gadget expanded once
-    per insertions object; ``ideal`` drops the noise ("channel") steps."""
+    """Each gadget's steps from gadget ``first`` on, each gadget expanded (its inserted layers
+    checked) once per insertions object; ``ideal`` drops the noise ("channel") steps."""
     if len(insertions) != len(circuit.gadgets):
         raise EvaluationError(
             f"{len(insertions)} insertion records for {len(circuit.gadgets)} gadgets"
@@ -581,7 +584,11 @@ def _instance_steps(circuit: LogicalCircuit, insertions, ideal: bool, first: int
         else:
             cached = _EXPANSIONS.setdefault(ins, {})
             key = (circuit, i)
-            if key not in cached:
+            if key not in cached:  # a record's layers are checked once per circuit
+                for layer in (*ins.before, *ins.after):
+                    rule = _layer_rule(circuit, layer)
+                    if rule is not None:
+                        raise EvaluationError(f"gadget {i}: inserted layer: {rule[0]}: {rule[1]}")
                 cached[key] = tuple(expand_gadget(circuit, g, ins))
             steps = cached[key]
         out.append([step for step in steps if step[0] != "channel"] if ideal else steps)
@@ -617,8 +624,8 @@ class CircuitResult:
 
     def _densities(self):
         """Each branch's density matrix; |psi><psi| is built here for a pure branch."""
-        if self.circuit.dim > dense_limit():
-            raise CapacityError(f"density matrices of dimension {self.circuit.dim} exceed the dense cap")
+        D = self.circuit.dim
+        check_budget(D * D, "density matrices of dimension {} exceed the dense cap", D)
         return (s if s.ndim == 2 else np.outer(s, s.conj()) for s in (br.state for br in self.branches))
 
     def final_state(self) -> np.ndarray:
@@ -684,7 +691,7 @@ def evaluate(
     estimate and ``exact`` is False); without an rng the limit raises.
     One loop runs two routes: above _SMALL_DIM dimensions, a run whose noise
     channels all have Kraus forms takes the pure route, where ``branch_limit``
-    counts pure branches; every other run is dense, up to ``dense_limit()``.
+    counts pure branches; every other run is dense.  Both stay within ``weyl.check_budget``.
     Up to _SMALL_DIM dimensions, a run whose first G-1 insertion records are
     those of the circuit's last exact run resumes from its branches after them.
     """
@@ -702,16 +709,14 @@ def _run(circuit, insertions, ideal, branch_limit, rng, pure):
     and a B x wires array of outcomes, each step acting on all of them.  A measurement splits
     every branch; on the pure route so do a reset and a Kraus form of several operators."""
     d, n, D, wires = circuit.d, circuit.n_qudits, circuit.dim, circuit.classical_wires
-    if pure:
-        _check_pure_memory(1, D)
-    elif D > dense_limit():
-        raise CapacityError(f"circuit dimension {D} exceeds the dense cap")
+    fits = _stack_check(D, pure)
     last = len(circuit.gadgets) - 1
     memo = _PREFIXES.setdefault(circuit, {}) if D <= _SMALL_DIM and last >= 1 else None
     key = (ideal, branch_limit)
     saved = memo.get(key) if memo is not None else None
     if saved is not None and all(ref() is ins for ref, ins in zip(saved[0], insertions)):
         first, (probs, states, records) = last, saved[1]
+        fits(len(probs))
     else:
         first, probs, records = 0, np.array([1.0]), np.zeros((1, len(wires)), dtype=np.int64)
         states = np.zeros((1,) + ((d,) * n if pure else (D, D)), dtype=complex)
@@ -729,7 +734,7 @@ def _run(circuit, insertions, ideal, branch_limit, rng, pure):
                 p, labels, build = _split_rows(step, states, d, n, pure)
                 probs, states, records = _branch_measure(
                     p, labels, build, probs, records, wires.index(step[3]) if kind == "measure" else None,
-                    branch_limit, rng, stats, D if pure else 0)
+                    branch_limit, rng, stats, fits)
             else:
                 states = _act(step, states, d, n, pure)
     post = classical_post(insertions)
@@ -761,11 +766,17 @@ def _act(step, states, d, n, pure):
     return apply_local_kraus(states, (step[2],), step[1], d, n)  # a gate
 
 
-def _check_pure_memory(count: int, D: int):
-    """Refuse pure branches holding more entries than a density matrix at the dense cap."""
-    if count * D > dense_limit() ** 2:
-        raise CapacityError(f"{count} pure states of dimension {D} need {16 * count * D} bytes, over "
-                            f"those of a density matrix at the dense cap ({DENSE_LIMIT_ENV})")
+def _stack_check(D: int, pure: bool):
+    """Refuse one branch over the memory budget, which is read once, here, and return the
+    run's check of B branches: B D entries (pure) or B D^2 (dense)."""
+    per, kind = (D, "pure states") if pure else (D * D, "density matrices")
+
+    def refuse(count):
+        return check_budget(count * per, "{} {} of dimension {} need {} bytes, over those of a density matrix "
+                            "at the dense cap", count, kind, D, 16 * count * per)
+
+    budget = refuse(1)
+    return lambda count: count * per <= budget or refuse(count)
 
 
 def _split_rows(step, states, d, n, pure):
@@ -826,12 +837,12 @@ def _split_rows(step, states, d, n, pure):
     return p, np.repeat(np.arange(len(ops)), [len(outcome) for _, outcome in ops]), build
 
 
-def _branch_measure(p, labels, build, probs, records, wire, branch_limit, rng, stats, pure_dim=0):
-    """Split every branch: row c of branch i has probability p[i, c] (a trace, or with
-    pure_dim a squared norm) and records labels[c] in column ``wire`` (None: unrecorded).
-    Rows of probability at most 1e-14 are dropped, the rest kept in branch-major, row order;
-    over branch_limit each branch keeps one row, drawn for every branch at once.  Only then
-    are they built: pure states hold no more entries than a density matrix at the dense cap."""
+def _branch_measure(p, labels, build, probs, records, wire, branch_limit, rng, stats, fits):
+    """Split every branch: row c of branch i has probability p[i, c] (a trace, or a squared
+    norm) and records labels[c] in column ``wire`` (None: unrecorded).  Rows of probability
+    at most 1e-14 are dropped, the rest kept in branch-major, row order; over branch_limit
+    each branch keeps one row, drawn for every branch at once.  Only then are they built,
+    if ``fits`` (the run's stack check) admits their count."""
     keep = p > 1e-14
     branch, row = np.nonzero(keep)
     drawn = len(branch) > branch_limit
@@ -843,8 +854,7 @@ def _branch_measure(p, labels, build, probs, records, wire, branch_limit, rng, s
         cdf = np.cumsum(np.where(keep, p, 0.0), axis=1)
         branch, row = np.arange(len(p)), (cdf > rng.random(len(p))[:, None] * cdf[:, -1:]).argmax(axis=1)
         stats["fallback_splits"] += 1
-    if pure_dim:
-        _check_pure_memory(len(branch), pure_dim)
+    fits(len(branch))
     weight = p[branch, row] if drawn else p[keep]
     records = records[branch]
     if wire is not None:
@@ -881,10 +891,12 @@ def _superop_from_json(data, path: str) -> Superoperator:
     two could disagree, and which one acts would depend on the route."""
     if not isinstance(data, dict) or "dim" not in data or ("matrix" in data) == ("kraus" in data):
         raise SchemaError(f"{path}: expected an object with dim and exactly one of a matrix or kraus field")
-    dim = _int(data["dim"], path + ".dim")
-    if "matrix" in data:
-        return Superoperator(dim, _matrix(data["matrix"], path + ".matrix"))
-    return Superoperator(dim, kraus=_matrices(data["kraus"], path + ".kraus"))
+    dim, field = _int(data["dim"], path + ".dim"), "matrix" if "matrix" in data else "kraus"
+    form = (_matrix if field == "matrix" else _matrices)(data[field], f"{path}.{field}")
+    try:
+        return Superoperator(dim, **{field: form})
+    except ValueError as exc:  # no operators, or one of the wrong shape
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 def circuit_to_dict(circuit: LogicalCircuit) -> dict:

@@ -7,7 +7,7 @@ reported in files as 0 unless --timings is given, keeping outputs
 reproducible; real timings always go to stderr.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
-The environment variable LRC_DENSE_LIMIT overrides the dense-dimension cap.
+LRC_DENSE_LIMIT (default 4096) sets the dense cap, and with it the memory budget.
 """
 
 from __future__ import annotations

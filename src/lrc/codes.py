@@ -26,15 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weyl import (
-    CapacityError,
-    DimensionError,
-    WeylOperator,
-    braiding_exponent,
-    dense_limit,
-    eigenprojector,
-    iter_weyls,
-)
+from .weyl import DimensionError, WeylOperator, braiding_exponent, check_budget, eigenprojector, iter_weyls
 
 BUILTIN_CODE_NAMES = ("bitflip3", "phaseflip3", "five_one_three", "qutrit_rep3")
 
@@ -208,8 +200,7 @@ def syndrome_of(code: StabilizerCode, E: WeylOperator) -> tuple:
 @functools.lru_cache(maxsize=8)
 def codespace_projector(code: StabilizerCode) -> np.ndarray:
     """Mean of all stabilizer matrices; Hermitian idempotent of rank d^k."""
-    if code.dim > dense_limit():
-        raise CapacityError(f"projector dimension {code.dim} exceeds the dense cap")
+    check_budget(code.dim**2, "projector dimension {} exceeds the dense cap", code.dim)
     acc = np.zeros((code.dim, code.dim), dtype=complex)
     for s in enumerate_stabilizers(code):
         acc += s.to_matrix()

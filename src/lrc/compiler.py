@@ -370,8 +370,13 @@ def gadget_components(circuit: LogicalCircuit, index: int, policy: Randomization
 def realize_gadget(
     circuit: LogicalCircuit, index: int, draws: dict, policy: RandomizationPolicy
 ) -> GadgetInsertions:
-    """Build the insertion record for one gadget from drawn values."""
-    fields = _randomize(circuit, index, policy, lambda name, values: draws.get(name))
+    """Build the insertion record for one gadget from drawn values, each named by a
+    component the gadget offers under the policy."""
+    offered = []
+    fields = _randomize(circuit, index, policy, lambda name, values: offered.append(name) or draws.get(name))
+    unknown = [name for name in draws if name not in offered]
+    if unknown:
+        raise CompileError(f"gadget {index} offers no draw {', '.join(map(repr, unknown))} under the policy")
     return GadgetInsertions(**fields, draws=draws)
 
 

@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import (
-    SUPEROP_DIM_LIMIT,
     Superoperator,
     _check_superop_dim,
     _owned,
@@ -613,11 +612,12 @@ def averaged_extraction_channels(
     if not 0 <= generator < code.n_generators:
         raise ValueError(f"generator {generator} lies outside [0, {code.n_generators})")
     Df = code.dim * d
-    # Df^2 x Df^2 compositions from the loop bounds below; wider registers meet the cap.
+    _check_superop_dim(Df)
+    # Df^2 x Df^2 compositions from the loop bounds below.
     composes = 3 + 2 * d + (d**2 + d**3 + d**4 if policy.measurement_rc else d) + 2 * policy.stabilizers
     composes += 2 * d * d + 5 * len(logical_weyls(code)) if policy.twirl else 0
     flops = composes * 8 * Df**6
-    if Df <= SUPEROP_DIM_LIMIT and flops > EXTRACTION_FLOP_LIMIT:
+    if flops > EXTRACTION_FLOP_LIMIT:
         raise CapacityError(
             f"extraction averaging needs about {flops:.1e} flops, over {EXTRACTION_FLOP_LIMIT:.0e}"
         )

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import os
 from dataclasses import dataclass
 
@@ -31,7 +32,7 @@ import numpy as np
 #: Default cap on the Hilbert dimension of dense realisations.
 DEFAULT_DENSE_LIMIT = 4096
 
-#: Environment variable overriding the dense-dimension cap.
+#: Environment variable overriding the dense-dimension cap, and so the memory budget.
 DENSE_LIMIT_ENV = "LRC_DENSE_LIMIT"
 
 #: Largest register dimension whose work is kept for reuse: the cached flat D^2
@@ -52,10 +53,18 @@ class CapacityError(RuntimeError):
 
 def dense_limit() -> int:
     """Largest Hilbert dimension that may be realised densely."""
-    raw = os.environ.get(DENSE_LIMIT_ENV)
-    if raw:
-        return int(raw)
-    return DEFAULT_DENSE_LIMIT
+    return int(os.environ.get(DENSE_LIMIT_ENV) or DEFAULT_DENSE_LIMIT)
+
+
+def check_budget(entries: int, message: str, *args) -> int:
+    """The one memory budget: refuse more complex entries than a density matrix at the dense
+    cap holds (268 MB by default), else return that count.  Only a refusal formats
+    ``message``, with ``args`` and ``root`` = isqrt(dense_limit()), the superoperator cap."""
+    limit = dense_limit()
+    if entries > limit * limit:
+        raise CapacityError(message.format(*args, root=math.isqrt(limit))
+                            + f" ({DENSE_LIMIT_ENV}={limit} allows {limit * limit} complex entries)")
+    return limit * limit
 
 
 @functools.lru_cache(maxsize=None)
@@ -257,10 +266,7 @@ class WeylOperator:
     def to_matrix(self) -> np.ndarray:
         """Dense unitary, including the global phase."""
         D = self.dim
-        if D > dense_limit():
-            raise CapacityError(
-                f"dense realisation of dimension {D} exceeds the cap {dense_limit()}"
-            )
+        check_budget(D * D, "dense realisation of dimension {} exceeds the dense cap", D)
         perm, u = _shift_and_phases(self.d, self.x, self.z)
         M = np.zeros((D, D), dtype=complex)
         M[np.arange(D), perm] = roots_of_unity(self.d)[self.phase_exp] * u

@@ -22,7 +22,7 @@ from lrc.channels import (
     reset_sites,
 )
 from lrc.circuits import EMPTY_INSERTIONS, Branch, CircuitResult, EvaluationError, _instance_steps
-from lrc.weyl import _SMALL_DIM, DENSE_LIMIT_ENV, CapacityError, dense_limit
+from lrc.weyl import _SMALL_DIM, check_budget
 
 
 def evaluate_per_branch(circuit, insertions=None, ideal=False, branch_limit=4096, rng=None):
@@ -42,10 +42,7 @@ def evaluate_per_branch(circuit, insertions=None, ideal=False, branch_limit=4096
 
 def run_per_branch(circuit, insertions, ideal, branch_limit, rng, pure):
     d, n, D = circuit.d, circuit.n_qudits, circuit.dim
-    if pure:
-        _check_pure_memory(1, D)
-    elif D > dense_limit():
-        raise CapacityError(f"circuit dimension {D} exceeds the dense cap")
+    _check_stack(1, D, pure)
     state = np.zeros((d,) * n if pure else (D, D), dtype=complex)
     state.flat[0] = 1.0
     branches = [Branch(1.0, state, {})]
@@ -59,7 +56,7 @@ def run_per_branch(circuit, insertions, ideal, branch_limit, rng, pure):
                 rows = (_unravel(step, br.state) if pure
                         else enumerate(apply_local_measurement(br.state, step[2], step[1], d, n)) for br in branches)
                 wire = step[3] if kind == "measure" else None
-                branches, exact = _branch_measure(branches, rows, wire, branch_limit, rng, exact, D if pure else 0)
+                branches, exact = _branch_measure(branches, rows, wire, branch_limit, rng, exact, D, pure)
             else:
                 for br in branches:
                     br.state = act(step, br.state, d, n)
@@ -89,10 +86,11 @@ def _act_pure(step, psi, d, n):
     return _on_footprint(op if step[0] == "gate" else op.kraus[0], psi, positions)
 
 
-def _check_pure_memory(count, D):
-    if count * D > dense_limit() ** 2:
-        raise CapacityError(f"{count} pure states of dimension {D} need {16 * count * D} bytes, over "
-                            f"those of a density matrix at the dense cap ({DENSE_LIMIT_ENV})")
+def _check_stack(count, D, pure):
+    """The evaluator's budget on count branches: count D entries (pure) or count D^2 (dense)."""
+    per = D if pure else D * D
+    check_budget(count * per, "{} {} of dimension {} need {} bytes, over those of a density matrix at the dense cap",
+                 count, "pure states" if pure else "density matrices", D, 16 * count * per)
 
 
 def _unravel(step, psi):
@@ -119,10 +117,10 @@ def _unravel(step, psi):
                 yield b, _from_footprint_rows(V[:, lo:hi] @ A[lo:hi], positions, psi.shape)
 
 
-def _branch_measure(branches, outcome_rows, wire, branch_limit, rng, exact, pure_dim=0):
+def _branch_measure(branches, outcome_rows, wire, branch_limit, rng, exact, D, pure):
     kept, total, drawn = [], 0, 0
     for rows in outcome_rows:
-        weighed = ((m, float((np.vdot(v, v) if pure_dim else np.trace(v)).real), v) for m, v in rows)
+        weighed = ((m, float((np.vdot(v, v) if pure else np.trace(v)).real), v) for m, v in rows)
         kept.append([row for row in weighed if row[1] > 1e-14])
         total += len(kept[-1])
         if total > branch_limit:
@@ -134,12 +132,11 @@ def _branch_measure(branches, outcome_rows, wire, branch_limit, rng, exact, pure
                 ps = np.array([p for _, p, _ in kept[j]])
                 kept[j] = [kept[j][rng.choice(len(ps), p=ps / ps.sum())]]
             drawn = len(kept)
-        if pure_dim:
-            _check_pure_memory(drawn or total, pure_dim)
+        _check_stack(drawn or total, D, pure)
     new = []
     for br, rows in zip(branches, kept):
         for m, p, sub in rows:
-            state = np.divide(sub, np.sqrt(p) if pure_dim else p, out=sub)
+            state = np.divide(sub, np.sqrt(p) if pure else p, out=sub)
             record = dict(br.record) if wire is None else {**br.record, wire: m}
             new.append(Branch(br.probability if drawn else br.probability * p, state, record))
     return new, exact and not drawn

@@ -3,6 +3,7 @@ import functools
 import importlib.util
 import itertools
 import json
+import math
 import re
 import sys
 import time
@@ -1097,7 +1098,7 @@ def test_wide_register_pass_matches_the_recorded_averages(tmp_path, monkeypatch)
 
 
 def test_caches_of_measurement_operators_and_weyl_bases_are_bounded():
-    for cached in (lrc.circuits._logical_measurement_basis, lrc.channels._weyl_basis_matrices):
+    for cached in (lrc.circuits._logical_measurement_basis,):
         assert isinstance(cached.cache_parameters()["maxsize"], int)
 
 
@@ -1366,6 +1367,53 @@ def test_noise_json_with_both_a_matrix_and_a_kraus_form_is_refused_at_its_path()
         one = json.loads(json.dumps(data))
         del one["gadgets"][1]["noise"][field]
         assert circuit_from_dict(one).gadgets[1].noise is not None
+
+
+def reset_and_measure():
+    return LogicalCircuit(
+        d=2,
+        registers=(one_block(),),
+        gadgets=(Gadget.reset("L0", (0,)), Gadget.measurement("L0", "m")),
+        classical_wires=("m",),
+    )
+
+
+@pytest.mark.parametrize(
+    "noise,reason",
+    [
+        ({"dim": 8, "kraus": []}, "a channel needs a matrix or a Kraus form"),
+        ({"dim": 8, "matrix": [[[1, 0]]]}, r"superoperator matrix has shape \(1, 1\)"),
+        ({"dim": 8, "kraus": [[[[1, 0]]]]}, r"Kraus operator has shape \(1, 1\)"),
+    ],
+)
+def test_noise_json_of_the_wrong_shape_is_refused_at_its_path(noise, reason):
+    """A noise object without operators, or with an array of the wrong shape, names its
+    path like every other malformed field."""
+    data = json.loads(serialize(reset_and_measure()))
+    data["gadgets"][1]["noise"] = noise
+    with pytest.raises(SchemaError, match=r"^\$\.gadgets\[1\]\.noise: " + reason):
+        circuit_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "layer,rule",
+    [
+        (Gadget.unitary("L0", matrix=np.zeros((8, 8))), "unitary-realisation: matrix is not unitary"),
+        (Gadget.unitary("nope", weyl=WeylOperator.from_label("XXX")), "unknown-register: .*'nope'"),
+        (Gadget.unitary("L0", matrix=np.eye(4)), r"unitary-realisation: matrix shape \(4, 4\)"),
+        (Gadget.unitary("L0", weyl=WeylOperator(3, (1, 0, 0), (0, 0, 0))), "unitary-realisation: weyl does not"),
+    ],
+)
+def test_an_inserted_layer_is_checked_against_its_circuit(layer, rule):
+    """An inserted layer meets the rules of a unitary gadget of the circuit: a zero matrix
+    used to evaluate to an empty distribution, the others to a KeyError or numpy's error."""
+    c = reset_and_measure()
+    insertions = (GadgetInsertions(after=(layer,)), EMPTY_INSERTIONS)
+    for _ in range(2):  # a refused record is not cached as expanded
+        with pytest.raises(EvaluationError, match=f"^gadget 0: inserted layer: {rule}"):
+            evaluate(c, insertions)
+    with pytest.raises(EvaluationError, match=f"^gadget 0: inserted layer: {rule}"):
+        instance_channel(CompiledInstance(c, insertions))
 
 
 def test_validation_and_evaluation_leave_a_unitary_noise_matrix_unbuilt():
@@ -1814,6 +1862,51 @@ def test_a_split_past_the_memory_bound_is_refused_before_its_rows_exist(monkeypa
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def readout_after_measurement():
+    """bitflip3 under a coherent XXX rotation and one readout, D = 16: the logical
+    measurement splits in two."""
+    rotation = coherent_rotation(WeylOperator.from_label("XXX"), 0.7)
+    return LogicalCircuit(
+        d=2,
+        registers=(one_block(), Register(name="R0", kind="readout", qudits=(3,))),
+        gadgets=(Gadget.reset("L0", (0,), noise=rotation), Gadget.reset("R0", (0,)),
+                 Gadget.measurement("L0", "m"), Gadget.readout_measurement("R0", "r")),
+        classical_wires=("m", "r"),
+    )
+
+
+def test_a_dense_stack_past_the_memory_budget_is_refused(monkeypatch):
+    """At LRC_DENSE_LIMIT=16 one density matrix of D = 16 is the whole budget: a run
+    refuses at its first two-row split, and a run resuming from two branches at once."""
+    resumed = readout_after_measurement()
+    assert evaluate(resumed).stats == {"route": "dense", "peak_branches": 2, "fallback_splits": 0}
+    monkeypatch.setenv("LRC_DENSE_LIMIT", "16")
+    refusal = r"^2 density matrices of dimension 16 need 8192 bytes, .*\(LRC_DENSE_LIMIT=16 allows 256 "
+    for c in (readout_after_measurement(), resumed):
+        with pytest.raises(CapacityError, match=refusal):
+            evaluate(c)
+
+
+@settings(max_examples=30, deadline=None)
+@given(pure=st.booleans(), room=st.integers(1, 512), ideal=st.booleans(), data=st.data())
+def test_a_run_stays_within_the_memory_budget_or_is_refused(pure, room, ideal, data):
+    """Over d in {2, 3} on both routes, at a limit whose budget holds ``room`` branches, the
+    peak stack of B branches holds B D (pure) or B D^2 (dense) entries, at most
+    LRC_DENSE_LIMIT squared, or the run is refused naming it."""
+    circuit, insertions = data.draw(branching_circuits(pure=pure).filter(lambda drawn: drawn[0].d < 5))
+    per = circuit.dim if pure else circuit.dim**2
+    limit = math.isqrt(room * per)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("LRC_DENSE_LIMIT", str(limit))
+        try:
+            res = evaluate(circuit, insertions=insertions, ideal=ideal)
+        except CapacityError as exc:
+            assert "LRC_DENSE_LIMIT" in str(exc)
+            return
+    assert res.stats["route"] == ("pure" if pure else "dense")
+    assert res.stats["peak_branches"] * per <= limit**2
 
 
 @pytest.mark.parametrize("d", [2, 3, 5])

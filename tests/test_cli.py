@@ -377,6 +377,21 @@ def test_sample_refuses_noise_that_is_not_trace_preserving(tmp_path, capsys):
     assert "noise-trace" in capsys.readouterr().err
 
 
+def test_sample_names_the_path_of_noise_of_the_wrong_shape(tmp_path, capsys):
+    circuit = LogicalCircuit(
+        d=2,
+        registers=(Register(name="L0", kind="logical", qudits=(0, 1, 2), code=builtin_code("bitflip3")),),
+        gadgets=(Gadget.reset("L0", (0,)), Gadget.measurement("L0", "m")),
+        classical_wires=("m",),
+    )
+    data = json.loads(serialize(circuit))
+    data["gadgets"][1]["noise"] = {"dim": 8, "kraus": []}
+    path = tmp_path / "empty_noise.json"
+    path.write_text(json.dumps(data))
+    assert main(["sample", "--circuit", str(path), "--shots", "100"]) == 2
+    assert "$.gadgets[1].noise: a channel needs a matrix or a Kraus form" in capsys.readouterr().err
+
+
 def test_syndrome_refuses_a_code_above_the_enumeration_bound(tmp_path):
     """d = 10^7 with n - k = 1 used to hang in W^d and then in the d^(n-k) enumeration."""
     d = 10**7

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import itertools
 import json
+import re
 import weakref
 
 import numpy as np
@@ -471,6 +472,23 @@ def test_a_partial_readout_or_measurement_draw_is_refused(index, draws, names, m
     c, policy = extraction_measurement_circuit(), RandomizationPolicy()
     with pytest.raises(CompileError, match=f"^gadget {index} draws {names} together; missing {missing}$"):
         realize_gadget(c, index, draws, policy)
+
+
+@pytest.mark.parametrize(
+    "index,draws,unknown",
+    [
+        (2, {"X": 1, "zz": 0}, "'X', 'zz'"),
+        (0, {"S:L1": 0}, "'S:L1'"),
+        (3, {"x": (1,), "z": (0,), "z'": 0}, "\"z'\""),
+    ],
+)
+def test_a_draw_name_the_gadget_does_not_offer_is_refused(index, draws, unknown):
+    """A misspelt name used to be dropped: the record inserted nothing but listed the draw."""
+    c, policy = extraction_measurement_circuit(), RandomizationPolicy()
+    with pytest.raises(CompileError, match=re.escape(f"gadget {index} offers no draw {unknown} under the policy")):
+        realize_gadget(c, index, draws, policy)
+    offered = {comp.name: comp.values[-1] for comp in gadget_components(c, index, policy)}
+    assert realize_gadget(c, index, offered, policy).draws == offered
 
 
 def test_a_readout_or_measurement_draw_given_in_full_or_not_at_all_is_realized():

@@ -1,10 +1,13 @@
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lrc.weyl
 from lrc.weyl import (
     CapacityError,
     DimensionError,
@@ -164,6 +167,21 @@ def test_to_matrix_capacity_guard(monkeypatch):
     monkeypatch.setenv("LRC_DENSE_LIMIT", "8")
     with pytest.raises(CapacityError):
         WeylOperator.identity(2, 4).to_matrix()
+
+
+def test_only_weyl_knows_the_memory_budget():
+    """The budget is written once: no module of lrc but weyl calls dense_limit() or names
+    DENSE_LIMIT_ENV; the others pass their entry counts to weyl.check_budget."""
+    held = {"dense_limit", "DENSE_LIMIT_ENV"}
+    found = []
+    for path in sorted(Path(lrc.weyl.__file__).parent.glob("*.py")):
+        if path.name == "weyl.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if isinstance(node, ast.Name | ast.Attribute | ast.alias) and name in held:
+                found.append(f"{path.name}:{node.lineno}: {name}")
+    assert found == []
 
 
 def test_tensor_matches_kron():
