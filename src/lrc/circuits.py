@@ -76,7 +76,9 @@ from .codes import (
     is_logical_weyl,
     logical_basis_state,
 )
-from .weyl import _SMALL_DIM, WeylOperator, braiding_exponent, check_budget, eigenprojector, roots_of_unity
+from .weyl import (
+    _SMALL_DIM, WeylOperator, braiding_exponent, budgeted_cache, check_budget, eigenprojector, roots_of_unity,
+)
 
 SCHEMA_VERSION = 1
 
@@ -218,7 +220,7 @@ def _layer_rule(circuit: LogicalCircuit, g: Gadget):
     try:
         fdim = circuit.d ** len(circuit.footprint(g))
     except KeyError as exc:
-        return "unknown-register", str(exc)
+        return "unknown-register", exc.args[0]
     if g.kind != UNITARY:
         return None
     if (g.weyl is None) == (g.matrix is None):
@@ -444,7 +446,7 @@ class CompiledInstance:
 
 # `lrc verify --all` reads 1 Fourier and 4 controlled-Weyl keys, the three benchmark
 # workloads together 2 and 5; a controlled-Weyl entry holds (d^(n+1))^2 entries.
-@functools.lru_cache(maxsize=8)
+@budgeted_cache(8, "a Fourier matrix of dimension {} exceeds the dense cap", lambda d: (d * d, d))
 def fourier_matrix(d: int) -> np.ndarray:
     jk = np.multiply.outer(np.arange(d), np.arange(d)) % d
     out = roots_of_unity(d)[2 * jk] / np.sqrt(d)
@@ -452,7 +454,8 @@ def fourier_matrix(d: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=8)
+@budgeted_cache(8, "a controlled Weyl of dimension {} exceeds the dense cap",
+                lambda A: ((A.dim * A.d) ** 2, A.dim * A.d))
 def controlled_weyl(A: WeylOperator) -> np.ndarray:
     """sum_s A^s (x) |s><s| with the control qudit as the last factor."""
     out = np.zeros((A.dim, A.d) * 2, dtype=complex)
@@ -649,7 +652,8 @@ class CircuitResult:
 
 # An entry holds Dk x Dk columns of the code block (250 KB for repetition3(5));
 # the registry reads 3 keys.
-@functools.lru_cache(maxsize=8)
+@budgeted_cache(8, "measurement bases of dimension {} exceed the dense cap",
+                lambda code, W: (code.dim**2, code.dim))
 def _logical_measurement_basis(code: StabilizerCode, measured: WeylOperator):
     """Per outcome b, a read-only isometry V_b and its block sizes: for each pure error T
     in order, T applied to an orthonormal basis of the codespace's W = w^(b - c) eigenspace,

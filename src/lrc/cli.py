@@ -29,7 +29,7 @@ from .verify import (
     derive_seed,
     readout_flip,
     readout_rotation,
-    run_check,
+    run_checks,
     run_toffoli_example,
 )
 
@@ -115,10 +115,7 @@ def cmd_verify(args) -> int:
         code = _resolve_code(args.code)
         if code is None:
             return 2
-    reports = []
-    for name in names:
-        reports.extend(run_check(name, args.seed, code=code))
-    return _report(reports, args)
+    return _report(run_checks(names, args.seed, code), args)
 
 
 def _read_policy(args, policy: RandomizationPolicy, seed: int | None):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weyl import DimensionError, WeylOperator, braiding_exponent, check_budget, eigenprojector, iter_weyls
+from .weyl import DimensionError, WeylOperator, braiding_exponent, budgeted_cache, eigenprojector, iter_weyls
 
 BUILTIN_CODE_NAMES = ("bitflip3", "phaseflip3", "five_one_three", "qutrit_rep3")
 
@@ -197,10 +197,9 @@ def syndrome_of(code: StabilizerCode, E: WeylOperator) -> tuple:
 
 
 # An entry holds one D x D matrix; `lrc verify --all` and the workloads read 5 keys.
-@functools.lru_cache(maxsize=8)
+@budgeted_cache(8, "projector dimension {} exceeds the dense cap", lambda code: (code.dim**2, code.dim))
 def codespace_projector(code: StabilizerCode) -> np.ndarray:
     """Mean of all stabilizer matrices; Hermitian idempotent of rank d^k."""
-    check_budget(code.dim**2, "projector dimension {} exceeds the dense cap", code.dim)
     acc = np.zeros((code.dim, code.dim), dtype=complex)
     for s in enumerate_stabilizers(code):
         acc += s.to_matrix()
@@ -210,7 +209,8 @@ def codespace_projector(code: StabilizerCode) -> np.ndarray:
 
 
 # An entry holds d^(n-k) D x D projectors (16.8 MB for a 7-qubit repetition code).
-@functools.lru_cache(maxsize=8)
+@budgeted_cache(8, "{} cospace projectors of dimension {} exceed the dense cap",
+                lambda code: (code.d ** (code.n - code.k) * code.dim**2, code.d ** (code.n - code.k), code.dim))
 def cospace_table(code: StabilizerCode) -> types.MappingProxyType:
     """Read-only map from each syndrome to its pure error T and cospace projector
     T P T^dagger, in pure-error order; the projectors are read-only too."""

@@ -19,8 +19,12 @@ Check registry (CLI names):
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
+import os
+import signal
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -961,3 +965,70 @@ def run_check(name: str, seed: int, code: str | None = None) -> list:
     if name not in _CHECKS:
         raise ValueError(f"unknown check {name!r}")
     return _CHECKS[name](seed, code)
+
+
+def _run_claimed(bounds, front: bool, names, seed: int, code) -> dict:
+    """{index: reports or the exception raised} of the checks this process claims from one end
+    of ``bounds`` = [first, end), the unclaimed indices of ``names``.  No check after a failed
+    one is needed: the front's first error ends all claims; the back's claims all come earlier."""
+    done = {}
+    while True:
+        with bounds.get_lock():
+            first, end = bounds[:]
+            if first >= end:
+                return done
+            i = first if front else end - 1
+            bounds[:] = [first + 1, end] if front else [first, i]
+        try:
+            done[i] = run_check(names[i], seed, code)
+        except Exception as exc:
+            done[i] = exc
+            if front:
+                bounds[1] = i + 1
+
+
+def _helper(conn, bounds, names, seed: int, code) -> None:
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt reaches the caller, which ends the helper
+    conn.send(_run_claimed(bounds, True, names, seed, code))
+
+
+def run_checks(names, seed: int, code=None) -> list:
+    """The reports of run_check over ``names``, in order; the earliest failing check raises.
+    With two names or more, two CPUs, no other thread and fork, a forked helper runs part
+    of the list (see _run_forked); the reports are the same either way."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if len(names) >= 2 and cpus >= 2 and threading.active_count() == 1:  # a fork keeps other threads' locks
+        import multiprocessing  # only here: importing it costs about 16 ms
+
+        if "fork" in multiprocessing.get_all_start_methods() and not multiprocessing.current_process().daemon:
+            return _run_forked(multiprocessing.get_context("fork"), names, seed, code)
+    return [r for name in names for r in run_check(name, seed, code)]
+
+
+def _run_forked(ctx, names, seed: int, code) -> list:
+    """run_checks with a forked helper that writes no output and claims checks from the front
+    of ``names`` while this process claims them from the back, so that the last checks'
+    instances are drawn here.  The helper has ended when the call returns or raises."""
+    bounds = ctx.Array("i", [0, len(names)])
+    receive, send = ctx.Pipe(duplex=False)
+    helper = ctx.Process(target=_helper, args=(send, bounds, names, seed, code))
+    gc.freeze()  # else this process's collections write object headers into pages both share
+    try:
+        helper.start()
+    finally:
+        gc.unfreeze()
+        send.close()
+    try:
+        done = _run_claimed(bounds, False, names, seed, code)
+        done.update(receive.recv())
+    except EOFError:
+        raise RuntimeError("the check helper ended without sending its reports") from None
+    except BaseException:
+        helper.terminate()
+        raise
+    finally:
+        helper.join()
+        receive.close()
+    if errors := [done[i] for i in sorted(done) if isinstance(done[i], Exception)]:
+        raise errors[0]
+    return [r for i in sorted(done) for r in done[i]]

@@ -67,6 +67,26 @@ def check_budget(entries: int, message: str, *args) -> int:
     return limit * limit
 
 
+def budgeted_cache(maxsize: int, message: str, entries):
+    """``functools.lru_cache(maxsize)`` of a function returning dense arrays, which checks
+    ``entries(*args)`` = (count, *message args) against the budget on a hit as on a miss,
+    so a lowered limit refuses what a higher one cached."""
+    def decorate(fn):
+        cached = functools.lru_cache(maxsize=maxsize)(fn)
+
+        @functools.wraps(fn)
+        def call(*args):
+            count, *shown = entries(*args)
+            check_budget(count, message, *shown)
+            return cached(*args)
+
+        call.cache_info, call.cache_clear = cached.cache_info, cached.cache_clear
+        call.cache_parameters = cached.cache_parameters
+        return call
+
+    return decorate
+
+
 @functools.lru_cache(maxsize=None)
 def roots_of_unity(d: int) -> np.ndarray:
     """Read-only exp(i*pi*k/d) for k in [0, 2d), the one source of dense Weyl phases.

@@ -1416,6 +1416,15 @@ def test_an_inserted_layer_is_checked_against_its_circuit(layer, rule):
         instance_channel(CompiledInstance(c, insertions))
 
 
+def test_an_unknown_register_is_named_in_plain_text():
+    """validate and an inserted layer print the KeyError's message, not its repr in quotes."""
+    want = "unknown-register: no register named 'nope'"
+    layer = Gadget.unitary("nope", weyl=WeylOperator.from_label("XXX"))
+    assert [f"{diag.rule}: {diag.message}" for diag in validate(_with_gadgets(layer))] == [want]
+    with pytest.raises(EvaluationError, match=f"^gadget 0: inserted layer: {re.escape(want)}$"):
+        evaluate(reset_and_measure(), (GadgetInsertions(after=(layer,)), EMPTY_INSERTIONS))
+
+
 def test_validation_and_evaluation_leave_a_unitary_noise_matrix_unbuilt():
     """32-dimensional unitary noise is checked and applied through its Kraus form."""
     noise = natural_rep(random_unitary(np.random.default_rng(9), 32))
@@ -1453,13 +1462,13 @@ def test_pure_branches_are_bounded_by_the_largest_density_matrix(monkeypatch):
         evaluate(c)
 
 
-def test_the_registry_reads_the_gadget_matrix_caches_without_evicting(registry_run):
+def test_the_registry_reads_the_gadget_matrix_caches_without_evicting(registry_run_on_one_cpu):
     """Every key `lrc verify --all` reads of fourier_matrix and controlled_weyl stays
     cached: with more keys than the bound, some key would miss twice.  The run cleared
-    both caches first."""
-    assert registry_run.code == 0
+    both caches first, and ran every check in this process."""
+    assert registry_run_on_one_cpu.code == 0
     for cached in (fourier_matrix, controlled_weyl):
-        info = registry_run.cache_info[cached]
+        info = registry_run_on_one_cpu.cache_info[cached]
         assert 0 < info.misses <= info.maxsize < 64 and info.hits > info.misses
 
 
@@ -1842,9 +1851,9 @@ def test_one_surface_code_round_runs_exactly_as_one_stack_of_branches():
 
 def test_a_split_past_the_memory_bound_is_refused_before_its_rows_exist(monkeypatch):
     """The surface code under a random 512 x 512 unitary, then a logical measurement: all
-    512 blocks have weight.  At LRC_DENSE_LIMIT=256 one pure state of D = 1024 fits and 512
-    do not, and the split refuses from their probabilities alone, tracing under 1 MB where
-    the rows would take 8 MB."""
+    512 blocks have weight.  At LRC_DENSE_LIMIT=512 the cached 512 x 512 measurement basis
+    and one pure state of D = 1024 fit and 512 states do not, and the split refuses from
+    their probabilities alone, tracing under 1 MB where the rows would take 8 MB."""
     noise = natural_rep(random_unitary(np.random.default_rng(2), 512))
     c = LogicalCircuit(
         d=2,
@@ -1853,7 +1862,7 @@ def test_a_split_past_the_memory_bound_is_refused_before_its_rows_exist(monkeypa
         classical_wires=("m",),
     )
     assert len(evaluate(c).branches) == 512  # and the measurement basis is cached
-    monkeypatch.setenv("LRC_DENSE_LIMIT", "256")
+    monkeypatch.setenv("LRC_DENSE_LIMIT", "512")
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError, match="512 pure states of dimension 1024 need 8388608 bytes"):
@@ -1887,6 +1896,26 @@ def test_a_dense_stack_past_the_memory_budget_is_refused(monkeypatch):
     for c in (readout_after_measurement(), resumed):
         with pytest.raises(CapacityError, match=refusal):
             evaluate(c)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: lrc.codes.codespace_projector(builtin_code("five_one_three")),
+        lambda: cospace_table(builtin_code("five_one_three")),
+        lambda code=builtin_code("five_one_three"): lrc.circuits._logical_measurement_basis(code, code.logical_z(0)),
+        lambda: controlled_weyl(WeylOperator.from_label("XXXX")),
+        lambda: fourier_matrix(11),
+    ],
+    ids=["codespace_projector", "cospace_table", "logical_measurement_basis", "controlled_weyl", "fourier_matrix"],
+)
+def test_a_cached_array_is_refused_once_the_limit_is_lowered(monkeypatch, call):
+    """A bounded cache of dense arrays checks the budget on a hit as on a miss: an array of
+    more than 64 entries, cached at the default limit, is refused at LRC_DENSE_LIMIT=8."""
+    call()
+    monkeypatch.setenv("LRC_DENSE_LIMIT", "8")
+    with pytest.raises(CapacityError, match=r"\(LRC_DENSE_LIMIT=8 allows 64 complex entries\)$"):
+        call()
 
 
 @settings(max_examples=30, deadline=None)

@@ -24,7 +24,7 @@ from lrc.codes import (
     syndrome_of,
     trivial_code,
 )
-from lrc.weyl import WeylOperator, braiding_exponent, roots_of_unity
+from lrc.weyl import CapacityError, WeylOperator, braiding_exponent, roots_of_unity
 
 ALL_CODES = [builtin_code(name) for name in BUILTIN_CODE_NAMES]
 
@@ -168,6 +168,15 @@ def test_cospace_orthogonality_and_completeness(code):
             expect = P if i == j else np.zeros_like(np.asarray(P))
             assert np.max(np.abs(P @ Q - expect)) < 1e-12
     np.testing.assert_allclose(total, np.eye(code.dim), atol=1e-12)
+
+
+def test_the_cospace_table_is_checked_against_the_budget_as_a_whole(monkeypatch):
+    """five_one_three's table holds 16 projectors of 32 x 32, 16,384 entries: at
+    LRC_DENSE_LIMIT=64 one projector fits the 4,096-entry budget and the table does not."""
+    cospace_table.cache_clear()
+    monkeypatch.setenv("LRC_DENSE_LIMIT", "64")
+    with pytest.raises(CapacityError, match=r"^16 cospace projectors of dimension 32 .*LRC_DENSE_LIMIT=64"):
+        cospace_table(builtin_code("five_one_three"))
 
 
 @pytest.mark.parametrize("code", ALL_CODES, ids=BUILTIN_CODE_NAMES)

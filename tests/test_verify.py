@@ -1,9 +1,18 @@
 import itertools
+import multiprocessing
+import multiprocessing.connection
+import os
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lrc.cli
+import lrc.verify
 from lrc.channels import (
     Superoperator,
     average,
@@ -34,7 +43,8 @@ from lrc.codes import (
     syndrome_of,
     trivial_code,
 )
-from lrc.compiler import RandomizationPolicy, TwirlGroupSpec, gadget_components, realize_gadget
+from lrc.cli import main, reports_to_json
+from lrc.compiler import CompileError, RandomizationPolicy, TwirlGroupSpec, gadget_components, realize_gadget
 from lrc.verify import (
     averaged_extraction_channels,
     check_character_orthogonality,
@@ -52,6 +62,8 @@ from lrc.verify import (
     instance_channel,
     readout_flip,
     readout_rotation,
+    run_check,
+    run_checks,
     run_toffoli_example,
     stabilizer_average_channel,
     weyl_error_probabilities,
@@ -566,3 +578,129 @@ def test_extraction_cascade_keeps_the_bits_of_the_draw_by_draw_sum(code, noise):
     engine = averaged_extraction_channels(code, readout_noise=readout_noise, policy=policy)
     for b, matrix in draw_by_draw_extraction(code, readout_noise).items():
         assert np.array_equal(engine[b].matrix, matrix)
+
+
+# -- the check runner ------------------------------------------------------------
+
+REFERENCE_REPORT = Path(__file__).resolve().parents[1] / "benchmarks" / "reference" / "registry_seed7.json"
+
+#: Checks of a few milliseconds each, for runs of many lists.
+CHEAP_CHECKS = ("character_orthogonality", "clifford_path", "t_path", "sampling_equivalence")
+
+two_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="the helper needs a second CPU")
+
+
+@pytest.fixture
+def no_process_left():
+    yield
+    assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def fake_checks(monkeypatch):
+    """Registers fn(seed, code) -> reports under a name, for run_checks and for the CLI."""
+
+    def register(name, fn):
+        monkeypatch.setitem(lrc.verify._CHECKS, name, fn)
+        monkeypatch.setattr(lrc.cli, "CHECK_NAMES", (*lrc.cli.CHECK_NAMES, name))
+
+    return register
+
+
+def _raising(message):
+    def check(seed, code):
+        raise CompileError(message)
+
+    return check
+
+
+@settings(max_examples=10, deadline=None)
+@given(names=st.lists(st.sampled_from(CHEAP_CHECKS), max_size=4))
+def test_the_runner_gives_the_bytes_of_one_check_after_another(names):
+    """Any list of checks, repeats included, on one process or two."""
+    want = reports_to_json([r for name in names for r in run_check(name, 5)])
+    assert reports_to_json(run_checks(names, 5)) == want
+    assert multiprocessing.active_children() == []
+
+
+def test_on_one_cpu_the_registry_runs_in_process_to_the_same_bytes(registry_run_on_one_cpu):
+    """The instances of theorem2, clifford_path and t_path, which a helper would draw,
+    are drawn in this process."""
+    assert registry_run_on_one_cpu.code == 0
+    assert registry_run_on_one_cpu.report == REFERENCE_REPORT.read_bytes()
+    drawing = {"theorem2", "clifford_path", "t_path", "compiled_equals_bare", "sampling_equivalence"}
+    assert registry_run_on_one_cpu.drawn.keys() == drawing
+    assert multiprocessing.active_children() == []
+
+
+@two_cpus
+def test_the_caller_draws_every_instance_of_the_last_checks(registry_run, registry_run_on_one_cpu):
+    """A probe around lrc.verify.instantiate in the calling process, such as the benchmark's
+    latency probe, sees all of compiled_equals_bare and sampling_equivalence; theorem2,
+    clifford_path and t_path, near the front of the list, are the helper's."""
+    assert registry_run.code == 0
+    last = {name: registry_run_on_one_cpu.drawn[name] for name in ("compiled_equals_bare", "sampling_equivalence")}
+    assert registry_run.drawn == last
+
+
+@pytest.mark.usefixtures("no_process_left")
+def test_the_earliest_failing_check_raises(fake_checks):
+    """As in a loop over the names, wherever each check runs."""
+    fake_checks("ok", lambda seed, code: [])
+    fake_checks("first", _raising("first"))
+    fake_checks("second", _raising("second"))
+    for names in (["ok", "first", "second"], ["first", "ok", "ok", "second"], ["ok", "ok", "first", "second"]):
+        with pytest.raises(CompileError, match="^first$"):
+            run_checks(names, 0)
+
+
+@two_cpus
+@pytest.mark.usefixtures("no_process_left")
+def test_an_error_in_the_helper_exits_2_with_its_message(fake_checks, capfd):
+    """The helper claims the front check: the caller's back check waits until the helper
+    has run it, so the error is the helper's.  Only the caller writes to stderr."""
+    read, write = os.pipe()
+    try:
+        def front(seed, code):
+            os.write(write, b"x")
+            raise CompileError("raised in the helper")
+
+        fake_checks("front", front)
+        fake_checks("back", lambda seed, code: os.read(read, 1) and [])
+        assert main(["verify", "--check", "front", "--check", "back"]) == 2
+    finally:
+        os.close(read)
+        os.close(write)
+    assert capfd.readouterr() == ("", "error: raised in the helper\n")
+
+
+class _Alarm(BaseException):
+    """Like the SIGALRM exception of a wall-time budget, which no ``except Exception`` stops."""
+
+
+@two_cpus
+@pytest.mark.usefixtures("no_process_left")
+def test_an_alarm_while_waiting_for_the_helper_ends_it(fake_checks, monkeypatch):
+    """The helper would sleep for a minute; an alarm raised while the caller waits for its
+    reports ends it at once, and no process is left."""
+    read, write = os.pipe()
+    try:
+        def front(seed, code):
+            os.write(write, b"x")
+            time.sleep(60)
+            return []
+
+        fake_checks("front", front)
+        fake_checks("back", lambda seed, code: os.read(read, 1) and [])
+
+        def alarm(self):
+            raise _Alarm
+
+        monkeypatch.setattr(multiprocessing.connection.Connection, "recv", alarm)
+        start = time.perf_counter()
+        with pytest.raises(_Alarm):
+            run_checks(["front", "back"], 0)
+        assert time.perf_counter() - start < 30
+    finally:
+        os.close(read)
+        os.close(write)
