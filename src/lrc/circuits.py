@@ -895,6 +895,7 @@ def _superop_from_json(data, path: str) -> Superoperator:
     two could disagree, and which one acts would depend on the route."""
     if not isinstance(data, dict) or "dim" not in data or ("matrix" in data) == ("kraus" in data):
         raise SchemaError(f"{path}: expected an object with dim and exactly one of a matrix or kraus field")
+    _object(data, path, keys=("dim", "matrix", "kraus"))
     dim, field = _int(data["dim"], path + ".dim"), "matrix" if "matrix" in data else "kraus"
     form = (_matrix if field == "matrix" else _matrices)(data[field], f"{path}.{field}")
     try:
@@ -980,7 +981,7 @@ def _gadget_fields(g: Gadget) -> dict:
 def circuit_from_dict(data: dict) -> LogicalCircuit:
     """The circuit of a parsed JSON object; a value of the wrong JSON type raises
     SchemaError naming its path, never coerced."""
-    _object(data, "$")
+    _object(data, "$", keys=("schema_version", "d", "codes", "registers", "gadgets", "classical_wires"))
     version = _need(data, "schema_version", "$", _int)
     if version != SCHEMA_VERSION:
         raise SchemaError(f"$.schema_version: unsupported version {version}")
@@ -993,6 +994,7 @@ def circuit_from_dict(data: dict) -> LogicalCircuit:
     registers = []
     for i, rdata in enumerate(_need(data, "registers", "$", _objects)):
         path = f"$.registers[{i}]"
+        _object(rdata, path, keys=("name", "kind", "qudits", "code"))
         kind = _need(rdata, "kind", path, _str)
         code = None
         if kind == "logical":
@@ -1005,6 +1007,7 @@ def circuit_from_dict(data: dict) -> LogicalCircuit:
     gadgets = []
     for i, gdata in enumerate(_need(data, "gadgets", "$", _objects)):
         path = f"$.gadgets[{i}]"
+        _object(gdata, path, keys=("kind", "registers", *_GADGET_FIELDS))
         kind = _need(gdata, "kind", path)
         if kind not in GADGET_KINDS:
             raise SchemaError(f"{path}.kind: unknown gadget kind {kind!r}")

@@ -11,6 +11,11 @@ the stabilizers while braiding pairwise like single-qudit X and Z.  A code
 whose stabilizer group order d^(n-k) or logical group order d^(2k) (up to
 phases) exceeds ``MAX_GROUP_ORDER`` is refused before anything is enumerated.
 
+Every rule that reads only x and z (commutation, group order, syndromes, the
+pure-error search) is an integer product over the operators' x | z rows
+(``weyl.xz_rows``), the symplectic form over Z_d: one ``braiding_matrix``
+table per rule.  The order-d rule needs phases and stays on the operators.
+
 Pure-error generators are stored with phase exponent zero; cospace
 projectors do not depend on that choice.  Logical generators keep whatever
 phase the definition supplies.
@@ -26,7 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .weyl import DimensionError, WeylOperator, braiding_exponent, budgeted_cache, eigenprojector, iter_weyls
+from .weyl import (
+    DimensionError, WeylOperator, braiding_matrix, budgeted_cache, check_budget, eigenprojector, exponent_rows,
+    xz_rows,
+)
 
 BUILTIN_CODE_NAMES = ("bitflip3", "phaseflip3", "five_one_three", "qutrit_rep3")
 
@@ -96,81 +104,58 @@ def _enumerate_products(gens, d: int, n: int):
 
 def _validate(code: StabilizerCode):
     d, n, k = code.d, code.n, code.k
+    if d < 2 or n < 1:
+        raise CodeValidationError(f"a code needs qudits of dimension d >= 2 and n >= 1 of them, not d={d}, n={n}")
     if not (0 <= k <= n):
         raise CodeValidationError(f"invalid logical count k={k} for n={n}")
-    if len(code.stab_gens) != n - k:
-        raise CodeValidationError(
-            f"expected {n - k} stabilizer generators, got {len(code.stab_gens)}"
-        )
-    if len(code.pure_error_gens) != n - k:
-        raise CodeValidationError(
-            f"expected {n - k} pure-error generators, got {len(code.pure_error_gens)}"
-        )
-    if len(code.logical_gens) != 2 * k:
-        raise CodeValidationError(
-            f"expected {2 * k} logical generators, got {len(code.logical_gens)}"
-        )
+    expected = (("stabilizer", code.stab_gens, n - k), ("pure-error", code.pure_error_gens, n - k),
+                ("logical", code.logical_gens, 2 * k))
+    for what, ops, count in expected:
+        if len(ops) != count:
+            raise CodeValidationError(f"expected {count} {what} generators, got {len(ops)}")
     for op in code.stab_gens + code.pure_error_gens + code.logical_gens:
         if op.d != d or op.n != n:
             raise CodeValidationError(f"{op} does not act on {n} qudits of dimension {d}")
-    if d ** (n - k) > MAX_GROUP_ORDER:
-        raise CodeValidationError(
-            f"stabilizer group order {d ** (n - k)} exceeds the enumeration bound {MAX_GROUP_ORDER}"
-        )
-    if d ** (2 * k) > MAX_GROUP_ORDER:
-        raise CodeValidationError(
-            f"logical group order {d ** (2 * k)} exceeds the enumeration bound {MAX_GROUP_ORDER}"
-        )
-
-    for i, g in enumerate(code.stab_gens):
-        if g**d != WeylOperator.identity(d, n):
+    for what, order in (("stabilizer", d ** (n - k)), ("logical", d ** (2 * k))):
+        if order > MAX_GROUP_ORDER:
             raise CodeValidationError(
-                f"stabilizer generator {i} does not have order dividing {d} "
-                "with trivial phase"
-            )
-        for j, h in enumerate(code.stab_gens[i + 1 :], start=i + 1):
-            if braiding_exponent(g, h) != 0:
-                raise CodeValidationError(f"stabilizer generators {i} and {j} do not commute")
+                f"{what} group order {order} exceeds the enumeration bound {MAX_GROUP_ORDER}")
 
-    stabs = _enumerate_products(code.stab_gens, d, n)
-    if len({(s.x, s.z) for s in stabs}) != d ** (n - k):
-        raise CodeValidationError(
-            "stabilizer generators are not a minimal generating set "
-            f"(group order below {d ** (n - k)})"
-        )
-
-    # Each enumerated pure error must carry a distinct syndrome.
-    seen = {}
-    for powers, t in zip(
-        itertools.product(range(d), repeat=n - k),
-        _enumerate_products(code.pure_error_gens, d, n),
-    ):
-        syn = syndrome_of(code, t)
-        if syn in seen:
-            raise CodeValidationError(
-                f"pure errors {seen[syn]} and {powers} share the syndrome {syn}"
-            )
-        seen[syn] = powers
-
-    for i, l in enumerate(code.logical_gens):
-        if l**d != WeylOperator.identity(d, n):
-            raise CodeValidationError(
-                f"logical generator {i} does not have order dividing {d} with trivial phase"
-            )
-        for j, g in enumerate(code.stab_gens):
-            if braiding_exponent(l, g) != 0:
+    def generators(what, ops, braids, clash: str):
+        """Each g^d is the identity, phase included (the rows drop it), then g's row of ``braids`` is 0."""
+        for i, g in enumerate(ops):
+            if g**d != WeylOperator.identity(d, n):
                 raise CodeValidationError(
-                    f"logical generator {i} does not commute with stabilizer generator {j}"
-                )
-    for i in range(k):
-        for j in range(k):
-            m = braiding_exponent(code.logical_x(i), code.logical_z(j))
-            if m != (1 if i == j else 0):  # single-qudit X and Z braid with exponent 1
-                raise CodeValidationError(f"logical pair ({i},{j}) braids with exponent {m}")
-            if braiding_exponent(code.logical_x(i), code.logical_x(j)) != 0:
-                raise CodeValidationError(f"logical X {i} and {j} do not commute")
-            if braiding_exponent(code.logical_z(i), code.logical_z(j)) != 0:
-                raise CodeValidationError(f"logical Z {i} and {j} do not commute")
+                    f"{what} generator {i} does not have order dividing {d} with trivial phase")
+            others = np.flatnonzero(braids[i])
+            if len(others):
+                raise CodeValidationError(clash.format(i, others[0]))
+
+    S, T, L = (xz_rows(ops, n) for ops in (code.stab_gens, code.pure_error_gens, code.logical_gens))
+    generators("stabilizer", code.stab_gens, np.triu(braiding_matrix(S, S, d), 1),
+               "stabilizer generators {} and {} do not commute")
+    powers = exponent_rows(d, n - k)  # _enumerate_products' order
+    if len(set(map(tuple, (powers @ S % d).tolist()))) != d ** (n - k):
+        raise CodeValidationError(
+            f"stabilizer generators are not a minimal generating set (group order below {d ** (n - k)})")
+
+    # Each enumerated pure error must carry a distinct syndrome; syndromes are linear in the powers.
+    seen = {}
+    for p, syn in zip(powers.tolist(), (powers @ braiding_matrix(T, S, d) % d).tolist()):
+        p, syn = tuple(p), tuple(syn)
+        if syn in seen:
+            raise CodeValidationError(f"pure errors {seen[syn]} and {p} share the syndrome {syn}")
+        seen[syn] = p
+
+    generators("logical", code.logical_gens, braiding_matrix(L, S, d),
+               "logical generator {} does not commute with stabilizer generator {}")
+    # Logical X_i, Z_i are rows 2i, 2i + 1, and braid like single-qudit X and Z (exponent 1).
+    braids = braiding_matrix(L, L, d)
+    pair, xx, zz = braids[0::2, 1::2], braids[0::2, 0::2], braids[1::2, 1::2]
+    for i, j in zip(*np.nonzero((pair != np.eye(k, dtype=np.int64)) | (xx != 0) | (zz != 0))):
+        if pair[i, j] != (i == j):
+            raise CodeValidationError(f"logical pair ({i},{j}) braids with exponent {pair[i, j]}")
+        raise CodeValidationError(f"logical {'X' if xx[i, j] else 'Z'} {i} and {j} do not commute")
 
 
 @functools.lru_cache(maxsize=None)
@@ -193,7 +178,7 @@ def syndrome_of(code: StabilizerCode, E: WeylOperator) -> tuple:
     """The syndrome of E: its tuple of braiding exponents against the stabilizer generators."""
     if E.d != code.d or E.n != code.n:
         raise DimensionError(f"{E} does not act on the code register")
-    return tuple(braiding_exponent(E, g) for g in code.stab_gens)
+    return tuple(braiding_matrix(xz_rows([E], code.n), xz_rows(code.stab_gens, code.n), code.d)[0].tolist())
 
 
 # An entry holds one D x D matrix; `lrc verify --all` and the workloads read 5 keys.
@@ -215,11 +200,13 @@ def cospace_table(code: StabilizerCode) -> types.MappingProxyType:
     """Read-only map from each syndrome to its pure error T and cospace projector
     T P T^dagger, in pure-error order; the projectors are read-only too."""
     codespace = np.asarray(codespace_projector(code))
+    errors = enumerate_pure_errors(code)
+    syndromes = braiding_matrix(xz_rows(errors, code.n), xz_rows(code.stab_gens, code.n), code.d).tolist()
     table = {}
-    for t in enumerate_pure_errors(code):
+    for t, syndrome in zip(errors, syndromes):
         projector = t.conjugate_matrix(codespace)
         projector.setflags(write=False)
-        table[syndrome_of(code, t)] = (t, projector)
+        table[tuple(syndrome)] = (t, projector)
     return types.MappingProxyType(table)
 
 
@@ -297,18 +284,17 @@ def _min_weight_unit_generators(d, n, stab_gens):
     the first operator whose syndrome is the i-th unit vector, which makes
     the enumerated pure-error group hit every syndrome exactly once.
     """
-    ranked = sorted(iter_weyls(d, n), key=lambda w: (w.weight(), w.x, w.z))
-    m = len(stab_gens)
+    check_budget(d ** (2 * n) * 2 * n, "a pure-error search over {} candidates of {} digits exceeds the budget",
+                 d ** (2 * n), 2 * n)
+    rows = exponent_rows(d, 2 * n)  # (x, z) lexicographic: the stable sort keeps that order within a weight
+    order = np.argsort(np.count_nonzero(rows[:, :n] | rows[:, n:], axis=1), kind="stable")
+    syndromes = braiding_matrix(rows, xz_rows(stab_gens, n), d)[order]
     gens = []
-    for i in range(m):
-        target = tuple(1 if j == i else 0 for j in range(m))
-        for w in ranked:
-            syn = tuple(braiding_exponent(w, g) for g in stab_gens)
-            if syn == target:
-                gens.append(w)
-                break
-        else:
-            raise CodeValidationError(f"no operator realises unit syndrome {target}")
+    for target in np.eye(len(stab_gens), dtype=np.int64):
+        hits = np.flatnonzero((syndromes == target).all(axis=1))
+        if not len(hits):
+            raise CodeValidationError(f"no operator realises unit syndrome {tuple(target.tolist())}")
+        gens.append(WeylOperator(d, *np.split(rows[order[hits[0]]], 2)))
     return tuple(gens)
 
 
@@ -461,7 +447,7 @@ def _generators_from_json(data: dict, key: str) -> tuple:
 
 
 def code_from_dict(data: dict) -> StabilizerCode:
-    _json_object(data, "a code definition", CodeValidationError)
+    _json_object(data, "a code definition", CodeValidationError, _CODE_FIELDS)
     for key in _CODE_FIELDS:
         if key not in data:
             raise CodeValidationError(f"code definition lacks the field {key!r}")

@@ -79,7 +79,10 @@ from .compiler import (
     instantiate,
     t_gate_matrix,
 )
-from .weyl import CapacityError, DimensionError, WeylOperator, braiding_exponent, iter_weyls, roots_of_unity
+from .weyl import (
+    CapacityError, DimensionError, WeylOperator, braiding_exponent, braiding_matrix, iter_weyls, roots_of_unity,
+    xz_rows,
+)
 
 STRUCTURAL_TOL = 1e-10
 
@@ -271,33 +274,26 @@ def check_theorem1(code_name, seed: int = 0) -> VerificationReport:
 
 
 def check_character_orthogonality(code_name, seed: int = 0) -> VerificationReport:
-    """Exact integer check of sum_T conj(c_T(S)) c_T(S') = delta |S|."""
+    """Exact integer check of sum_T conj(c_T(S)) c_T(S') = delta |S|, c_T(S) = omega^m(T, S): per S,
+    a (|T|, |S|) slab of m(T, S') - m(T, S) gives 0 |S| times for S' = S, and otherwise each exponent
+    of a nontrivial subgroup of Z_d equally often."""
     name, code = _resolve(code_name)
 
     def run():
-        stabs = enumerate_stabilizers(code)
-        errors = enumerate_pure_errors(code)
-        d = code.d
+        d, stabs = code.d, xz_rows(enumerate_stabilizers(code), code.n)
+        table = braiding_matrix(xz_rows(enumerate_pure_errors(code), code.n), stabs, d)
+        bins = d * np.arange(len(stabs))  # exponent e of column j counts in bin d j + e
         violations = 0
-        for S in stabs:
-            syn_s = [braiding_exponent(t, S) for t in errors]
-            for Sp in stabs:
-                syn_sp = [braiding_exponent(t, Sp) for t in errors]
-                exps = [(b - a) % d for a, b in zip(syn_s, syn_sp)]
-                counts = {}
-                for e in exps:
-                    counts[e] = counts.get(e, 0) + 1
-                if S.same_xz(Sp):
-                    if set(counts) != {0} or counts[0] != len(stabs):
-                        violations += 1
+        for i, row in enumerate(stabs):
+            slab = (table - table[:, i, None]) % d + bins
+            counts = np.bincount(slab.ravel(), minlength=d * len(stabs)).reshape(len(stabs), d).tolist()
+            for c, same in zip(counts, (stabs == row).all(axis=1).tolist()):
+                support = {e for e, k in enumerate(c) if k}
+                if same:
+                    violations += support != {0} or c[0] != len(stabs)
                 else:
-                    support = set(counts)
-                    is_subgroup = 0 in support and all(
-                        (a + b) % d in support for a in support for b in support
-                    )
-                    uniform = len(set(counts.values())) == 1
-                    if support == {0} or not (is_subgroup and uniform):
-                        violations += 1
+                    subgroup = 0 in support and all((a + b) % d in support for a in support for b in support)
+                    violations += support == {0} or not (subgroup and len({c[e] for e in support}) == 1)
         return float(violations)
 
     value, ms = _timed(run)

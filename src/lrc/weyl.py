@@ -206,10 +206,6 @@ class WeylOperator:
     def dim(self) -> int:
         return self.d ** self.n
 
-    def weight(self) -> int:
-        """Number of sites with a non-identity factor."""
-        return sum(1 for xi, zi in zip(self.x, self.z) if xi or zi)
-
     def is_identity(self, ignore_phase: bool = False) -> bool:
         flat = not any(self.x) and not any(self.z)
         return flat if ignore_phase else (flat and self.phase_exp == 0)
@@ -360,6 +356,23 @@ def braiding_exponent(P: WeylOperator, Q: WeylOperator) -> int:
     P._check_compatible(Q)
     m = sum(xp * zq for xp, zq in zip(P.x, Q.z)) - sum(xq * zp for xq, zp in zip(Q.x, P.z))
     return m % P.d
+
+
+def xz_rows(ops, n: int) -> np.ndarray:
+    """The (len(ops), 2n) int64 rows x | z of n-qudit operators, phases dropped."""
+    return np.array([op.x + op.z for op in ops], dtype=np.int64).reshape(len(ops), 2 * n)
+
+
+def braiding_matrix(P: np.ndarray, Q: np.ndarray, d: int) -> np.ndarray:
+    """``braiding_exponent`` of every pair of x | z rows: entry (i, j) is x_i.z_j - z_i.x_j mod d."""
+    n = P.shape[1] // 2
+    return (P[:, :n] @ Q[:, n:].T - P[:, n:] @ Q[:, :n].T) % d
+
+
+def exponent_rows(d: int, m: int) -> np.ndarray:
+    """All d^m exponent tuples as (d^m, m) int64 rows, in ``itertools.product(range(d), repeat=m)``
+    order; over x | z digits (m = 2n) that is the (x, z) order of ``iter_weyls``."""
+    return np.indices((d,) * m, dtype=np.int64).reshape(m, d**m).T
 
 
 def iter_weyls(d: int, n: int):

@@ -36,6 +36,7 @@ from lrc.codes import (
     builtin_code,
     cospace_table,
     enumerate_pure_errors,
+    load_code,
     logical_basis_state,
     projector_for_syndrome,
     syndrome_of,
@@ -263,6 +264,30 @@ def test_parse_rejects_a_value_of_the_wrong_json_type_at_its_path(keys, value, m
     with pytest.raises(SchemaError) as info:
         circuit_from_dict(data)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "keys,key,message",
+    [
+        ((), "extra", "unknown key 'extra' in $; expected one of schema_version, d, codes, registers"),
+        (("codes", "bitflip3"), "extra", "$.codes.bitflip3: unknown key 'extra' in a code definition; expected one of d"),
+        (("registers", 1), "extra", "unknown key 'extra' in $.registers[1]; expected one of name, kind, qudits, code"),
+        (("gadgets", 2), "nosie", "unknown key 'nosie' in $.gadgets[2]; expected one of kind, registers, state"),
+        (("gadgets", 1, "noise"), "extra", "unknown key 'extra' in $.gadgets[1].noise; expected one of dim, matrix, kraus"),
+    ],
+)
+def test_parse_rejects_an_unknown_key_at_its_path(keys, key, message):
+    """A misspelled field is refused, not read as absent: a gadget with "nosie" would run noise-free."""
+    data = json.loads(serialize(_strict_reader_circuit()))
+    data["gadgets"][1]["noise"] = {"dim": 2, "kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}
+    assert validate(circuit_from_dict(data)) == []
+    target = data
+    for k in keys:
+        target = target[k]
+    target[key] = 0
+    with pytest.raises(SchemaError) as info:
+        circuit_from_dict(data)
+    assert str(info.value).startswith(message)
 
 
 def _with_gadgets(*gadgets, wires=(), registers=None, d=2):
@@ -1637,24 +1662,9 @@ def test_the_measurement_basis_is_small_and_reads_no_cospace_table():
 
 def surface_code():
     """The [[9,1,3]] rotated surface code on a 3 x 3 lattice, qubit 3r + c: weight-four
-    Z and X plaquettes, weight-two boundary checks, and one-qubit pure errors."""
-
-    def pauli(kind, sites):
-        v, zero = tuple(int(q in sites) for q in range(9)), (0,) * 9
-        return WeylOperator(2, v, zero) if kind == "X" else WeylOperator(2, zero, v)
-
-    checks = [("Z", (0, 1, 3, 4)), ("Z", (4, 5, 7, 8)), ("Z", (2, 5)), ("Z", (3, 6))]
-    checks += [("X", (1, 2, 4, 5)), ("X", (3, 4, 6, 7)), ("X", (0, 1)), ("X", (7, 8))]
-    # Each pure error anticommutes with one check only, the one at its index.
-    pure = [("X", (0,)), ("X", (8,)), ("X", (2,)), ("X", (6,)), ("Z", (2,)), ("Z", (6,)), ("Z", (0,)), ("Z", (8,))]
-    return StabilizerCode(
-        d=2,
-        n=9,
-        k=1,
-        stab_gens=tuple(pauli(*c) for c in checks),
-        pure_error_gens=tuple(pauli(*p) for p in pure),
-        logical_gens=(pauli("X", (0, 3, 6)), pauli("Z", (0, 1, 2))),
-    )
+    Z and X plaquettes, weight-two boundary checks, and one-qubit pure errors, each of
+    which anticommutes with one check only, the one at its index."""
+    return load_code(str(Path(__file__).parent / "data" / "surface_9_1_3.json"))
 
 
 def test_surface_code_measurement_with_a_readout_qubit():

@@ -719,3 +719,44 @@ def test_registry_report_is_pinned_under_one_and_two_blas_threads():
         )
         assert run.returncode == 0, run.stderr.decode()
         assert run.stdout == reference, f"the report differs with OPENBLAS_NUM_THREADS={threads}"
+
+
+def test_compile_refuses_a_circuit_file_with_an_unknown_key(tmp_path, capsys):
+    data = json.loads(serialize(_two_gadget_circuit("one_register")))
+    data["gadgets"][0]["nosie"] = {"dim": 2, "kraus": [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(data))
+    assert main(["compile", "--circuit", str(path), "--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot load circuit {str(path)!r}: unknown key 'nosie' in $.gadgets[0]")
+
+
+@pytest.mark.parametrize(
+    "d,n", [(1, 1), (0, 3), (2, 0)]
+)
+def test_a_code_file_below_one_qudit_of_dimension_two_exits_2(tmp_path, capsys, d, n):
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps({"d": d, "n": n, "k": 0, "stabilizer_generators": [], "pure_error_generators": [],
+                                "logical_generators": []}))
+    assert main(["verify", "--check", "theorem1", "--code", str(path)]) == 2
+    assert capsys.readouterr().err.endswith(f"d >= 2 and n >= 1 of them, not d={d}, n={n}\n")
+
+
+DATA = REPO / "tests" / "data"
+
+
+@pytest.mark.parametrize("name", ["code_4_2_2", "repetition3_d5", "steane_7_1_3", "surface_9_1_3"])
+def test_the_character_check_passes_on_each_code_file(tmp_path, name):
+    out = tmp_path / "rep.json"
+    argv = ["verify", "--check", "character_orthogonality", "--code", str(DATA / f"{name}.json"), "--out", str(out)]
+    assert main(argv) == 0
+    assert [r["check"] for r in json.loads(out.read_text())] == [f"character_orthogonality:{name}"]
+
+
+def test_theorem1_passes_on_the_4_2_2_code_file_and_refuses_steane_at_once(tmp_path, capsys):
+    argv = ["verify", "--check", "theorem1", "--out", str(tmp_path / "rep.json"), "--code"]
+    assert main(argv + [str(DATA / "code_4_2_2.json")]) == 0
+    start = time.perf_counter()
+    assert main(argv + [str(DATA / "steane_7_1_3.json")]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert "superoperator dimension 128 exceeds the cap 64" in capsys.readouterr().err

@@ -1,15 +1,19 @@
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lrc.verify
 from lrc.codes import (
     BUILTIN_CODE_NAMES,
     CodeValidationError,
     StabilizerCode,
+    _enumerate_products,
+    _min_weight_unit_generators,
     builtin_code,
     code_from_dict,
     code_to_dict,
@@ -18,13 +22,16 @@ from lrc.codes import (
     encoding_isometry,
     enumerate_pure_errors,
     enumerate_stabilizers,
+    load_code,
     logical_basis_state,
     logical_weyls,
     projector_for_syndrome,
     syndrome_of,
     trivial_code,
 )
-from lrc.weyl import CapacityError, WeylOperator, braiding_exponent, roots_of_unity
+from lrc.verify import check_character_orthogonality
+from lrc.weyl import CapacityError, WeylOperator, braiding_exponent, exponent_rows, iter_weyls, roots_of_unity, xz_rows
+from test_circuits import repetition3
 
 ALL_CODES = [builtin_code(name) for name in BUILTIN_CODE_NAMES]
 
@@ -506,3 +513,146 @@ def test_a_mutated_code_is_refused_exactly_when_a_dense_check_fails(data):
     else:
         with pytest.raises(CodeValidationError):
             code_from_dict(mutated)
+
+
+def _paulis(*labels) -> tuple:
+    """Qubit operators of IXYZ labels; a leading 'i' multiplies by i, so i ZZ squares to -I."""
+    return tuple(WeylOperator.from_label(t.lstrip("i")).with_phase_exp(int(t[0] == "i")) for t in labels)
+
+
+@pytest.mark.parametrize(
+    "stabs,pures,logicals,message",
+    [
+        (("IIZ", "XII", "ZII"), ("IIX", "ZII", "XII"), (), "stabilizer generators 1 and 2 do not commute"),
+        (("ZZI", "iIZZ"), ("XII", "IXI"), ("XXX", "ZZZ"), "stabilizer generator 1 does not have order dividing 2"),
+        (("ZZI", "ZZI"), ("XII", "IXI"), ("XXX", "ZZZ"), "not a minimal generating set (group order below 4)"),
+        (("ZZI", "IZZ"), ("XII", "XII"), ("XXX", "ZZZ"), "pure errors (0, 1) and (1, 0) share the syndrome (1, 0)"),
+        (("ZZI", "IZZ"), ("XII", "IXI"), ("XXX", "iZZZ"), "logical generator 1 does not have order dividing 2"),
+        (("ZZI", "IZZ"), ("XII", "IXI"), ("XXX", "IIX"), "logical generator 1 does not commute with stabilizer generator 1"),
+        (("ZZI", "IZZ"), ("XII", "IXI"), ("XXX", "XXX"), "logical pair (0,0) braids with exponent 0"),
+        (("XXXX", "ZZZZ"), ("ZIII", "XIII"), ("XXII", "ZIZI", "ZIZI", "XXII"), "logical X 0 and 1 do not commute"),
+        (("XXXX", "ZZZZ"), ("ZIII", "XIII"), ("XXII", "ZIZI", "XIXI", "XXII"), "logical Z 0 and 1 do not commute"),
+    ],
+)
+def test_a_broken_code_is_refused_with_the_rule_and_the_indices_it_breaks(stabs, pures, logicals, message):
+    with pytest.raises(CodeValidationError) as info:
+        StabilizerCode(2, len(stabs[0]), len(logicals) // 2, _paulis(*stabs), _paulis(*pures), _paulis(*logicals))
+    assert message in str(info.value)
+
+
+# -- code files ------------------------------------------------------------------
+
+DATA = Path(__file__).parent / "data"
+
+#: (d, n, k) of each code file under tests/data.  None is a builtin, so `verify --all` reads none.
+CODE_FILES = {"code_4_2_2": (2, 4, 2), "repetition3_d5": (5, 3, 1), "steane_7_1_3": (2, 7, 1), "surface_9_1_3": (2, 9, 1)}
+
+
+def file_code(name) -> StabilizerCode:
+    return load_code(str(DATA / f"{name}.json"))
+
+
+@pytest.mark.parametrize("name", CODE_FILES)
+def test_each_code_file_loads(name):
+    code = file_code(name)
+    assert (code.d, code.n, code.k) == CODE_FILES[name]
+
+
+def test_the_code_files_define_the_codes_they_are_named_for():
+    steane = file_code("steane_7_1_3")
+    assert steane.pure_error_gens == _min_weight_unit_generators(2, 7, steane.stab_gens)
+    assert {sum(map(any, zip(s.x, s.z))) for s in steane.stab_gens} == {4}
+    assert file_code("repetition3_d5") == repetition3(5)
+
+
+@pytest.mark.parametrize("name", [name for name, (d, n, _) in CODE_FILES.items() if d**n <= 128])
+def test_the_code_files_pass_the_dense_checks(name):
+    assert dense_checks_pass(json.loads((DATA / f"{name}.json").read_text()))
+
+
+# -- the object paths the x | z tables replace, kept as oracles ----------------------
+
+
+def object_pure_error_search(d, n, stab_gens):
+    """The first Weyl object, by (weight, x, z), of each unit syndrome."""
+    ranked = sorted(iter_weyls(d, n), key=lambda w: (sum(map(any, zip(w.x, w.z))), w.x, w.z))
+    units = [tuple(int(i == j) for j in range(len(stab_gens))) for i in range(len(stab_gens))]
+    return tuple(next(w for w in ranked if tuple(braiding_exponent(w, g) for g in stab_gens) == u) for u in units)
+
+
+def object_character_violations(code) -> float:
+    """The character check as |S|^2 |T| braiding calls, on lrc.verify's enumerations."""
+    stabs, errors, d = lrc.verify.enumerate_stabilizers(code), lrc.verify.enumerate_pure_errors(code), code.d
+    violations = 0
+    for S in stabs:
+        syn_s = [braiding_exponent(t, S) for t in errors]
+        for Sp in stabs:
+            counts = {}
+            for a, t in zip(syn_s, errors):
+                e = (braiding_exponent(t, Sp) - a) % d
+                counts[e] = counts.get(e, 0) + 1
+            if S.same_xz(Sp):
+                violations += set(counts) != {0} or counts[0] != len(stabs)
+            else:
+                support = set(counts)
+                subgroup = 0 in support and all((a + b) % d in support for a in support for b in support)
+                violations += support == {0} or not (subgroup and len(set(counts.values())) == 1)
+    return float(violations)
+
+
+ORACLE_CODES = {
+    **{name: builtin_code(name) for name in BUILTIN_CODE_NAMES},
+    **{f"mutation_base{i}": code_from_dict(base) for i, base in enumerate(MUTATION_BASES)},
+    **{name: file_code(name) for name in CODE_FILES},
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_CODES)
+def test_the_pure_error_search_is_the_object_search(name):
+    code = ORACLE_CODES[name]
+    found = _min_weight_unit_generators(code.d, code.n, code.stab_gens)
+    assert found == object_pure_error_search(code.d, code.n, code.stab_gens)
+    assert [syndrome_of(code, t) for t in found] == [tuple(row) for row in np.eye(code.n - code.k, dtype=int).tolist()]
+
+
+# The object check makes |S|^2 |T| = 16.7 million braiding calls on the surface code, too many for the suite.
+@pytest.mark.parametrize("name", [name for name in ORACLE_CODES if name != "surface_9_1_3"])
+def test_the_character_check_counts_the_violations_of_the_object_check(name):
+    code = ORACLE_CODES[name]
+    assert check_character_orthogonality(code).value == object_character_violations(code) == 0.0
+
+
+@pytest.mark.parametrize("name", ["bitflip3", "qutrit_rep3", "five_one_three", "code_4_2_2"])
+@pytest.mark.parametrize("repeat", ["in_place", "appended"])
+def test_a_repeated_pure_error_is_counted_as_the_object_check_counts_it(name, repeat, monkeypatch):
+    """Pure error 1 is replaced by, or one more copy is made of, pure error 0."""
+    code = ORACLE_CODES[name]
+    errors = lrc.verify.enumerate_pure_errors(code)
+    errors = (errors[0],) + errors[:1] + errors[2:] if repeat == "in_place" else errors + errors[:1]
+    monkeypatch.setattr(lrc.verify, "enumerate_pure_errors", lambda code: errors)
+    value = check_character_orthogonality(code).value
+    assert value > 0 and value == object_character_violations(code)
+
+
+@pytest.mark.parametrize("name", ORACLE_CODES)
+def test_exponent_rows_times_generator_rows_are_the_enumerated_products(name):
+    code = ORACLE_CODES[name]
+    d, n = code.d, code.n
+    for gens in (code.stab_gens, code.pure_error_gens, code.logical_gens):
+        rows = exponent_rows(d, len(gens)) @ xz_rows(gens, n) % d
+        assert rows.tolist() == xz_rows(_enumerate_products(gens, d, n), n).tolist()
+
+
+def test_the_pure_error_search_is_refused_past_the_budget(monkeypatch):
+    """Five qubits give 4^5 candidates of 10 digits, over the 64^2 entries of LRC_DENSE_LIMIT=64."""
+    monkeypatch.setenv("LRC_DENSE_LIMIT", "64")
+    with pytest.raises(CapacityError, match="1024 candidates of 10 digits.*LRC_DENSE_LIMIT=64"):
+        _min_weight_unit_generators(2, 5, builtin_code("five_one_three").stab_gens)
+
+
+@pytest.mark.parametrize(
+    "d,n", [(1, 3), (0, 1), (2, 0), (2, -1)]
+)
+def test_a_code_below_one_qudit_of_dimension_two_is_refused(d, n):
+    with pytest.raises(CodeValidationError, match=f"d >= 2 and n >= 1 of them, not d={d}, n={n}$"):
+        StabilizerCode(d, n, 0, (), (), ())

@@ -13,12 +13,14 @@ from lrc.weyl import (
     DimensionError,
     WeylOperator,
     braiding_exponent,
+    braiding_matrix,
     _gather_tables,
     _shift_and_phases,
     eigenprojector,
     iter_weyls,
     roots_of_unity,
     weyl_from_matrix,
+    xz_rows,
 )
 
 RNG = np.random.default_rng(901)
@@ -148,6 +150,16 @@ def test_braiding_bicharacter_law_exact(d, data):
     n = data.draw(st.integers(1, 3))
     p, q, r = (data.draw(weyls_on(d, n)) for _ in range(3))
     assert braiding_exponent(p, q.mul(r)) == (braiding_exponent(p, q) + braiding_exponent(p, r)) % d
+
+
+@settings(max_examples=200)
+@given(d=st.sampled_from((2, 3, 5)), data=st.data())
+def test_the_braiding_table_is_braiding_exponent_entry_by_entry(d, data):
+    n = data.draw(st.integers(1, 3))
+    P, Q = (data.draw(st.lists(weyls_on(d, n), max_size=4)) for _ in range(2))
+    table = braiding_matrix(xz_rows(P, n), xz_rows(Q, n), d)
+    assert table.shape == (len(P), len(Q))
+    assert table.tolist() == [[braiding_exponent(p, q) for q in Q] for p in P]
 
 
 def test_to_matrix_identity_and_x():
