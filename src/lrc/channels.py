@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .weyl import DimensionError, WeylOperator, check_budget, iter_weyls
+from .weyl import DimensionError, WeylOperator, check_budget, deviation, iter_weyls
 
 HERMITICITY_TOL = 1e-10
 
@@ -126,7 +126,7 @@ def coherent_rotation(P: WeylOperator, theta: float) -> Superoperator:
     cos(theta) I - i sin(theta) P.
     """
     M = P.to_matrix()
-    if np.max(np.abs(M - M.conj().T)) > HERMITICITY_TOL:
+    if deviation(M, M.conj().T) > HERMITICITY_TOL:
         raise ValueError(f"{P} is not Hermitian; rotations are undefined for it")
     U = np.cos(theta) * np.eye(M.shape[0]) - 1j * np.sin(theta) * M
     return natural_rep(U)
@@ -138,7 +138,7 @@ def stochastic_weyl(probs) -> Superoperator:
     if not items:
         raise ValueError("empty distribution")
     total = sum(p for _, p in items)
-    if any(p < -1e-12 for _, p in items) or abs(total - 1.0) > 1e-12:
+    if any(p < -1e-12 for _, p in items) or deviation(total, 1.0) > 1e-12:
         raise ValueError(f"probabilities must be nonnegative and sum to 1, got {total}")
     dim = items[0][0].dim
     _check_superop_dim(dim)
@@ -188,9 +188,9 @@ def twirl(L: Superoperator, group) -> Superoperator:
 def is_trace_preserving(C: Superoperator, atol: float = 1e-10) -> bool:
     """sum_K K^dagger K = I from a Kraus form when there is one, so its matrix stays unbuilt."""
     if C.kraus is not None:
-        return bool(np.max(np.abs(sum(K.conj().T @ K for K in C.kraus) - np.eye(C.dim))) < atol)
+        return deviation(sum(K.conj().T @ K for K in C.kraus), np.eye(C.dim)) < atol
     ident = vec(np.eye(C.dim))
-    return bool(np.max(np.abs(ident.conj() @ C.matrix - ident.conj())) < atol)
+    return deviation(ident.conj() @ C.matrix, ident.conj()) < atol
 
 
 def weyl_transfer_matrix(C: Superoperator, d: int, n: int) -> np.ndarray:
@@ -215,7 +215,7 @@ def weyl_transfer_matrix(C: Superoperator, d: int, n: int) -> np.ndarray:
 def max_offdiagonal(R: np.ndarray) -> float:
     off = np.asarray(R).copy()
     np.fill_diagonal(off, 0.0)
-    return float(np.max(np.abs(off))) if off.size else 0.0
+    return deviation(off)
 
 
 # -- multi-register tensor helpers --------------------------------------------

@@ -77,7 +77,8 @@ from .codes import (
     logical_basis_state,
 )
 from .weyl import (
-    _SMALL_DIM, WeylOperator, braiding_exponent, budgeted_cache, check_budget, eigenprojector, roots_of_unity,
+    _SMALL_DIM, WeylOperator, braiding_exponent, budgeted_cache, check_budget, deviation, eigenprojector,
+    roots_of_unity,
 )
 
 SCHEMA_VERSION = 1
@@ -231,7 +232,9 @@ def _layer_rule(circuit: LogicalCircuit, g: Gadget):
         return None
     if g.matrix.shape != (fdim, fdim):
         return "unitary-realisation", f"matrix shape {g.matrix.shape} != ({fdim},)*2"
-    if np.max(np.abs(g.matrix @ g.matrix.conj().T - np.eye(fdim))) > 1e-10:
+    if not np.isfinite(g.matrix).all():
+        return "unitary-realisation", "matrix has an entry that is not finite"
+    if deviation(g.matrix @ g.matrix.conj().T, np.eye(fdim)) > 1e-10:
         return "unitary-realisation", "matrix is not unitary"
     return None
 
@@ -875,12 +878,16 @@ def _matrix_to_json(m) -> list:
 
 
 def _matrix_from_json(rows, path: str, error) -> np.ndarray:
-    """The matrix of a JSON list of rows of [real, imaginary] pairs, read as one value."""
+    """The matrix of a JSON list of rows of [real, imaginary] pairs of finite JSON numbers
+    (NaN, Infinity and booleans are none), read as one value."""
     try:
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
             raise TypeError("rows must be JSON lists")
-        return np.array([[complex(a, b) for a, b in row] for row in rows])
-    except (TypeError, ValueError) as exc:
+        m = np.array([[complex(a, b) for a, b in row] for row in rows])
+        if not all(type(v) in (int, float) for row in rows for pair in row for v in pair) or not np.isfinite(m).all():
+            raise TypeError("entries must be finite JSON numbers")
+        return m
+    except (TypeError, ValueError, OverflowError) as exc:
         raise error(f"{path}: malformed complex matrix ({exc})") from None
 
 
@@ -932,7 +939,8 @@ def circuit_to_dict(circuit: LogicalCircuit) -> dict:
 
 
 def serialize(circuit: LogicalCircuit) -> str:
-    return json.dumps(circuit_to_dict(circuit), sort_keys=True, separators=(",", ":")) + "\n"
+    """Circuit JSON; a value that is not finite raises ValueError, as JSON has none."""
+    return json.dumps(circuit_to_dict(circuit), sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
 def _need(data: dict, key: str, path: str, read=None):

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .weyl import (
-    DimensionError, WeylOperator, braiding_matrix, budgeted_cache, check_budget, eigenprojector, exponent_rows,
-    xz_rows,
+    DimensionError, WeylOperator, braiding_matrix, budgeted_cache, check_budget, deviation, eigenprojector,
+    exponent_rows, xz_rows,
 )
 
 BUILTIN_CODE_NAMES = ("bitflip3", "phaseflip3", "five_one_three", "qutrit_rep3")
@@ -257,7 +257,7 @@ def encoding_isometry(code: StabilizerCode) -> np.ndarray:
             v = (code.logical_x(i) ** bi).apply_to_vector(v)
         cols.append(v)
     V = np.stack(cols, axis=1)
-    if np.max(np.abs(V.conj().T @ V - np.eye(d**k))) > 1e-10:
+    if deviation(V.conj().T @ V, np.eye(d**k)) > 1e-10:
         raise CodeValidationError("codeword basis is not orthonormal")
     V.setflags(write=False)
     return V

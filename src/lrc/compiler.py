@@ -42,7 +42,7 @@ from .circuits import (
     measured_weyl,
 )
 from .codes import StabilizerCode, _json_int, _json_object, enumerate_stabilizers, logical_weyls
-from .weyl import WeylOperator, braiding_exponent, iter_weyls, weyl_from_matrix
+from .weyl import WeylOperator, braiding_exponent, deviation, iter_weyls, weyl_from_matrix
 
 DEFAULT_SEED = 271828
 
@@ -395,7 +395,7 @@ def _require_t_gadget(circuit, g):
         raise CompileError("the dihedral twirl applies to single-qubit T gadgets")
     T = t_gate_matrix()
     overlap = abs(np.trace(g.matrix @ T.conj().T)) / 2
-    if abs(overlap - 1.0) > 1e-10:
+    if deviation(overlap, 1.0) > 1e-10:
         raise CompileError("the dihedral twirl applies only to gadgets implementing T")
 
 

@@ -67,6 +67,13 @@ def check_budget(entries: int, message: str, *args) -> int:
     return limit * limit
 
 
+def deviation(a, b=None) -> float:
+    """The one residual rule: max |a - b| over every entry (max |a| with b None, 0 for no
+    entries), inf when an entry is not finite, so no tolerance test and no max() passes a NaN."""
+    worst = float(np.abs(a if b is None else np.subtract(a, b)).max(initial=0.0))
+    return worst if worst == worst else math.inf
+
+
 def budgeted_cache(maxsize: int, message: str, entries):
     """``functools.lru_cache(maxsize)`` of a function returning dense arrays, which checks
     ``entries(*args)`` = (count, *message args) against the budget on a hit as on a miss,
@@ -405,7 +412,7 @@ def weyl_from_matrix(M: np.ndarray, d: int, n: int, atol: float = 1e-10):
     col0 = M[:, 0]
     row = int(np.argmax(np.abs(col0)))
     phase = col0[row]
-    if abs(abs(phase) - 1.0) > 1e-6:
+    if deviation(abs(phase), 1.0) > 1e-6:
         return None
     x = tuple(int(v) for v in np.unravel_index(row, (d,) * n))
     z = []
@@ -417,6 +424,6 @@ def weyl_from_matrix(M: np.ndarray, d: int, n: int, atol: float = 1e-10):
         z.append(int(m))
     p = round(d * np.angle(phase) / np.pi) % (2 * d)
     cand = WeylOperator(d, x, tuple(z), int(p))
-    if np.max(np.abs(cand.to_matrix() - M)) < atol:
+    if deviation(cand.to_matrix(), M) < atol:
         return cand
     return None

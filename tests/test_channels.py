@@ -235,6 +235,13 @@ def test_stochastic_weyl_validates_distribution():
         stochastic_weyl({I1: 0.5, X: 0.4})
 
 
+@pytest.mark.parametrize("probs", [{I1: np.nan, X: 1.0}, {I1: 0.5, X: np.nan}])
+def test_stochastic_weyl_refuses_a_probability_that_is_not_finite(probs):
+    """A NaN total used to pass |total - 1| > 1e-12, since every comparison with NaN is False."""
+    with pytest.raises(ValueError, match="probabilities must be nonnegative and sum to 1"):
+        stochastic_weyl(probs)
+
+
 def test_compose_order():
     # compose(A, B) applies B first.
     zx = compose(natural_rep(Z), natural_rep(X))

@@ -1420,6 +1420,59 @@ def test_noise_json_of_the_wrong_shape_is_refused_at_its_path(noise, reason):
         circuit_from_dict(data)
 
 
+def _unitary_with_entry(value):
+    m = np.eye(8, dtype=complex)
+    m[0, 0] = value
+    return Gadget.unitary("L0", matrix=m)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(1.0, np.nan)])
+def test_a_unitary_matrix_with_an_entry_that_is_not_finite_is_invalid(value):
+    """A NaN matrix used to pass validate and evaluate to {} with exact=True, an inf one after
+    a RuntimeWarning from M M^dagger, which is no longer formed for it."""
+    c = LogicalCircuit(
+        d=2,
+        registers=(one_block(),),
+        gadgets=(Gadget.reset("L0", (0,)), _unitary_with_entry(value), Gadget.measurement("L0", "m")),
+        classical_wires=("m",),
+    )
+    message = "matrix has an entry that is not finite"
+    assert [(x.gadget, x.rule, x.message) for x in validate(c)] == [(1, "unitary-realisation", message)]
+    with pytest.raises(EvaluationError, match=f"^invalid circuit: unitary-realisation: {message}$"):
+        evaluate(c)
+
+
+def test_serialize_writes_no_value_that_is_not_finite():
+    """It used to write the constant NaN, which is not JSON, and parse read it back."""
+    c = LogicalCircuit(d=2, registers=(one_block(),), gadgets=(_unitary_with_entry(np.nan),), classical_wires=())
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        serialize(c)
+
+
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity", "1e999", "true", "false"])
+@pytest.mark.parametrize(
+    "keys,path",
+    [(("gadgets", 1, "matrix"), "$.gadgets[1].matrix"), (("gadgets", 0, "noise", "kraus", 0), "$.gadgets[0].noise.kraus[0]")],
+)
+def test_parse_refuses_a_matrix_entry_that_is_not_a_finite_json_number(keys, path, entry):
+    """json reads NaN, Infinity and 1e999 as floats and true as 1; each used to reach the matrix."""
+    c = LogicalCircuit(
+        d=2,
+        registers=(one_block(),),
+        gadgets=(Gadget.reset("L0", (0,), noise=natural_rep(np.eye(8))), Gadget.unitary("L0", matrix=np.eye(8))),
+        classical_wires=(),
+    )
+    data = json.loads(serialize(c))
+    target = data
+    for key in keys:
+        target = target[key]
+    target[0][0][0] = "ENTRY"
+    text = json.dumps(data).replace('"ENTRY"', entry)
+    with pytest.raises(SchemaError) as info:
+        parse(text)
+    assert str(info.value) == f"{path}: malformed complex matrix (entries must be finite JSON numbers)"
+
+
 @pytest.mark.parametrize(
     "layer,rule",
     [
@@ -1427,6 +1480,7 @@ def test_noise_json_of_the_wrong_shape_is_refused_at_its_path(noise, reason):
         (Gadget.unitary("nope", weyl=WeylOperator.from_label("XXX")), "unknown-register: .*'nope'"),
         (Gadget.unitary("L0", matrix=np.eye(4)), r"unitary-realisation: matrix shape \(4, 4\)"),
         (Gadget.unitary("L0", weyl=WeylOperator(3, (1, 0, 0), (0, 0, 0))), "unitary-realisation: weyl does not"),
+        (Gadget.unitary("L0", matrix=np.full((8, 8), np.nan)), "unitary-realisation: matrix has an entry that is not"),
     ],
 )
 def test_an_inserted_layer_is_checked_against_its_circuit(layer, rule):

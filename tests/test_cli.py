@@ -200,6 +200,22 @@ def test_compile_and_sample_report_an_unloadable_circuit_alike(tmp_path, command
     assert f"cannot load circuit {str(path)!r}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", ["NaN", "Infinity", "true"])
+def test_compile_refuses_a_circuit_file_with_a_matrix_entry_that_is_not_a_finite_number(tmp_path, entry, capsys):
+    circuit = LogicalCircuit(
+        d=2,
+        registers=(Register(name="L0", kind="logical", qudits=(0, 1, 2), code=builtin_code("bitflip3")),),
+        gadgets=(Gadget.reset("L0", (0,)), Gadget.unitary("L0", matrix=np.eye(8))),
+        classical_wires=(),
+    )
+    path = tmp_path / "c.json"
+    path.write_text(serialize(circuit).replace("[[1.0,0.0]", f"[[{entry},0.0]", 1))
+    assert main(["compile", "--circuit", str(path), "--out", str(tmp_path / "out.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot load circuit {str(path)!r}: $.gadgets[1].matrix: malformed complex matrix")
+    assert not (tmp_path / "out.json").exists()
+
+
 @pytest.mark.parametrize("argv", [["compile"], ["sample", "--shots", "100"]])
 def test_measurement_weyl_whose_dth_power_is_not_the_identity_exits_two(tmp_path, argv, capsys):
     code = builtin_code("bitflip3")

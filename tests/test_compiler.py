@@ -202,6 +202,22 @@ def test_dihedral_rejects_non_t_gadget():
         list(instantiate(c, policy))
 
 
+def test_the_t_gadget_rule_refuses_a_nan_matrix():
+    """The T overlap of a NaN matrix is NaN, which the rule used to take for 1."""
+    from lrc.compiler import _require_t_gadget
+
+    m = t_gate_matrix().copy()
+    m[1, 1] = np.nan
+    c = LogicalCircuit(
+        d=2,
+        registers=(Register(name="Q", kind="logical", qudits=(0,), code=trivial_code(2, 1)),),
+        gadgets=(Gadget.unitary("Q", matrix=m, label="T"),),
+        classical_wires=(),
+    )
+    with pytest.raises(CompileError, match="only to gadgets implementing T"):
+        _require_t_gadget(c, c.gadgets[0])
+
+
 def test_measurement_exhaustive_sixteen_instances():
     instances = list(instantiate(reset_measure_circuit(), RandomizationPolicy()))
     # reset S (4) x measurement S (4) x x (2) x z (2) = 64; measurement alone 16

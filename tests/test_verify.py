@@ -1,9 +1,13 @@
+import ast
+import inspect
 import itertools
+import json
 import multiprocessing
 import multiprocessing.connection
 import os
 import time
 import tracemalloc
+from collections.abc import Mapping
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +30,7 @@ from lrc.channels import (
     stochastic_weyl,
 )
 from lrc.circuits import (
+    CircuitResult,
     Gadget,
     LogicalCircuit,
     Register,
@@ -704,3 +709,98 @@ def test_an_alarm_while_waiting_for_the_helper_ends_it(fake_checks, monkeypatch)
     finally:
         os.close(read)
         os.close(write)
+
+
+# -- NaN residuals and timings ------------------------------------------------------
+
+
+def _one_nan(value):
+    """A copy of a check's input with its first entry NaN: a channel's matrix, the first value
+    of a dict (a cospace table, conditioned channels, a distribution), the projector of a
+    cospace-table entry, a result's first branch state, or an array."""
+    if isinstance(value, Superoperator):
+        m = value.matrix.copy()
+        m[0, 0] = np.nan
+        return Superoperator(value.dim, m)
+    if isinstance(value, Mapping):
+        first = next(iter(value))
+        return {**value, first: _one_nan(value[first])}
+    if isinstance(value, tuple):
+        return (value[0], _one_nan(value[1]))
+    if isinstance(value, CircuitResult):
+        value.branches[0].state = _one_nan(value.branches[0].state)
+        return value
+    if isinstance(value, float):
+        return float("nan")
+    m = np.array(value, dtype=complex)
+    m.flat[0] = np.nan
+    return m
+
+
+#: Registry check -> (owner, name) of the input that gets one NaN.
+NAN_INPUTS = {
+    "theorem1": (lrc.verify, "cospace_table"),
+    "theorem2": (lrc.verify, "twirl"),
+    "clifford_path": (lrc.verify, "averaged_compiled_unitary"),
+    "t_path": (lrc.verify, "averaged_compiled_unitary"),
+    "toffoli": (lrc.verify, "partial_trace"),
+    "measurement_rc": (lrc.verify, "averaged_extraction_channels"),
+    "compiled_equals_bare": (lrc.verify, "evaluate"),
+    "sampling_equivalence": (CircuitResult, "distribution"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAN_INPUTS))
+def test_a_nan_in_a_checks_input_fails_the_check(name, monkeypatch, tmp_path):
+    """Every check with a floating-point residual fails on one NaN: Python's max drops a NaN
+    that is not its first argument, so theorem1, theorem2, clifford_path, t_path and
+    compiled_equals_bare used to pass with it."""
+    owner, attr = NAN_INPUTS[name]
+    original = getattr(owner, attr)
+    monkeypatch.setattr(owner, attr, lambda *args, **kwargs: _one_nan(original(*args, **kwargs)))
+    out = tmp_path / "report.json"
+    assert main(["verify", "--check", name, "--code", "bitflip3", "--seed", "7", "--out", str(out)]) == 1
+    reports = json.loads(out.read_text())
+    # toffoli at delta = 0 compares the state with its target and reads no partial trace
+    verdicts = {r["check"]: r["pass"] for r in reports if r["check"] != "toffoli:delta=0:all"}
+    assert verdicts and not any(verdicts.values())
+
+
+TIMED_CHECKS = (
+    check_theorem1,
+    check_character_orthogonality,
+    check_theorem2,
+    check_theorem2_suite,
+    check_clifford_path,
+    check_t_path,
+    run_toffoli_example,
+    check_measurement_rc,
+    check_compiled_equals_bare,
+    check_sampling_equivalence,
+)
+
+
+def test_every_check_is_one_timed_straight_line_function():
+    """@_timed is on each check and nowhere else, no check nests a function, and each keeps
+    its name, docstring and signature."""
+    tree = ast.parse(Path(lrc.verify.__file__).read_text())
+    timed = [f for f in tree.body if isinstance(f, ast.FunctionDef) and "_timed" in map(ast.unparse, f.decorator_list)]
+    assert [f.name for f in timed] == [check.__name__ for check in TIMED_CHECKS]
+    inner_functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    assert [ast.unparse(n) for f in timed for n in ast.walk(f) if n is not f and isinstance(n, inner_functions)] == []
+    for check in TIMED_CHECKS:
+        inner = check.__wrapped__
+        assert (check.__name__, check.__doc__) == (inner.__name__, inner.__doc__)
+        assert str(inspect.signature(check)) == str(inspect.signature(inner))
+        assert "seed" in inspect.signature(check).parameters
+
+
+def test_timings_time_every_report_and_change_no_other_byte(tmp_path):
+    """--timings sets each report's runtime_ms, the wall time of its whole check call; the
+    report is otherwise the pinned one, which carries runtime_ms 0."""
+    out = tmp_path / "timed.json"
+    assert main(["verify", "--all", "--seed", "7", "--timings", "--out", str(out)]) == 0
+    reports = json.loads(out.read_text())
+    assert all(r["runtime_ms"] > 0 for r in reports)
+    untimed = json.dumps([{**r, "runtime_ms": 0.0} for r in reports], sort_keys=True, separators=(",", ":"))
+    assert untimed + "\n" == REFERENCE_REPORT.read_text()

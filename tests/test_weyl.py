@@ -15,6 +15,7 @@ from lrc.weyl import (
     braiding_exponent,
     braiding_matrix,
     _gather_tables,
+    deviation,
     _shift_and_phases,
     eigenprojector,
     iter_weyls,
@@ -194,6 +195,54 @@ def test_only_weyl_knows_the_memory_budget():
             if isinstance(node, ast.Name | ast.Attribute | ast.alias) and name in held:
                 found.append(f"{path.name}:{node.lineno}: {name}")
     assert found == []
+
+
+def _where(predicate) -> set:
+    """(module, top-level definition, None for a module-level statement) of every part of
+    lrc's source with a node that satisfies ``predicate``."""
+    out = set()
+    for path in sorted(Path(lrc.weyl.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            if any(predicate(node) for node in ast.walk(top)):
+                out.add((path.name, getattr(top, "name", None)))
+    return out
+
+
+def _is_numpy_max_of_abs(node) -> bool:
+    """np.max(np.abs(...)) or np.abs(...).max(), amax and absolute included; Python's max is not."""
+    def is_abs(n):
+        return isinstance(n, ast.Call) and getattr(n.func, "attr", None) in ("abs", "absolute")
+
+    if not isinstance(node, ast.Call) or getattr(node.func, "attr", None) not in ("max", "amax"):
+        return False
+    return is_abs(node.func.value) or bool(node.args) and is_abs(node.args[0])
+
+
+def test_only_weyl_takes_a_maximum_of_absolute_values():
+    """The residual max |a - b| is written once, as weyl.deviation; every other module calls it."""
+    assert _where(_is_numpy_max_of_abs) == {("weyl.py", "deviation")}
+
+
+def test_only_the_check_decorator_reads_the_clock():
+    """verify._timed is the one reader of time.perf_counter: no check times itself."""
+    def reads_clock(node):
+        return "perf_counter" in (getattr(node, "attr", None), getattr(node, "id", None), getattr(node, "name", None))
+
+    assert _where(reads_clock) == {("verify.py", "_timed")}
+
+
+def test_deviation_is_the_largest_absolute_difference_and_inf_past_a_nan():
+    a = np.array([[1.0, 2.0 + 1j], [0.5, -3.0]])
+    b = np.array([[1.0, 2.0], [0.5, -1.0]])
+    assert deviation(a, b) == 2.0 == deviation(a - b)
+    assert deviation(0.3, 0.1) == abs(0.3 - 0.1)
+    assert deviation([]) == 0.0
+    assert type(deviation(a, b)) is float
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+        c = a.copy()
+        c[1, 1] = bad
+        assert deviation(c, b) == deviation(b, c) == deviation(c) == np.inf
+    assert max(0.0, deviation(np.nan, 1.0)) == np.inf  # where max(0.0, nan) is 0.0
 
 
 def test_tensor_matches_kron():
